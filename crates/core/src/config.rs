@@ -6,7 +6,6 @@ use byzcast_sim::SimDuration;
 
 use crate::recovery::RecoveryConfig;
 use crate::resources::ResourceConfig;
-use crate::stability::PurgePolicy;
 
 /// Configuration of a byzcast protocol node.
 #[derive(Clone, Debug)]
@@ -28,11 +27,6 @@ pub struct ByzcastConfig {
     pub fd_tick: SimDuration,
     /// How long received message bodies are buffered before purging.
     pub purge_after: SimDuration,
-    /// Whether bodies are purged by timeout alone (the paper's choice) or
-    /// as soon as every neighbour is observed holding them (the paper's
-    /// deferred "stability detection mechanism", with the timeout as
-    /// backstop).
-    pub purge_policy: PurgePolicy,
     /// Which overlay maintenance protocol to run.
     pub overlay: OverlayKind,
     /// MUTE failure detector parameters.
@@ -93,7 +87,6 @@ impl Default for ByzcastConfig {
             beacon_period: SimDuration::from_millis(1000),
             fd_tick: SimDuration::from_millis(100),
             purge_after: SimDuration::from_secs(12),
-            purge_policy: PurgePolicy::Timeout,
             overlay: OverlayKind::Cds,
             mute: MuteConfig::default(),
             verbose: VerboseConfig::default(),

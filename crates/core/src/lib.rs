@@ -9,8 +9,9 @@
 //!
 //! * [`message`] — the wire format (DATA / GOSSIP / REQUEST_MSG /
 //!   FIND_MISSING_MSG / beacons) with originator signatures.
-//! * [`store`] — the message buffer with timeout-based purging (§3.2.2) and
-//!   the buffer-bound accounting of §3.5.
+//! * [`store`] — the message buffer with timeout-based purging (§3.2.2),
+//!   the buffer-bound accounting of §3.5, and each body's gossip
+//!   advertisement slot.
 //! * [`config`] — protocol timing, including the paper's
 //!   `max_timeout = gossip + request + rebroadcast + 3β`.
 //! * [`resources`] — the resource-governance envelope (admission control,
@@ -54,7 +55,6 @@ pub mod message;
 pub mod protocol;
 pub mod recovery;
 pub mod resources;
-pub mod stability;
 pub mod store;
 
 pub use config::ByzcastConfig;
@@ -64,5 +64,4 @@ pub use message::{
 pub use protocol::{ByzcastNode, ProtocolCounters};
 pub use recovery::{RecoveryConfig, RecoveryStats};
 pub use resources::{ResourceConfig, ResourceStats};
-pub use stability::{PurgePolicy, StabilityTracker};
 pub use store::{MessageStore, StoredMsg};

@@ -35,8 +35,7 @@ use crate::message::{
 };
 use crate::recovery::RecoveryStats;
 use crate::resources::{Governor, ResourceStats};
-use crate::stability::{PurgePolicy, StabilityTracker};
-use crate::store::MessageStore;
+use crate::store::{Advertise, MessageStore};
 
 /// Timer keys used by the protocol.
 pub mod timers {
@@ -143,10 +142,6 @@ pub struct ByzcastNode {
     marked: bool,
     store: MessageStore,
     next_seq: u64,
-    /// Ids (all present in the store) whose gossip entries we lazycast,
-    /// with the number of advertisement rounds each has left.
-    active_gossip: BTreeMap<MessageId, u32>,
-    gossip_cursor: usize,
     missing: BTreeMap<MessageId, MissingState>,
     counters: ProtocolCounters,
     /// History of this node's own TRUST suspicions (for experiment R6).
@@ -167,9 +162,6 @@ pub struct ByzcastNode {
     /// holder answers a given id at most once per window, bounding response
     /// implosion even when collisions hide other holders' answers.
     served_recently: BTreeMap<MessageId, SimTime>,
-    /// Which neighbours have been observed holding each buffered message
-    /// (drives stability-based purging when enabled).
-    stability: StabilityTracker,
     /// Reused preimage buffer for beacon verification (the most frequent
     /// signature check).
     beacon_scratch: Vec<u8>,
@@ -178,8 +170,6 @@ pub struct ByzcastNode {
     /// Escalated-recovery and overlay-repair accounting (only reported when
     /// the `ByzcastConfig::recovery` envelope is enabled).
     recovery_stats: RecoveryStats,
-    /// Peak `active_gossip` size (resource-stats high-water mark).
-    peak_active_gossip: usize,
     /// Peak `missing` size (resource-stats high-water mark).
     peak_missing: usize,
 }
@@ -242,8 +232,6 @@ impl ByzcastNode {
             marked: false,
             store,
             next_seq: 0,
-            active_gossip: BTreeMap::new(),
-            gossip_cursor: 0,
             missing: BTreeMap::new(),
             counters: ProtocolCounters::default(),
             sus_log: SuspicionLog::new(),
@@ -252,11 +240,9 @@ impl ByzcastNode {
             pending_responses: BTreeMap::new(),
             finds_forwarded: BTreeMap::new(),
             served_recently: BTreeMap::new(),
-            stability: StabilityTracker::new(),
             beacon_scratch: Vec::new(),
             governor,
             recovery_stats: RecoveryStats::default(),
-            peak_active_gossip: 0,
             peak_missing: 0,
         }
     }
@@ -310,7 +296,7 @@ impl ByzcastNode {
         s.peak_store_msgs = self.store.high_water() as u64;
         s.peak_store_bytes = self.store.peak_bytes() as u64;
         s.peak_seen_ids = self.store.peak_seen() as u64;
-        s.peak_active_gossip = self.peak_active_gossip as u64;
+        s.peak_active_gossip = self.store.peak_advertised() as u64;
         s.peak_missing = self.peak_missing as u64;
         s
     }
@@ -416,26 +402,26 @@ impl ByzcastNode {
         }
     }
 
-    /// Whether an `active_gossip` entry for `id` may be created on behalf of
-    /// `from`. Per-origin quotas bound how much advertisement bookkeeping a
-    /// single (possibly Byzantine) originator can occupy; a node's own
-    /// messages are exempt (origination is application-driven).
-    fn gossip_quota_allows(&mut self, now: SimTime, from: NodeId, id: MessageId) -> bool {
-        let quota = self.config.resources.max_gossip_per_origin;
-        if quota == 0 || id.origin == self.id || self.active_gossip.contains_key(&id) {
-            return true;
-        }
-        let in_use = self
-            .active_gossip
-            .range(MessageId::new(id.origin, 0)..=MessageId::new(id.origin, u64::MAX))
-            .count();
-        if in_use < quota {
-            true
+    /// Opens an advertisement slot of `rounds` for the buffered body of
+    /// `id`, heard from `from`. Per-origin quotas bound how much
+    /// advertisement bookkeeping a single (possibly Byzantine) originator
+    /// can occupy; a node's own messages are exempt (origination is
+    /// application-driven). Returns whether the body is buffered.
+    fn advertise(&mut self, now: SimTime, from: NodeId, id: MessageId, rounds: u32) -> bool {
+        let quota = if id.origin == self.id {
+            0
         } else {
-            self.governor.stats_mut().quota_drops += 1;
-            self.note_quota_violation(now, from);
-            false
+            self.config.resources.max_gossip_per_origin
+        };
+        match self.store.advertise(id, rounds, quota) {
+            Advertise::NoBody => return false,
+            Advertise::OverQuota => {
+                self.governor.stats_mut().quota_drops += 1;
+                self.note_quota_violation(now, from);
+            }
+            Advertise::Held | Advertise::Armed => {}
         }
+        true
     }
 
     // ------------------------------------------------------------------
@@ -448,10 +434,6 @@ impl ByzcastNode {
         // the overlay copy satisfying an earlier expectation typically
         // arrives after the copy that triggered it.
         self.fds.mute.observe(&m.header(), from);
-        // Whoever transmitted the message evidently holds it (and so does
-        // its originator) — stability-tracking input.
-        self.stability.observe_holder(m.id, from);
-        self.stability.observe_holder(m.id, m.id.origin);
         // Another node rebroadcast this message: cancel our own scheduled
         // recovery response for it (implosion suppression).
         self.pending_responses.remove(&m.id);
@@ -488,11 +470,7 @@ impl ByzcastNode {
         // caps is not gossiped (we could not answer the requests the gossip
         // would invite), and per-origin quotas bound a flooder's share of
         // the advertisement bookkeeping.
-        if self.store.has(m.id) && self.gossip_quota_allows(now, from, m.id) {
-            self.active_gossip
-                .insert(m.id, self.config.gossip_advertise_rounds);
-            self.peak_active_gossip = self.peak_active_gossip.max(self.active_gossip.len());
-        }
+        self.advertise(now, from, m.id, self.config.gossip_advertise_rounds);
 
         // Lines 8–11: received the correct message, but not from an overlay
         // node and not from the originator → the overlay neighbours were
@@ -531,17 +509,10 @@ impl ByzcastNode {
         // never use their contents (our own stored copy backs any echo), so
         // the signature check — the hot cost at scale — runs only for
         // genuinely new announcements.
-        if self.store.has(e.id) {
-            // A gossiper holds what it advertises ("p only gossips about
-            // messages it has already received").
-            self.stability.observe_holder(e.id, from);
-            // Lines 34–37: we have the message — echo its gossip once.
-            // Entries whose window closed stay in the map with 0 rounds, so
-            // the echo cannot be re-armed forever by mutual re-advertising.
-            if self.gossip_quota_allows(now, from, e.id) {
-                self.active_gossip.entry(e.id).or_insert(1);
-                self.peak_active_gossip = self.peak_active_gossip.max(self.active_gossip.len());
-            }
+        // Lines 34–37: we have the message — echo its gossip once. A slot
+        // whose window closed stays closed, so the echo cannot be re-armed
+        // forever by mutual re-advertising.
+        if self.advertise(now, from, e.id, 1) {
             return;
         }
         if self.store.seen(e.id) {
@@ -996,41 +967,8 @@ impl ByzcastNode {
             None
         };
         // Only gossip messages we still hold (purging stops their gossip)
-        // and whose advertisement window is open. Exhausted entries stay as
-        // 0-round tombstones until the store purges them, so a neighbour's
-        // late echo cannot restart our advertising. The store only shrinks
-        // in `purge_tick`, which prunes `active_gossip` in the same breath,
-        // so `active_gossip ⊆ store` already holds here.
-        debug_assert!(self.active_gossip.keys().all(|id| self.store.has(*id)));
-        let ids: Vec<MessageId> = self
-            .active_gossip
-            .iter()
-            .filter(|(_, &rounds)| rounds > 0)
-            .map(|(&id, _)| id)
-            .collect();
-        let entries: Vec<GossipEntry> = if ids.is_empty() {
-            Vec::new()
-        } else {
-            let cap = self.config.max_gossip_entries;
-            let take = ids.len().min(cap);
-            // Round-robin over the active set so large sets all get airtime;
-            // each advertisement uses up one of the entry's rounds.
-            let entries = (0..take)
-                .map(|k| {
-                    let id = ids[(self.gossip_cursor + k) % ids.len()];
-                    if let Some(rounds) = self.active_gossip.get_mut(&id) {
-                        *rounds -= 1;
-                    }
-                    self.store
-                        .get(id)
-                        .expect("active_gossip ⊆ store")
-                        .msg
-                        .gossip_entry()
-                })
-                .collect();
-            self.gossip_cursor = (self.gossip_cursor + take) % ids.len().max(1);
-            entries
-        };
+        // and whose advertisement window is open.
+        let entries = self.store.gossip_round(self.config.max_gossip_entries);
         if self.config.aggregate_gossip {
             if !entries.is_empty() || beacon.is_some() {
                 self.counters.gossip_packets += 1;
@@ -1113,27 +1051,6 @@ impl ByzcastNode {
     fn purge_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
         self.store.purge(now);
-        if self.config.purge_policy == PurgePolicy::Stability {
-            // Early-purge every body all current trusted neighbours are
-            // observed to hold: none of them can need it from us any more.
-            let neighbors: Vec<NodeId> = self
-                .table
-                .iter()
-                .filter(|(id, _)| self.fds.trust.level(*id, now) == TrustLevel::Trusted)
-                .map(|(id, _)| id)
-                .collect();
-            let stable: Vec<MessageId> = self
-                .store
-                .ids()
-                .filter(|&id| self.stability.is_stable(id, neighbors.iter()))
-                .collect();
-            for id in stable {
-                self.store.remove(id);
-                self.stability.forget(id);
-            }
-        }
-        self.stability.retain(|id| self.store.has(id));
-        self.active_gossip.retain(|id, _| self.store.has(*id));
         let horizon = self.config.purge_after;
         self.missing
             .retain(|_, ms| now.saturating_since(ms.first_heard) <= horizon);
@@ -1141,16 +1058,7 @@ impl ByzcastNode {
             .retain(|_, &mut t| now.saturating_since(t) <= horizon);
         self.served_recently
             .retain(|_, &mut t| now.saturating_since(t) <= horizon);
-        ctx.set_timer_after(self.purge_tick_period(), timers::PURGE);
-    }
-
-    /// Stability purging re-checks often (stability arrives with gossip);
-    /// timeout purging only needs to run once per hold period.
-    fn purge_tick_period(&self) -> SimDuration {
-        match self.config.purge_policy {
-            PurgePolicy::Timeout => self.config.purge_after,
-            PurgePolicy::Stability => self.config.gossip_period.saturating_mul(2),
-        }
+        ctx.set_timer_after(self.config.purge_after, timers::PURGE);
     }
 }
 
@@ -1166,7 +1074,7 @@ impl Protocol for ByzcastNode {
         );
         ctx.set_timer_after(gossip_phase, timers::GOSSIP);
         ctx.set_timer_after(self.config.fd_tick, timers::FD);
-        ctx.set_timer_after(self.purge_tick_period(), timers::PURGE);
+        ctx.set_timer_after(self.config.purge_after, timers::PURGE);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, msg: &WireMsg) {
@@ -1230,11 +1138,7 @@ impl Protocol for ByzcastNode {
         // … on the actual message") — `DataMsg` carries `id_sig`. Under a
         // store cap our own body may have been rejected; then it is not
         // advertised either (we could not serve the requests).
-        if self.store.has(m.id) {
-            self.active_gossip
-                .insert(m.id, self.config.gossip_advertise_rounds);
-            self.peak_active_gossip = self.peak_active_gossip.max(self.active_gossip.len());
-        }
+        self.advertise(now, self.id, m.id, self.config.gossip_advertise_rounds);
     }
 }
 
@@ -2363,116 +2267,76 @@ mod tests {
         assert_eq!(stats.store_rejects, 3);
         assert_eq!(stats.peak_store_msgs, 2);
     }
-}
 
-#[cfg(test)]
-mod stability_tests {
-    use super::*;
-    use crate::stability::PurgePolicy;
-    use byzcast_crypto::{KeyRegistry, SignerId, SimScheme};
-    use byzcast_sim::node::Action;
-    use byzcast_sim::SimRng;
+    /// Ids advertised by one gossip tick at `now`.
+    fn gossiped(h: &mut Harness, now: SimTime) -> Vec<MessageId> {
+        let (_, actions) = h.drive(now, |n, ctx| n.gossip_tick(ctx));
+        sends(&actions)
+            .into_iter()
+            .flat_map(|m| match m {
+                WireMsg::Gossip(g) => g.entries.iter().map(|e| e.id).collect(),
+                _ => Vec::new(),
+            })
+            .collect()
+    }
 
-    fn node_with_stability() -> (ByzcastNode, KeyRegistry<SimScheme>) {
-        let reg: KeyRegistry<SimScheme> = KeyRegistry::generate(21, 8);
-        let verifier: Arc<dyn Verifier + Send + Sync> = Arc::new(reg.verifier());
+    #[test]
+    fn echoes_never_rearm_a_closed_advertisement() {
+        let mut h = Harness::new(1, ByzcastConfig::default());
+        let t = SimTime::from_secs(1);
+        let m = h.data_from(0, 1);
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        let rounds = h.node.config().gossip_advertise_rounds;
+        for _ in 0..rounds {
+            assert_eq!(gossiped(&mut h, t), vec![m.id]);
+        }
+        assert!(gossiped(&mut h, t).is_empty(), "window should be closed");
+        // Neighbours keep echoing the entry: the closed slot stays closed.
+        for q in [2, 3] {
+            let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(q), &WireMsg::Gossip(g)));
+        }
+        assert!(
+            gossiped(&mut h, t).is_empty(),
+            "echo re-armed a closed slot"
+        );
+        assert_eq!(h.node.resource_stats().peak_active_gossip, 1);
+    }
+
+    #[test]
+    fn gossip_quota_admits_again_after_a_purge_and_echo_arms_once() {
+        use crate::resources::ResourceConfig;
         let config = ByzcastConfig {
-            purge_policy: PurgePolicy::Stability,
+            resources: ResourceConfig {
+                max_gossip_per_origin: 1,
+                ..ResourceConfig::unlimited()
+            },
             ..ByzcastConfig::default()
         };
-        (
-            ByzcastNode::new(
-                NodeId(1),
-                config,
-                Box::new(reg.signer(SignerId(1))),
-                verifier,
-            ),
-            reg,
-        )
-    }
-
-    fn drive<R>(
-        node: &mut ByzcastNode,
-        now: SimTime,
-        f: impl FnOnce(&mut ByzcastNode, &mut Context<'_, WireMsg>) -> R,
-    ) -> R {
-        let mut rng = SimRng::new(1);
-        let mut actions: Vec<Action<WireMsg>> = Vec::new();
-        let mut ctx = Context::new(node.id(), now, &mut rng, &mut actions);
-        f(node, &mut ctx)
-    }
-
-    #[test]
-    fn stable_messages_are_purged_early() {
-        let (mut node, reg) = node_with_stability();
-        let t = SimTime::from_secs(1);
-        // Two neighbours known from beacons.
-        for q in [2u32, 3] {
-            let b = BeaconMsg::sign(
-                &reg.signer(SignerId(q)),
-                byzcast_overlay::OverlayRole::Passive,
-                vec![],
-                vec![],
-                vec![],
-            );
-            drive(&mut node, t, |n, ctx| {
-                n.on_packet(ctx, NodeId(q), &WireMsg::Beacon(b))
+        let mut h = Harness::new(1, config);
+        let (m1, m2) = (h.data_from(0, 1), h.data_from(0, 2));
+        let t1 = SimTime::from_secs(1);
+        let t2 = SimTime::from_secs(5);
+        h.drive(t1, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m1)));
+        h.drive(t2, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m2)));
+        // Origin 0's one slot goes to m1; m2 is buffered but not advertised.
+        assert!(h.node.store().has(m2.id));
+        assert_eq!(h.node.resource_stats().quota_drops, 1);
+        assert_eq!(gossiped(&mut h, t2), vec![m1.id]);
+        // m1 expires, m2 does not: the purge frees origin 0's slot.
+        let later = t1 + h.node.config().purge_after + SimDuration::from_secs(1);
+        h.drive(later, |n, ctx| n.purge_tick(ctx));
+        assert!(!h.node.store().has(m1.id) && h.node.store().has(m2.id));
+        // Two neighbours echo m2: the first echo arms one round, the second
+        // finds the slot taken.
+        for q in [2, 3] {
+            let g = GossipMsg::of_entries(vec![m2.gossip_entry()]);
+            h.drive(later, |n, ctx| {
+                n.on_packet(ctx, NodeId(q), &WireMsg::Gossip(g))
             });
         }
-        // A message arrives from node 2.
-        let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 7, 100);
-        drive(&mut node, t, |n, ctx| {
-            n.on_packet(ctx, NodeId(2), &WireMsg::Data(m))
-        });
-        assert!(node.store().has(m.id));
-        // Not yet stable: node 3 was never observed holding it.
-        drive(&mut node, t + SimDuration::from_secs(2), |n, ctx| {
-            n.purge_tick(ctx)
-        });
-        assert!(node.store().has(m.id), "purged before stability");
-        // Node 3 gossips the entry: now every neighbour holds it.
-        let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
-        drive(&mut node, t + SimDuration::from_secs(2), |n, ctx| {
-            n.on_packet(ctx, NodeId(3), &WireMsg::Gossip(g))
-        });
-        drive(&mut node, t + SimDuration::from_secs(4), |n, ctx| {
-            n.purge_tick(ctx)
-        });
-        assert!(!node.store().has(m.id), "stable message not purged");
-        // The seen-id survives: a late duplicate is still filtered.
-        let delivered_again = drive(&mut node, t + SimDuration::from_secs(5), |n, ctx| {
-            n.on_packet(ctx, NodeId(2), &WireMsg::Data(m));
-            n.store().seen(m.id)
-        });
-        assert!(delivered_again);
-    }
-
-    #[test]
-    fn unstable_messages_survive_until_timeout_backstop() {
-        let (mut node, reg) = node_with_stability();
-        let t = SimTime::from_secs(1);
-        let b = BeaconMsg::sign(
-            &reg.signer(SignerId(3)),
-            byzcast_overlay::OverlayRole::Passive,
-            vec![],
-            vec![],
-            vec![],
-        );
-        drive(&mut node, t, |n, ctx| {
-            n.on_packet(ctx, NodeId(3), &WireMsg::Beacon(b))
-        });
-        let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 7, 100);
-        drive(&mut node, t, |n, ctx| {
-            n.on_packet(ctx, NodeId(2), &WireMsg::Data(m))
-        });
-        // Node 3 never shows it holds the message: early purge must not fire…
-        drive(&mut node, t + SimDuration::from_secs(5), |n, ctx| {
-            n.purge_tick(ctx)
-        });
-        assert!(node.store().has(m.id));
-        // …but the timeout backstop still does.
-        let late = t + node.config().purge_after + SimDuration::from_secs(1);
-        drive(&mut node, late, |n, ctx| n.purge_tick(ctx));
-        assert!(!node.store().has(m.id));
+        assert_eq!(h.node.resource_stats().quota_drops, 1);
+        assert_eq!(gossiped(&mut h, later), vec![m2.id]);
+        assert!(gossiped(&mut h, later).is_empty());
     }
 }

@@ -121,7 +121,7 @@ pub struct ResourceStats {
     pub peak_store_bytes: u64,
     /// Peak retained seen/delivered ids.
     pub peak_seen_ids: u64,
-    /// Peak `active_gossip` entries.
+    /// Peak buffered bodies holding a gossip advertisement slot.
     pub peak_active_gossip: u64,
     /// Peak tracked missing messages.
     pub peak_missing: u64,

@@ -25,20 +25,43 @@
 //!   delivered id). The cap evicts oldest-first: the oldest ids are exactly
 //!   the ones an age-based policy would have dropped, so memory pressure
 //!   degrades toward age-based retention, never past it for recent traffic.
+//!
+//! # Advertisement
+//!
+//! Each body also carries its gossip advertisement slot: how many lazycast
+//! rounds it has left. Purging a body drops its slot with it, and a
+//! per-origin count of slots keeps the per-origin gossip quota O(1).
 
 use std::collections::BTreeMap;
 
-use byzcast_sim::{SimDuration, SimTime};
+use byzcast_sim::{NodeId, SimDuration, SimTime};
 
-use crate::message::{DataMsg, MessageId};
+use crate::message::{DataMsg, GossipEntry, MessageId};
 
-/// A stored message with its reception time.
+/// A stored message with its reception time and advertisement slot.
 #[derive(Clone, Copy, Debug)]
 pub struct StoredMsg {
     /// The message (TTL normalized to 1; TTLs are hop counters, not state).
     pub msg: DataMsg,
     /// When this node first received (or originated) it.
     pub received_at: SimTime,
+    /// Gossip rounds left to advertise it: `None` = no slot, `Some(0)` =
+    /// window closed. A closed slot stays until the body is purged, so a
+    /// neighbour's echo cannot restart the advertising.
+    advert: Option<u32>,
+}
+
+/// What [`MessageStore::advertise`] did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Advertise {
+    /// No body is buffered under the id.
+    NoBody,
+    /// The body already has a slot (open or closed); it is left as is.
+    Held,
+    /// The origin's quota of slots is full; no slot was opened.
+    OverQuota,
+    /// A slot was opened.
+    Armed,
 }
 
 /// The per-node message buffer.
@@ -75,9 +98,16 @@ pub struct MessageStore {
     max_seen: usize,
     /// Total wire bytes of the buffered bodies.
     bytes: usize,
+    /// Bodies with an advertisement slot, per origin (zero counts removed).
+    advertised_by: BTreeMap<NodeId, usize>,
+    /// Bodies with an advertisement slot.
+    advertised: usize,
+    /// Round-robin position of the next lazycast round.
+    gossip_cursor: usize,
     high_water: usize,
     peak_bytes: usize,
     peak_seen: usize,
+    peak_advertised: usize,
     body_rejects: u64,
     seen_evictions: u64,
 }
@@ -107,9 +137,13 @@ impl MessageStore {
             max_bytes,
             max_seen,
             bytes: 0,
+            advertised_by: BTreeMap::new(),
+            advertised: 0,
+            gossip_cursor: 0,
             high_water: 0,
             peak_bytes: 0,
             peak_seen: 0,
+            peak_advertised: 0,
             body_rejects: 0,
             seen_evictions: 0,
         }
@@ -135,6 +169,13 @@ impl MessageStore {
             return false;
         }
         self.record_seen(now, id);
+        // A body can outlive its seen-id under the seen-id cap. Its
+        // re-reception counts as new, and so does its advertisement.
+        if let Some(s) = self.messages.get_mut(&id) {
+            if s.advert.take().is_some() {
+                self.release_slot(id.origin);
+            }
+        }
         let size = msg.wire_size();
         let over_count = self.max_msgs != 0 && self.messages.len() >= self.max_msgs;
         let over_bytes = self.max_bytes != 0 && self.bytes + size > self.max_bytes;
@@ -147,6 +188,7 @@ impl MessageStore {
             StoredMsg {
                 msg: msg.with_ttl(1),
                 received_at: now,
+                advert: None,
             },
         );
         self.bytes += size;
@@ -173,27 +215,82 @@ impl MessageStore {
         self.messages.get(&id)
     }
 
-    /// Removes one body early (stability-based purging); the seen-id stays
-    /// so late duplicates are still filtered.
-    pub fn remove(&mut self, id: MessageId) {
-        if let Some(s) = self.messages.remove(&id) {
-            self.bytes -= s.msg.wire_size();
-        }
-    }
-
-    /// Purges expired bodies. Seen-ids are retained (bounded by the seen-id
-    /// cap, oldest evicted first) so late replays stay deduplicated.
+    /// Purges expired bodies, and their advertisement slots with them.
+    /// Seen-ids are retained (bounded by the seen-id cap, oldest evicted
+    /// first) so late replays stay deduplicated.
     pub fn purge(&mut self, now: SimTime) {
         let hold = self.hold_for;
         let mut freed = 0usize;
-        self.messages.retain(|_, s| {
+        let mut released = Vec::new();
+        self.messages.retain(|id, s| {
             let keep = now.saturating_since(s.received_at) <= hold;
             if !keep {
                 freed += s.msg.wire_size();
+                if s.advert.is_some() {
+                    released.push(id.origin);
+                }
             }
             keep
         });
         self.bytes -= freed;
+        for origin in released {
+            self.release_slot(origin);
+        }
+    }
+
+    /// Opens an advertisement slot of `rounds` lazycast rounds for the body
+    /// of `id`, unless there is no body, it already has a slot, or its
+    /// origin holds `quota` slots already (`0` = unlimited).
+    pub(crate) fn advertise(&mut self, id: MessageId, rounds: u32, quota: usize) -> Advertise {
+        let Some(s) = self.messages.get_mut(&id) else {
+            return Advertise::NoBody;
+        };
+        if s.advert.is_some() {
+            return Advertise::Held;
+        }
+        let count = self.advertised_by.entry(id.origin).or_insert(0);
+        if quota != 0 && *count >= quota {
+            return Advertise::OverQuota;
+        }
+        *count += 1;
+        s.advert = Some(rounds);
+        self.advertised += 1;
+        self.peak_advertised = self.peak_advertised.max(self.advertised);
+        Advertise::Armed
+    }
+
+    fn release_slot(&mut self, origin: NodeId) {
+        self.advertised -= 1;
+        if let Some(count) = self.advertised_by.get_mut(&origin) {
+            *count -= 1;
+            if *count == 0 {
+                self.advertised_by.remove(&origin);
+            }
+        }
+    }
+
+    /// One lazycast round: the gossip entries of up to `cap` bodies whose
+    /// advertisement window is open, taken round-robin over the open set so
+    /// large sets all get airtime. Each advertised body uses up one round.
+    pub(crate) fn gossip_round(&mut self, cap: usize) -> Vec<GossipEntry> {
+        let mut open: Vec<&mut StoredMsg> = self
+            .messages
+            .values_mut()
+            .filter(|s| s.advert.is_some_and(|r| r > 0))
+            .collect();
+        if open.is_empty() {
+            return Vec::new();
+        }
+        let take = open.len().min(cap);
+        let mut entries = Vec::with_capacity(take);
+        for k in 0..take {
+            let i = (self.gossip_cursor + k) % open.len();
+            let s = &mut *open[i];
+            s.advert = s.advert.map(|r| r - 1);
+            entries.push(s.msg.gossip_entry());
+        }
+        self.gossip_cursor = (self.gossip_cursor + take) % open.len();
+        entries
     }
 
     /// Currently buffered message ids, oldest-id first.
@@ -251,6 +348,11 @@ impl MessageStore {
     pub fn seen_evictions(&self) -> u64 {
         self.seen_evictions
     }
+
+    /// The maximum bodies ever holding an advertisement slot at once.
+    pub(crate) fn peak_advertised(&self) -> usize {
+        self.peak_advertised
+    }
 }
 
 #[cfg(test)]
@@ -265,6 +367,11 @@ mod tests {
 
     fn store() -> MessageStore {
         MessageStore::new(SimDuration::from_secs(10))
+    }
+
+    /// Bodies of `origin` holding an advertisement slot.
+    fn slots(s: &MessageStore, origin: NodeId) -> usize {
+        s.advertised_by.get(&origin).copied().unwrap_or(0)
     }
 
     #[test]
@@ -391,13 +498,91 @@ mod tests {
     }
 
     #[test]
-    fn remove_keeps_byte_accounting_consistent() {
+    fn rehearing_a_held_entry_arms_it_exactly_once() {
         let mut s = store();
         let m = msg(1);
         s.insert(SimTime::from_secs(1), m);
-        assert_eq!(s.bytes(), m.wire_size());
-        s.remove(m.id);
-        assert_eq!(s.bytes(), 0);
-        assert!(s.seen(m.id));
+        assert_eq!(s.advertise(m.id, 1, 0), Advertise::Armed);
+        assert_eq!(s.advertise(m.id, 1, 0), Advertise::Held);
+        assert_eq!(s.advertise(m.id, 3, 0), Advertise::Held);
+        assert_eq!(s.get(m.id).unwrap().advert, Some(1));
+        assert_eq!(slots(&s, m.id.origin), 1);
+        assert_eq!(s.peak_advertised(), 1);
+        assert_eq!(s.advertise(msg(2).id, 1, 0), Advertise::NoBody);
+    }
+
+    #[test]
+    fn exhausted_slot_is_never_rearmed() {
+        let mut s = store();
+        let m = msg(1);
+        s.insert(SimTime::from_secs(1), m);
+        s.advertise(m.id, 2, 0);
+        assert_eq!(s.gossip_round(40).len(), 1);
+        assert_eq!(s.gossip_round(40).len(), 1);
+        assert!(s.gossip_round(40).is_empty(), "window should be closed");
+        assert_eq!(s.get(m.id).unwrap().advert, Some(0));
+        // Echoes of a closed slot leave it closed.
+        assert_eq!(s.advertise(m.id, 1, 0), Advertise::Held);
+        assert!(s.gossip_round(40).is_empty());
+        assert_eq!(slots(&s, m.id.origin), 1);
+    }
+
+    #[test]
+    fn gossip_round_rotates_over_the_open_set() {
+        let mut s = store();
+        let ids: Vec<_> = (1..=3).map(|seq| msg(seq).id).collect();
+        for seq in 1..=3 {
+            s.insert(SimTime::from_secs(1), msg(seq));
+            s.advertise(msg(seq).id, 3, 0);
+        }
+        let round = |s: &mut MessageStore| -> Vec<MessageId> {
+            s.gossip_round(2).iter().map(|e| e.id).collect()
+        };
+        assert_eq!(round(&mut s), vec![ids[0], ids[1]]);
+        assert_eq!(round(&mut s), vec![ids[2], ids[0]]);
+        assert_eq!(round(&mut s), vec![ids[1], ids[2]]);
+    }
+
+    #[test]
+    fn purge_drops_the_slot_and_its_origin_count() {
+        let mut s = store();
+        let m = msg(1);
+        s.insert(SimTime::from_secs(1), m);
+        s.advertise(m.id, 3, 0);
+        s.purge(SimTime::from_secs(12));
+        assert_eq!(slots(&s, m.id.origin), 0);
+        assert!(s.gossip_round(40).is_empty());
+        assert_eq!(s.advertise(m.id, 3, 0), Advertise::NoBody);
+        assert_eq!(s.peak_advertised(), 1);
+    }
+
+    #[test]
+    fn per_origin_quota_admits_again_after_a_purge() {
+        let mut s = store();
+        let (a, b) = (msg(1), msg(2));
+        s.insert(SimTime::from_secs(1), a);
+        s.insert(SimTime::from_secs(5), b);
+        assert_eq!(s.advertise(a.id, 3, 1), Advertise::Armed);
+        assert_eq!(s.advertise(b.id, 3, 1), Advertise::OverQuota);
+        assert_eq!(s.get(b.id).unwrap().advert, None);
+        // `a` expires, `b` does not: the freed slot goes to `b`.
+        s.purge(SimTime::from_secs(12));
+        assert!(!s.has(a.id) && s.has(b.id));
+        assert_eq!(s.advertise(b.id, 3, 1), Advertise::Armed);
+        assert_eq!(slots(&s, b.id.origin), 1);
+    }
+
+    #[test]
+    fn reinserting_a_body_whose_seen_id_was_evicted_restarts_its_slot() {
+        let mut s = MessageStore::with_limits(SimDuration::from_secs(10), 0, 0, 1);
+        let (a, b) = (msg(1), msg(2));
+        s.insert(SimTime::from_secs(1), a);
+        s.advertise(a.id, 3, 0);
+        s.insert(SimTime::from_secs(2), b); // evicts `a`'s seen-id
+        assert!(s.has(a.id) && !s.seen(a.id));
+        assert!(s.insert(SimTime::from_secs(3), a));
+        assert_eq!(s.get(a.id).unwrap().advert, None);
+        assert_eq!(slots(&s, a.id.origin), 0);
+        assert_eq!(s.advertise(a.id, 3, 0), Advertise::Armed);
     }
 }

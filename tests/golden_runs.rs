@@ -1,0 +1,129 @@
+//! Golden-run digests: three small runs whose per-run JSONL records must
+//! hash to committed values.
+//!
+//! `perf_equivalence` compares two configurations inside one build; nothing
+//! there notices a refactor that changes both sides alike. These digests
+//! pin the records across builds, so a change that claims to leave every
+//! simulated result untouched (a data-structure swap, a deleted dead path)
+//! can prove it. Records are taken with `wall_ms` set to 0, the only field
+//! that differs between identical runs.
+//!
+//! A deliberate behaviour change re-pins a digest: the failure message
+//! prints the new digest and the record it hashes.
+
+use byzcast_adversary::MutePolicy;
+use byzcast_harness::chaos::{generate_case, run_case};
+use byzcast_harness::record::{run_record, RecordMeta};
+use byzcast_harness::{AdversaryKind, MobilityChoice, RunSummary, ScenarioConfig, Workload};
+use byzcast_sim::{Field, NodeId, SimConfig, SimDuration};
+
+/// 64-bit FNV-1a.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn record(label: &str, seed: u64, summary: &RunSummary) -> String {
+    run_record(
+        &RecordMeta {
+            experiment: "golden",
+            label,
+            params: &[],
+            seed,
+            run_index: 0,
+            wall_ms: 0.0,
+        },
+        summary,
+        &[],
+    )
+}
+
+fn assert_digest(label: &str, record: &str, expected: u64) {
+    let got = fnv1a(record.as_bytes());
+    assert_eq!(
+        got, expected,
+        "{label}: record digest changed to {got:#018x}; record:\n{record}"
+    );
+}
+
+fn workload() -> Workload {
+    Workload {
+        senders: vec![NodeId(0), NodeId(1)],
+        count: 6,
+        payload_bytes: 512,
+        start: SimDuration::from_secs(4),
+        interval: SimDuration::from_millis(500),
+        drain: SimDuration::from_secs(10),
+    }
+}
+
+#[test]
+fn static_default_byzcast_record_is_pinned() {
+    let config = ScenarioConfig {
+        seed: 11,
+        n: 60,
+        sim: SimConfig {
+            field: Field::new(800.0, 800.0),
+            ..SimConfig::default()
+        },
+        ..ScenarioConfig::default()
+    };
+    let summary = config.run(&workload());
+    assert!(summary.delivery_ratio > 0.9, "scenario too trivial");
+    assert_digest(
+        "static-60",
+        &record("static-60", 11, &summary),
+        0x768d_3aa9_372c_c6b9,
+    );
+}
+
+#[test]
+fn waypoint_mute_drop_data_record_is_pinned() {
+    let config = ScenarioConfig {
+        seed: 12,
+        n: 40,
+        sim: SimConfig {
+            field: Field::new(700.0, 700.0),
+            mobility_tick: SimDuration::from_millis(100),
+            ..SimConfig::default()
+        },
+        mobility: MobilityChoice::Waypoint {
+            min_mps: 1.0,
+            max_mps: 10.0,
+            pause: SimDuration::from_secs(2),
+        },
+        adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
+        adversary_count: 6,
+        ..ScenarioConfig::default()
+    };
+    let summary = config.run(&workload());
+    let counters = summary.counters.expect("byzcast counters");
+    assert!(
+        counters.requests_sent > 0,
+        "the mutes must force recovery traffic"
+    );
+    assert_digest(
+        "waypoint-mute-40",
+        &record("waypoint-mute-40", 12, &summary),
+        0x2572_15c7_0a28_9d60,
+    );
+}
+
+#[test]
+fn governed_chaos_case_record_is_pinned() {
+    // Seed 48 draws a flooder, so the per-origin gossip quota binds; the
+    // store cap, tightened below the flood, makes body rejection bind too.
+    let mut case = generate_case(48, true);
+    case.scenario.byzcast.resources.max_store_msgs = 100;
+    let checked = run_case(&case);
+    let res = checked.summary.resources.expect("governed run");
+    assert!(res.quota_drops > 0, "gossip quota never bound");
+    assert!(res.store_rejects > 0, "store cap never bound");
+    assert!(checked.violations.is_empty(), "{:?}", checked.violations);
+    assert_digest(
+        "chaos-48",
+        &record(&case.name, 48, &checked.summary),
+        0xacc8_e18c_9274_e64e,
+    );
+}
