@@ -68,6 +68,7 @@ fn main() {
 
     let result = &results[0];
     let s = &result.aggregate;
+    let c = s.counters.expect("byzcast counters");
     let extra = |name: &str| result.extra_mean(name).unwrap_or(0.0);
     println!("n = {n}, messages = {}", workload.count);
     println!("frames by kind (frames, bytes):");
@@ -90,10 +91,10 @@ fn main() {
     println!(
         "protocol: {} forwards, {} recovery responses, {} requests, {} finds, {} recovered",
         extra("data_forwards") as u64,
-        s.recoveries_served,
-        s.requests,
-        s.finds,
-        s.recovered
+        c.recoveries_served,
+        c.requests_sent,
+        c.finds_sent,
+        c.recovered_via_request
     );
     println!(
         "overlay at end: {}/{n}; suspicion episodes: {}",

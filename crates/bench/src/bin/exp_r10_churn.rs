@@ -127,14 +127,15 @@ fn print_table(_opts: &ExpOpts, lambdas: &[f64], results: &[byzcast_harness::Poi
     ]);
     for (lambda, result) in lambdas.iter().zip(results) {
         let agg = &result.aggregate;
+        let c = agg.counters.unwrap_or_default();
         table.add_row([
             format!("{lambda}"),
             format!("{:.1}", result.extra_mean("crashes").unwrap_or(0.0)),
             fnum(agg.delivery_ratio),
             fnum(agg.min_delivery_ratio),
             fnum(agg.p99_latency_s),
-            agg.requests.to_string(),
-            agg.recovered.to_string(),
+            c.requests_sent.to_string(),
+            c.recovered_via_request.to_string(),
             format!("{:.1}", result.extra_mean("violations").unwrap_or(0.0)),
         ]);
     }

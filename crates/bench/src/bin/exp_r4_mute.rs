@@ -75,14 +75,15 @@ fn main() {
     ]);
     for (frac, result) in fracs.iter().zip(&results) {
         let agg = &result.aggregate;
+        let c = agg.counters.unwrap_or_default();
         table.add_row([
             format!("{:.0}", frac * 100.0),
             agg.protocol.clone(),
             fnum(agg.delivery_ratio),
             fnum(agg.min_delivery_ratio),
             fnum(agg.p99_latency_s),
-            agg.requests.to_string(),
-            agg.recoveries_served.to_string(),
+            c.requests_sent.to_string(),
+            c.recoveries_served.to_string(),
             format!("{}/{}", agg.true_suspicions, agg.false_suspicions),
         ]);
     }

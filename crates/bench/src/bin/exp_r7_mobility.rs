@@ -92,7 +92,7 @@ fn main() {
             fnum(agg.delivery_ratio),
             fnum(agg.min_delivery_ratio),
             agg.frames_sent.to_string(),
-            agg.requests.to_string(),
+            agg.counters.unwrap_or_default().requests_sent.to_string(),
             fnum(agg.p99_latency_s),
         ]);
     }

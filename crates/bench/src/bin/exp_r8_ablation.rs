@@ -57,7 +57,8 @@ fn main() {
     ]);
     for (&(period_ms, aggregated), result) in metas.iter().zip(&results) {
         let agg = &result.aggregate;
-        let gossip_frames = agg.frames_sent - agg.data_frames - agg.requests - agg.finds;
+        let c = agg.counters.unwrap_or_default();
+        let gossip_frames = agg.frames_sent - agg.data_frames - c.requests_sent - c.finds_sent;
         table.add_row([
             format!("{period_ms} ms"),
             aggregated.to_string(),

@@ -27,7 +27,9 @@ use byzcast_fd::{
     ExpectMode, FailureDetectors, HeaderPattern, MsgKind, SuspicionLog, SuspicionReason, TrustLevel,
 };
 use byzcast_overlay::{NeighborTable, OverlayProtocol, OverlayRole, TrustView};
-use byzcast_sim::{AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey};
+use byzcast_sim::{
+    counter_set, AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey,
+};
 
 use crate::config::ByzcastConfig;
 use crate::message::{
@@ -65,53 +67,37 @@ struct MissingState {
     request_due: Option<SimTime>,
 }
 
-/// Protocol-level counters exposed for experiments and tests.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ProtocolCounters {
-    /// Application messages this node originated.
-    pub data_originated: u64,
-    /// Data messages this node re-broadcast (overlay forwarding + TTL-2).
-    pub data_forwards: u64,
-    /// Gossip packets sent.
-    pub gossip_packets: u64,
-    /// Gossip entries sent (≥ packets when aggregating).
-    pub gossip_entries: u64,
-    /// `REQUEST_MSG`s sent.
-    pub requests_sent: u64,
-    /// `FIND_MISSING_MSG`s sent (originated, not forwarded).
-    pub finds_sent: u64,
-    /// Recovery responses served (data re-sent on request/find).
-    pub recoveries_served: u64,
-    /// Messages this node obtained through the recovery path.
-    pub recovered_via_request: u64,
-    /// Messages or beacons rejected for bad signatures.
-    pub bad_signatures_seen: u64,
-    /// Beacons sent.
-    pub beacons_sent: u64,
-    /// Signature verifications answered by this node's verification cache.
-    /// Zero while the node runs (filled from [`ByzcastNode::sig_cache_stats`]
-    /// when the harness totals counters).
-    pub sig_cache_hits: u64,
-    /// Signature verifications that ran the real verifier (see
-    /// `sig_cache_hits`).
-    pub sig_cache_misses: u64,
-}
-
-impl ProtocolCounters {
-    /// Adds `other` field-wise — used to total counters across nodes.
-    pub fn merge(&mut self, other: &ProtocolCounters) {
-        self.data_originated += other.data_originated;
-        self.data_forwards += other.data_forwards;
-        self.gossip_packets += other.gossip_packets;
-        self.gossip_entries += other.gossip_entries;
-        self.requests_sent += other.requests_sent;
-        self.finds_sent += other.finds_sent;
-        self.recoveries_served += other.recoveries_served;
-        self.recovered_via_request += other.recovered_via_request;
-        self.bad_signatures_seen += other.bad_signatures_seen;
-        self.beacons_sent += other.beacons_sent;
-        self.sig_cache_hits += other.sig_cache_hits;
-        self.sig_cache_misses += other.sig_cache_misses;
+counter_set! {
+    /// Protocol-level counters exposed for experiments and tests.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ProtocolCounters {
+        /// Application messages this node originated.
+        pub data_originated: u64 => sum,
+        /// Data messages this node re-broadcast (overlay forwarding + TTL-2).
+        pub data_forwards: u64 => sum,
+        /// Gossip packets sent.
+        pub gossip_packets: u64 => sum,
+        /// Gossip entries sent (≥ packets when aggregating).
+        pub gossip_entries: u64 => sum,
+        /// `REQUEST_MSG`s sent.
+        pub requests_sent: u64 => sum,
+        /// `FIND_MISSING_MSG`s sent (originated, not forwarded).
+        pub finds_sent: u64 => sum,
+        /// Recovery responses served (data re-sent on request/find).
+        pub recoveries_served: u64 => sum,
+        /// Messages this node obtained through the recovery path.
+        pub recovered_via_request: u64 => sum,
+        /// Messages or beacons rejected for bad signatures.
+        pub bad_signatures_seen: u64 => sum,
+        /// Beacons sent.
+        pub beacons_sent: u64 => sum,
+        /// Signature verifications answered by this node's verification cache.
+        /// Zero while the node runs (filled from [`ByzcastNode::sig_cache_stats`]
+        /// when the harness totals counters).
+        pub sig_cache_hits: u64 => sum,
+        /// Signature verifications that ran the real verifier (see
+        /// `sig_cache_hits`).
+        pub sig_cache_misses: u64 => sum,
     }
 }
 

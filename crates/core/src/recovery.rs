@@ -24,7 +24,7 @@
 //! budget (`crate::resources`), so a flooder cannot use the escalation path
 //! to amplify itself.
 
-use byzcast_sim::SimDuration;
+use byzcast_sim::{counter_set, SimDuration};
 
 /// The recovery-escalation envelope. All-off by default; see
 /// [`RecoveryConfig::standard`] for the profile the chaos harness uses.
@@ -111,34 +111,24 @@ impl Default for RecoveryConfig {
     }
 }
 
-/// Per-node recovery-escalation statistics, merged across correct nodes by
-/// the harness (counters summed, peaks maxed) into the per-run JSONL.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct RecoveryStats {
-    /// Recovery requests originated on the normal unicast path.
-    pub requests_originated: u64,
-    /// Widened request frames sent to non-preferred neighbours.
-    pub requests_widened: u64,
-    /// TTL-bumped `FIND_MISSING` floods originated by escalation.
-    pub finds_escalated: u64,
-    /// Highest escalation level any missing message reached (1-based; 0
-    /// means no message ever escalated).
-    pub peak_escalation: u64,
-    /// Immediate overlay re-elections triggered outside the beacon cycle.
-    pub reelections: u64,
-    /// Neighbour-table entries purged on indictment or beacon expiry.
-    pub neighbors_purged: u64,
-}
-
-impl RecoveryStats {
-    /// Adds `other`: counters sum, the escalation high-water takes the max.
-    pub fn merge(&mut self, other: &RecoveryStats) {
-        self.requests_originated += other.requests_originated;
-        self.requests_widened += other.requests_widened;
-        self.finds_escalated += other.finds_escalated;
-        self.peak_escalation = self.peak_escalation.max(other.peak_escalation);
-        self.reelections += other.reelections;
-        self.neighbors_purged += other.neighbors_purged;
+counter_set! {
+    /// Per-node recovery-escalation statistics, merged across correct nodes by
+    /// the harness (counters summed, peaks maxed) into the per-run JSONL.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct RecoveryStats {
+        /// Recovery requests originated on the normal unicast path.
+        pub requests_originated: u64 => sum,
+        /// Widened request frames sent to non-preferred neighbours.
+        pub requests_widened: u64 => sum,
+        /// TTL-bumped `FIND_MISSING` floods originated by escalation.
+        pub finds_escalated: u64 => sum,
+        /// Highest escalation level any missing message reached (1-based; 0
+        /// means no message ever escalated).
+        pub peak_escalation: u64 => max,
+        /// Immediate overlay re-elections triggered outside the beacon cycle.
+        pub reelections: u64 => sum,
+        /// Neighbour-table entries purged on indictment or beacon expiry.
+        pub neighbors_purged: u64 => sum,
     }
 }
 

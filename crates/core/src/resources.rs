@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use byzcast_sim::{NodeId, SimTime};
+use byzcast_sim::{counter_set, NodeId, SimTime};
 
 /// Per-node resource-governance envelope. All limits use `0` = unlimited,
 /// and [`ResourceConfig::default`] leaves every limit at `0`, reproducing
@@ -92,59 +92,40 @@ impl ResourceConfig {
     }
 }
 
-/// Resource-governance statistics of one node (or, merged, of a whole run):
-/// what was dropped, what was evicted, and how close the node came to its
-/// envelope.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ResourceStats {
-    /// Frames admitted past the per-neighbour token bucket.
-    pub frames_admitted: u64,
-    /// Frames dropped by admission control before dispatch.
-    pub frames_dropped: u64,
-    /// Signature verifications charged against a neighbour's budget.
-    pub verifs_charged: u64,
-    /// Verifications refused because the neighbour's budget was exhausted.
-    pub verifs_dropped: u64,
-    /// Most signature verifications performed in any one-second window.
-    pub peak_verifs_per_sec: u64,
-    /// Message bodies rejected by the store's count/byte caps (drop-newest).
-    pub store_rejects: u64,
-    /// Seen/delivered ids evicted by the store's seen-id cap (drop-oldest).
-    pub seen_evictions: u64,
-    /// Gossip/request bookkeeping entries refused by per-origin quotas.
-    pub quota_drops: u64,
-    /// VERBOSE indictments produced by sustained quota violations.
-    pub quota_suspicions: u64,
-    /// Peak buffered message bodies (count).
-    pub peak_store_msgs: u64,
-    /// Peak buffered message bodies (total wire bytes).
-    pub peak_store_bytes: u64,
-    /// Peak retained seen/delivered ids.
-    pub peak_seen_ids: u64,
-    /// Peak buffered bodies holding a gossip advertisement slot.
-    pub peak_active_gossip: u64,
-    /// Peak tracked missing messages.
-    pub peak_missing: u64,
-}
-
-impl ResourceStats {
-    /// Adds `other` — counters sum, high-water marks take the maximum — used
-    /// to total stats across nodes.
-    pub fn merge(&mut self, other: &ResourceStats) {
-        self.frames_admitted += other.frames_admitted;
-        self.frames_dropped += other.frames_dropped;
-        self.verifs_charged += other.verifs_charged;
-        self.verifs_dropped += other.verifs_dropped;
-        self.peak_verifs_per_sec = self.peak_verifs_per_sec.max(other.peak_verifs_per_sec);
-        self.store_rejects += other.store_rejects;
-        self.seen_evictions += other.seen_evictions;
-        self.quota_drops += other.quota_drops;
-        self.quota_suspicions += other.quota_suspicions;
-        self.peak_store_msgs = self.peak_store_msgs.max(other.peak_store_msgs);
-        self.peak_store_bytes = self.peak_store_bytes.max(other.peak_store_bytes);
-        self.peak_seen_ids = self.peak_seen_ids.max(other.peak_seen_ids);
-        self.peak_active_gossip = self.peak_active_gossip.max(other.peak_active_gossip);
-        self.peak_missing = self.peak_missing.max(other.peak_missing);
+counter_set! {
+    /// Resource-governance statistics of one node (or, merged, of a whole run):
+    /// what was dropped, what was evicted, and how close the node came to its
+    /// envelope.
+    #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+    pub struct ResourceStats {
+        /// Frames admitted past the per-neighbour token bucket.
+        pub frames_admitted: u64 => sum,
+        /// Frames dropped by admission control before dispatch.
+        pub frames_dropped: u64 => sum,
+        /// Signature verifications charged against a neighbour's budget.
+        pub verifs_charged: u64 => sum,
+        /// Verifications refused because the neighbour's budget was exhausted.
+        pub verifs_dropped: u64 => sum,
+        /// Most signature verifications performed in any one-second window.
+        pub peak_verifs_per_sec: u64 => max,
+        /// Message bodies rejected by the store's count/byte caps (drop-newest).
+        pub store_rejects: u64 => sum,
+        /// Seen/delivered ids evicted by the store's seen-id cap (drop-oldest).
+        pub seen_evictions: u64 => sum,
+        /// Gossip/request bookkeeping entries refused by per-origin quotas.
+        pub quota_drops: u64 => sum,
+        /// VERBOSE indictments produced by sustained quota violations.
+        pub quota_suspicions: u64 => sum,
+        /// Peak buffered message bodies (count).
+        pub peak_store_msgs: u64 => max,
+        /// Peak buffered message bodies (total wire bytes).
+        pub peak_store_bytes: u64 => max,
+        /// Peak retained seen/delivered ids.
+        pub peak_seen_ids: u64 => max,
+        /// Peak buffered bodies holding a gossip advertisement slot.
+        pub peak_active_gossip: u64 => max,
+        /// Peak tracked missing messages.
+        pub peak_missing: u64 => max,
     }
 }
 

@@ -170,15 +170,20 @@ impl MessageStore {
         }
         self.record_seen(now, id);
         // A body can outlive its seen-id under the seen-id cap. Its
-        // re-reception counts as new, and so does its advertisement.
+        // re-reception counts as new, and so does its advertisement. The new
+        // body replaces the held one, so the caps are checked without it.
+        let mut held = None;
         if let Some(s) = self.messages.get_mut(&id) {
+            held = Some(s.msg.wire_size());
             if s.advert.take().is_some() {
                 self.release_slot(id.origin);
             }
         }
+        let held_bytes = held.unwrap_or(0);
         let size = msg.wire_size();
-        let over_count = self.max_msgs != 0 && self.messages.len() >= self.max_msgs;
-        let over_bytes = self.max_bytes != 0 && self.bytes + size > self.max_bytes;
+        let others = self.messages.len() - usize::from(held.is_some());
+        let over_count = self.max_msgs != 0 && others >= self.max_msgs;
+        let over_bytes = self.max_bytes != 0 && self.bytes - held_bytes + size > self.max_bytes;
         if over_count || over_bytes {
             self.body_rejects += 1;
             return true;
@@ -191,7 +196,7 @@ impl MessageStore {
                 advert: None,
             },
         );
-        self.bytes += size;
+        self.bytes = self.bytes - held_bytes + size;
         self.high_water = self.high_water.max(self.messages.len());
         self.peak_bytes = self.peak_bytes.max(self.bytes);
         true
@@ -495,6 +500,24 @@ mod tests {
         assert_eq!(s.seen_len(), 3);
         assert_eq!(s.seen_evictions(), 1);
         assert_eq!(s.peak_seen(), 3);
+    }
+
+    #[test]
+    fn body_that_outlived_its_seen_id_is_replaced_not_added() {
+        let one = msg(0).wire_size();
+        for caps in [(0, 0), (2, 2 * one)] {
+            let mut s = MessageStore::with_limits(SimDuration::from_secs(10), caps.0, caps.1, 1);
+            s.insert(SimTime::from_secs(1), msg(1));
+            // Message 2 evicts message 1's seen-id; message 1's body stays.
+            s.insert(SimTime::from_secs(2), msg(2));
+            assert!(!s.seen(msg(1).id) && s.has(msg(1).id));
+            assert!(s.insert(SimTime::from_secs(3), msg(1)));
+            assert_eq!(s.get(msg(1).id).unwrap().received_at, SimTime::from_secs(3));
+            assert_eq!((s.len(), s.bytes(), s.peak_bytes()), (2, 2 * one, 2 * one));
+            assert_eq!(s.body_rejects(), 0, "caps {caps:?} counted the held body");
+            s.purge(SimTime::from_secs(20));
+            assert_eq!(s.bytes(), 0);
+        }
     }
 
     #[test]

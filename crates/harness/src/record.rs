@@ -2,12 +2,15 @@
 //!
 //! Every run a sweep executes can be exported as one JSON object on one
 //! line: the experiment id, the sweep-point label and parameters, the seed,
-//! wall-clock time, every [`RunSummary`] field, the summed protocol
-//! counters, and any experiment-specific extras. The writer is hand-rolled
+//! wall-clock time, every [`RunSummary`] field, each counter set the run
+//! carries (keys in the set's declaration order), and any
+//! experiment-specific extras. The writer is hand-rolled
 //! (the build environment has no serde); non-finite floats serialize as
 //! `null` since JSON has no `Infinity`.
 
 use std::fmt::Write as _;
+
+use byzcast_sim::CounterSet;
 
 use crate::summary::RunSummary;
 
@@ -127,6 +130,8 @@ pub fn run_record(
     summary: &RunSummary,
     extras: &[(&'static str, f64)],
 ) -> String {
+    // Four counters also appear at the top level, 0 when the run has none.
+    let c = summary.counters.unwrap_or_default();
     let mut o = JsonObject::new();
     o.str("experiment", meta.experiment)
         .str("point", meta.label)
@@ -150,10 +155,10 @@ pub fn run_record(
         .f64("max_latency_s", summary.max_latency_s)
         .u64("collisions", summary.collisions)
         .u64("noise_losses", summary.noise_losses)
-        .u64("requests", summary.requests)
-        .u64("finds", summary.finds)
-        .u64("recoveries_served", summary.recoveries_served)
-        .u64("recovered", summary.recovered)
+        .u64("requests", c.requests_sent)
+        .u64("finds", c.finds_sent)
+        .u64("recoveries_served", c.recoveries_served)
+        .u64("recovered", c.recovered_via_request)
         .u64("store_high_water", summary.store_high_water as u64)
         .u64("true_suspicions", summary.true_suspicions)
         .u64("false_suspicions", summary.false_suspicions);
@@ -164,20 +169,7 @@ pub fn run_record(
         o.bool("overlay_ok", ok);
     }
     if let Some(c) = &summary.counters {
-        let mut co = JsonObject::new();
-        co.u64("data_originated", c.data_originated)
-            .u64("data_forwards", c.data_forwards)
-            .u64("gossip_packets", c.gossip_packets)
-            .u64("gossip_entries", c.gossip_entries)
-            .u64("requests_sent", c.requests_sent)
-            .u64("finds_sent", c.finds_sent)
-            .u64("recoveries_served", c.recoveries_served)
-            .u64("recovered_via_request", c.recovered_via_request)
-            .u64("bad_signatures_seen", c.bad_signatures_seen)
-            .u64("beacons_sent", c.beacons_sent)
-            .u64("sig_cache_hits", c.sig_cache_hits)
-            .u64("sig_cache_misses", c.sig_cache_misses);
-        o.raw("counters", &co.finish());
+        o.raw("counters", &counters_json(c));
     }
     if !summary.frame_kinds.is_empty() {
         let mut ko = JsonObject::new();
@@ -187,44 +179,13 @@ pub fn run_record(
         o.raw("frames_by_kind", &ko.finish());
     }
     if let Some(f) = &summary.faults {
-        let mut fo = JsonObject::new();
-        fo.u64("crashes", f.crashes)
-            .u64("restarts", f.restarts)
-            .u64("byz_activations", f.byz_activations)
-            .u64("byz_deactivations", f.byz_deactivations)
-            .u64("jam_starts", f.jam_starts)
-            .u64("jam_ends", f.jam_ends)
-            .u64("jam_losses", f.jam_losses)
-            .u64("injections_dropped", f.injections_dropped);
-        o.raw("faults", &fo.finish());
+        o.raw("faults", &counters_json(f));
     }
     if let Some(r) = &summary.resources {
-        let mut ro = JsonObject::new();
-        ro.u64("frames_admitted", r.frames_admitted)
-            .u64("frames_dropped", r.frames_dropped)
-            .u64("verifs_charged", r.verifs_charged)
-            .u64("verifs_dropped", r.verifs_dropped)
-            .u64("peak_verifs_per_sec", r.peak_verifs_per_sec)
-            .u64("store_rejects", r.store_rejects)
-            .u64("seen_evictions", r.seen_evictions)
-            .u64("quota_drops", r.quota_drops)
-            .u64("quota_suspicions", r.quota_suspicions)
-            .u64("peak_store_msgs", r.peak_store_msgs)
-            .u64("peak_store_bytes", r.peak_store_bytes)
-            .u64("peak_seen_ids", r.peak_seen_ids)
-            .u64("peak_active_gossip", r.peak_active_gossip)
-            .u64("peak_missing", r.peak_missing);
-        o.raw("resources", &ro.finish());
+        o.raw("resources", &counters_json(r));
     }
     if let Some(r) = &summary.recovery {
-        let mut ro = JsonObject::new();
-        ro.u64("requests_originated", r.requests_originated)
-            .u64("requests_widened", r.requests_widened)
-            .u64("finds_escalated", r.finds_escalated)
-            .u64("peak_escalation", r.peak_escalation)
-            .u64("reelections", r.reelections)
-            .u64("neighbors_purged", r.neighbors_purged);
-        o.raw("recovery", &ro.finish());
+        o.raw("recovery", &counters_json(r));
     }
     if !summary.oracle_outcomes.is_empty() {
         let mut oo = JsonObject::new();
@@ -239,6 +200,15 @@ pub fn run_record(
     for (name, value) in extras {
         o.f64(name, *value);
     }
+    o.finish()
+}
+
+/// One counter set as a JSON object, keys in declaration order.
+fn counters_json(set: &impl CounterSet) -> String {
+    let mut o = JsonObject::new();
+    set.visit(&mut |name, value| {
+        o.u64(name, value);
+    });
     o.finish()
 }
 

@@ -46,14 +46,6 @@ pub struct RunSummary {
     /// Whether correct overlay members form a connected cover of the correct
     /// nodes at the end of the run (byzcast only).
     pub overlay_ok: Option<bool>,
-    /// `REQUEST_MSG`s sent by correct nodes.
-    pub requests: u64,
-    /// `FIND_MISSING_MSG`s originated by correct nodes.
-    pub finds: u64,
-    /// Recovery responses served by correct nodes.
-    pub recoveries_served: u64,
-    /// Messages recovered via the request path at correct nodes.
-    pub recovered: u64,
     /// Largest message-buffer occupancy across correct nodes.
     pub store_high_water: usize,
     /// Suspicions by correct nodes of adversarial nodes (good catches).

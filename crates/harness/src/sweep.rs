@@ -1,6 +1,6 @@
 //! Replication over seeds and aggregation of summaries.
 
-use byzcast_core::ProtocolCounters;
+use byzcast_sim::CounterSet;
 
 use crate::par::par_map;
 use crate::scenario::ScenarioConfig;
@@ -110,10 +110,6 @@ pub fn aggregate(summaries: &[RunSummary]) -> RunSummary {
         overlay_ok: summaries[0]
             .overlay_ok
             .map(|_| summaries.iter().all(|s| s.overlay_ok.unwrap_or(false))),
-        requests: mean_u(|s| s.requests),
-        finds: mean_u(|s| s.finds),
-        recoveries_served: mean_u(|s| s.recoveries_served),
-        recovered: mean_u(|s| s.recovered),
         store_high_water: summaries
             .iter()
             .map(|s| s.store_high_water)
@@ -122,52 +118,27 @@ pub fn aggregate(summaries: &[RunSummary]) -> RunSummary {
         true_suspicions: mean_u(|s| s.true_suspicions),
         false_suspicions: mean_u(|s| s.false_suspicions),
         latencies_s: pooled,
-        counters: mean_counters(summaries),
+        counters: merge_all(summaries, |s| s.counters.as_ref())
+            .map(|c| c.map(|v| (v as f64 / k).round() as u64)),
         frame_kinds: mean_frame_kinds(summaries),
-        faults: sum_faults(summaries),
+        faults: merge_all(summaries, |s| s.faults.as_ref()),
         oracle_outcomes: sum_oracle_outcomes(summaries),
-        resources: merge_resources(summaries),
-        recovery: merge_recovery(summaries),
+        resources: merge_all(summaries, |s| s.resources.as_ref()),
+        recovery: merge_all(summaries, |s| s.recovery.as_ref()),
     }
 }
 
-/// Recovery stats over the replicas — counters summed, the escalation
-/// high-water maxed — present only when every replica ran with the
-/// recovery envelope on.
-fn merge_recovery(summaries: &[RunSummary]) -> Option<byzcast_core::RecoveryStats> {
-    let mut total = byzcast_core::RecoveryStats::default();
+/// One counter set merged over the replicas by each field's rule, present
+/// only when every replica carries it. Faults, resources and recovery stay
+/// totals ("how many crashes did this point survive", "how bad did it get
+/// in any replica"); the protocol counters are then averaged.
+fn merge_all<T: CounterSet + Default>(
+    summaries: &[RunSummary],
+    set: impl Fn(&RunSummary) -> Option<&T>,
+) -> Option<T> {
+    let mut total = T::default();
     for s in summaries {
-        total.merge(s.recovery.as_ref()?);
-    }
-    Some(total)
-}
-
-/// Resource stats over the replicas — counters summed, peaks maxed ("how
-/// bad did it get across any replica") — present only when every replica
-/// was governed.
-fn merge_resources(summaries: &[RunSummary]) -> Option<byzcast_core::ResourceStats> {
-    let mut total = byzcast_core::ResourceStats::default();
-    for s in summaries {
-        total.merge(s.resources.as_ref()?);
-    }
-    Some(total)
-}
-
-/// Total fault-event counts over the replicas, present only when every
-/// replica ran a fault plan (totals, not means: "how many crashes did this
-/// point survive" is the meaningful aggregate).
-fn sum_faults(summaries: &[RunSummary]) -> Option<byzcast_sim::FaultStats> {
-    let mut total = byzcast_sim::FaultStats::default();
-    for s in summaries {
-        let f = s.faults.as_ref()?;
-        total.crashes += f.crashes;
-        total.restarts += f.restarts;
-        total.byz_activations += f.byz_activations;
-        total.byz_deactivations += f.byz_deactivations;
-        total.jam_starts += f.jam_starts;
-        total.jam_ends += f.jam_ends;
-        total.jam_losses += f.jam_losses;
-        total.injections_dropped += f.injections_dropped;
+        total.merge(set(s)?);
     }
     Some(total)
 }
@@ -197,31 +168,6 @@ fn sum_oracle_outcomes(summaries: &[RunSummary]) -> Vec<(String, u64)> {
             )
         })
         .collect()
-}
-
-/// Field-wise mean of the protocol counters, present only when every
-/// replica reported them.
-fn mean_counters(summaries: &[RunSummary]) -> Option<ProtocolCounters> {
-    let k = summaries.len() as f64;
-    let mut total = ProtocolCounters::default();
-    for s in summaries {
-        total.merge(s.counters.as_ref()?);
-    }
-    let avg = |v: u64| (v as f64 / k).round() as u64;
-    Some(ProtocolCounters {
-        data_originated: avg(total.data_originated),
-        data_forwards: avg(total.data_forwards),
-        gossip_packets: avg(total.gossip_packets),
-        gossip_entries: avg(total.gossip_entries),
-        requests_sent: avg(total.requests_sent),
-        finds_sent: avg(total.finds_sent),
-        recoveries_served: avg(total.recoveries_served),
-        recovered_via_request: avg(total.recovered_via_request),
-        bad_signatures_seen: avg(total.bad_signatures_seen),
-        beacons_sent: avg(total.beacons_sent),
-        sig_cache_hits: avg(total.sig_cache_hits),
-        sig_cache_misses: avg(total.sig_cache_misses),
-    })
 }
 
 /// Per-kind mean of frames and bytes, over the replicas that saw the kind.
@@ -319,9 +265,9 @@ mod tests {
     #[test]
     fn counters_require_every_replica() {
         let mut with = summary(1.0, 100);
-        with.counters = Some(ProtocolCounters {
+        with.counters = Some(byzcast_core::ProtocolCounters {
             gossip_packets: 10,
-            ..ProtocolCounters::default()
+            ..Default::default()
         });
         let agg = aggregate(&[with.clone(), with.clone()]);
         assert_eq!(agg.counters.unwrap().gossip_packets, 10);

@@ -66,6 +66,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod counters;
 pub mod engine;
 pub mod event;
 pub mod fault;
@@ -80,6 +81,7 @@ pub mod spatial;
 pub mod time;
 pub mod trace;
 
+pub use counters::CounterSet;
 pub use engine::{BoxedProtocol, DynProtocol, SimBuilder, SimConfig, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use geometry::{Field, Position};

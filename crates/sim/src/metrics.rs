@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 
+use crate::counter_set;
 use crate::node::NodeId;
 use crate::time::SimTime;
 
@@ -52,28 +53,30 @@ pub struct NodeMetrics {
     pub queue_drops: u64,
 }
 
-/// Counters for executed fault-plan events and their radio-level effects.
-///
-/// All-zero (the `Default`) when the run had no fault plan, so metrics from
-/// faulty and fault-free runs still compare with `==` in differential tests.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct FaultStats {
-    /// Crash events executed.
-    pub crashes: u64,
-    /// Restart events executed.
-    pub restarts: u64,
-    /// Byzantine activations delivered (`SetByzantine { active: true }`).
-    pub byz_activations: u64,
-    /// Byzantine deactivations delivered (`SetByzantine { active: false }`).
-    pub byz_deactivations: u64,
-    /// Jam windows opened.
-    pub jam_starts: u64,
-    /// Jam windows closed.
-    pub jam_ends: u64,
-    /// Receptions destroyed by an active jam region.
-    pub jam_losses: u64,
-    /// Application broadcasts dropped because the origin node was down.
-    pub injections_dropped: u64,
+counter_set! {
+    /// Counters for executed fault-plan events and their radio-level effects.
+    ///
+    /// All-zero (the `Default`) when the run had no fault plan, so metrics from
+    /// faulty and fault-free runs still compare with `==` in differential tests.
+    #[derive(Clone, Debug, Default, PartialEq, Eq)]
+    pub struct FaultStats {
+        /// Crash events executed.
+        pub crashes: u64 => sum,
+        /// Restart events executed.
+        pub restarts: u64 => sum,
+        /// Byzantine activations delivered (`SetByzantine { active: true }`).
+        pub byz_activations: u64 => sum,
+        /// Byzantine deactivations delivered (`SetByzantine { active: false }`).
+        pub byz_deactivations: u64 => sum,
+        /// Jam windows opened.
+        pub jam_starts: u64 => sum,
+        /// Jam windows closed.
+        pub jam_ends: u64 => sum,
+        /// Receptions destroyed by an active jam region.
+        pub jam_losses: u64 => sum,
+        /// Application broadcasts dropped because the origin node was down.
+        pub injections_dropped: u64 => sum,
+    }
 }
 
 /// All metrics for a run.

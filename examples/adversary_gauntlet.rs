@@ -71,12 +71,13 @@ fn main() {
         ..ScenarioConfig::default()
     };
     let clean = base.run(&workload);
+    let c = clean.counters.expect("byzcast counters");
     table.add_row([
         "(none)".to_owned(),
         format!("{:.3}", clean.delivery_ratio),
         format!("{:.3}", clean.min_delivery_ratio),
-        clean.requests.to_string(),
-        clean.recovered.to_string(),
+        c.requests_sent.to_string(),
+        c.recovered_via_request.to_string(),
         format!("{}/{}", clean.true_suspicions, clean.false_suspicions),
     ]);
 
@@ -87,12 +88,13 @@ fn main() {
             ..base.clone()
         };
         let s = config.run(&workload);
+        let c = s.counters.expect("byzcast counters");
         table.add_row([
             label.to_owned(),
             format!("{:.3}", s.delivery_ratio),
             format!("{:.3}", s.min_delivery_ratio),
-            s.requests.to_string(),
-            s.recovered.to_string(),
+            c.requests_sent.to_string(),
+            c.recovered_via_request.to_string(),
             format!("{}/{}", s.true_suspicions, s.false_suspicions),
         ]);
         assert!(

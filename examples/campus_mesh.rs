@@ -46,13 +46,14 @@ fn main() {
     sim.run_until(SimTime::ZERO + workload.horizon());
 
     let summary = config.summarize_wire(&sim);
+    let c = summary.counters.expect("byzcast counters");
     println!(
         "delivery ratio over {} messages: {:.3} (worst message {:.3})",
         summary.messages, summary.delivery_ratio, summary.min_delivery_ratio
     );
     println!(
         "recovery machinery: {} requests, {} responses served, {} messages recovered",
-        summary.requests, summary.recoveries_served, summary.recovered
+        c.requests_sent, c.recoveries_served, c.recovered_via_request
     );
 
     // How widely are the saboteurs distrusted by the end of the run?

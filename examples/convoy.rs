@@ -62,13 +62,14 @@ fn main() {
     println!("overlay churn across the run: {churned} members are new since the first checkpoint");
 
     let summary = config.summarize_wire(&sim);
+    let c = summary.counters.expect("byzcast counters");
     println!(
         "delivery ratio over {} messages while moving: {:.3} (p99 latency {:.3} s)",
         summary.messages, summary.delivery_ratio, summary.p99_latency_s
     );
     println!(
         "recovery path usage: {} requests, {} recoveries",
-        summary.requests, summary.recovered
+        c.requests_sent, c.recovered_via_request
     );
     assert!(
         summary.delivery_ratio > 0.9,

@@ -49,6 +49,7 @@ fn main() {
     }
 
     let summary = config.summarize_wire(&sim);
+    let c = summary.counters.expect("byzcast counters");
     let beta = SimDuration::from_micros(config.sim.radio.air_time_us(2700));
     let max_timeout = config.byzcast.max_timeout(beta);
     println!("\ndelivery ratio: {:.3}", summary.delivery_ratio);
@@ -60,7 +61,7 @@ fn main() {
     );
     println!(
         "recovery machinery carried the run: {} requests, {} responses served",
-        summary.requests, summary.recoveries_served
+        c.requests_sent, c.recoveries_served
     );
     assert_eq!(summary.delivery_ratio, 1.0);
 }

@@ -116,7 +116,7 @@ fn figure_5_byzantine_overlay_line() {
         s.min_delivery_ratio
     );
     assert!(
-        s.requests > 0,
+        s.counters.expect("byzcast counters").requests_sent > 0,
         "the mute overlay should force the recovery path"
     );
 }

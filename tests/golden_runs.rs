@@ -1,5 +1,5 @@
-//! Golden-run digests: three small runs whose per-run JSONL records must
-//! hash to committed values.
+//! Golden-run digests: three small runs, and one seed-aggregate, whose
+//! JSONL records must hash to committed values.
 //!
 //! `perf_equivalence` compares two configurations inside one build; nothing
 //! there notices a refactor that changes both sides alike. These digests
@@ -14,7 +14,9 @@
 use byzcast_adversary::MutePolicy;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
-use byzcast_harness::{AdversaryKind, MobilityChoice, RunSummary, ScenarioConfig, Workload};
+use byzcast_harness::{
+    aggregate, replicate, AdversaryKind, MobilityChoice, RunSummary, ScenarioConfig, Workload,
+};
 use byzcast_sim::{Field, NodeId, SimConfig, SimDuration};
 
 /// 64-bit FNV-1a.
@@ -125,5 +127,23 @@ fn governed_chaos_case_record_is_pinned() {
         "chaos-48",
         &record(&case.name, 48, &checked.summary),
         0xacc8_e18c_9274_e64e,
+    );
+}
+
+#[test]
+fn seed_aggregate_of_governed_chaos_case_is_pinned() {
+    // The aggregate is where counters are averaged and fault, resource and
+    // recovery stats are summed or maxed across replicas; the per-run
+    // digests above never reach that code.
+    let case = generate_case(48, true);
+    let agg = aggregate(&replicate(&case.scenario, &case.workload, &[48, 49, 50]));
+    assert!(agg.counters.is_some(), "aggregate lost the counters");
+    assert!(agg.faults.is_some(), "aggregate lost the fault stats");
+    assert!(agg.resources.is_some(), "aggregate lost the resource stats");
+    assert!(agg.recovery.is_some(), "aggregate lost the recovery stats");
+    assert_digest(
+        "chaos-48-aggregate",
+        &record(&case.name, 48, &agg),
+        0xbfb3_9d1a_4487_1250,
     );
 }

@@ -207,7 +207,8 @@ fn dormant_recovery_envelope_is_decision_free() {
         // The stats still mirror real traffic: every plain recovery request
         // the run made was counted.
         assert_eq!(
-            stats.requests_originated, on.requests,
+            stats.requests_originated,
+            on.counters.expect("byzcast counters").requests_sent,
             "seed {seed}: stats disagree with the request counter"
         );
         assert_eq!(off, on, "seed {seed}: summaries diverged");
