@@ -83,10 +83,11 @@ impl FlappingNode {
                         self.suppressed += 1;
                     }
                 }
-                (FlapBehavior::Forger, Action::Send(WireMsg::Data(mut m))) if m.id.origin != me => {
-                    m.payload_id ^= 0xDEAD_BEEF;
+                (FlapBehavior::Forger, Action::Send(WireMsg::Data(m))) if m.id.origin != me => {
+                    let mut forged = *m;
+                    forged.payload_id ^= 0xDEAD_BEEF;
                     self.tampered += 1;
-                    ctx.send(WireMsg::Data(m));
+                    ctx.send(WireMsg::data(forged));
                 }
                 (_, other) => emit(ctx, other),
             }
@@ -188,7 +189,7 @@ mod tests {
         drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, false));
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         drive(&mut flap, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         let actions = drive(&mut flap, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
         assert!(!sends(&actions).is_empty());
@@ -206,7 +207,7 @@ mod tests {
         // Inactive: relays stay valid.
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         let actions = drive(&mut flap, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         for s in sends(&actions) {
             if let WireMsg::Data(d) = s {
@@ -219,7 +220,7 @@ mod tests {
         drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, true));
         let m2 = DataMsg::sign(&reg.signer(SignerId(0)), 2, 6, 64);
         let actions = drive(&mut flap, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m2))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m2))
         });
         let datas: Vec<_> = sends(&actions)
             .into_iter()

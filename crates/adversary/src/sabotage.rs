@@ -155,7 +155,7 @@ mod tests {
         let mut actions = Vec::new();
         {
             let mut ctx = Context::new(NodeId(1), SimTime::from_secs(1), &mut rng, &mut actions);
-            node.on_packet(&mut ctx, NodeId(0), &WireMsg::Data(m));
+            node.on_packet(&mut ctx, NodeId(0), &WireMsg::data(m));
         }
         actions
     }

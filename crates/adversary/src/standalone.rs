@@ -1,6 +1,7 @@
 //! Standalone Byzantine protocols (not wrapping a correct node).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use byzcast_core::message::{BeaconMsg, DataMsg, GossipEntry, GossipMsg, MessageId, WireMsg};
 use byzcast_crypto::{Signature, Signer};
@@ -153,7 +154,7 @@ impl Protocol for ImpersonatorNode {
             id_sig: Signature::zero(),
             ttl: 1,
         };
-        ctx.send(WireMsg::Data(forged));
+        ctx.send(WireMsg::data(forged));
         // A beacon claiming to be the victim.
         let fake_beacon = BeaconMsg {
             sender: self.victim,
@@ -233,7 +234,7 @@ impl Protocol for FlooderNode {
                 0xF100_0000 + self.seq,
                 self.payload_len,
             );
-            ctx.send(WireMsg::Data(m));
+            ctx.send(WireMsg::data(m));
             self.flooded += 1;
         }
         ctx.set_timer_after(self.flood_period, FLOOD_TIMER);
@@ -251,7 +252,7 @@ pub struct ReplayerNode {
     replay_delay: SimDuration,
     check_period: SimDuration,
     /// Captured messages by id, with capture time; replayed once each.
-    captured: BTreeMap<MessageId, (DataMsg, SimTime)>,
+    captured: BTreeMap<MessageId, (Arc<DataMsg>, SimTime)>,
     /// Old frames re-injected (diagnostic).
     pub replayed: u64,
 }
@@ -279,7 +280,9 @@ impl Protocol for ReplayerNode {
     fn on_packet(&mut self, ctx: &mut Context<'_, WireMsg>, _from: NodeId, msg: &WireMsg) {
         if let WireMsg::Data(m) = msg {
             let now = ctx.now();
-            self.captured.entry(m.id).or_insert((m.with_ttl(1), now));
+            self.captured
+                .entry(m.id)
+                .or_insert_with(|| (DataMsg::share_with_ttl(m, 1), now));
         }
     }
 
@@ -359,7 +362,7 @@ impl Protocol for SigGrinderNode {
                 id_sig: Signature::zero(),
                 ttl: 1,
             };
-            ctx.send(WireMsg::Data(m));
+            ctx.send(WireMsg::data(m));
             self.ground += 1;
         }
         ctx.set_timer_after(self.grind_period, GRIND_TIMER);
@@ -514,7 +517,7 @@ mod tests {
         let mut rep = ReplayerNode::new(SimDuration::from_secs(5), SimDuration::from_millis(500));
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 7, 9, 64);
         drive(&mut rep, 3, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         // Too early: nothing due yet.
         let actions = drive_at(&mut rep, 3, SimTime::from_secs(2), |p, ctx| {

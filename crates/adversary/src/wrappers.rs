@@ -201,13 +201,14 @@ impl ForgerNode {
         let me = ctx.node_id();
         for a in actions {
             match a {
-                Action::Send(WireMsg::Data(mut m)) if m.id.origin != me => {
+                Action::Send(WireMsg::Data(m)) if m.id.origin != me => {
                     // Tamper with relayed payloads ("messages with false
                     // information"); own messages stay valid to avoid
                     // instant self-incrimination.
-                    m.payload_id ^= 0xDEAD_BEEF;
+                    let mut forged = *m;
+                    forged.payload_id ^= 0xDEAD_BEEF;
                     self.tampered += 1;
-                    ctx.send(WireMsg::Data(m));
+                    ctx.send(WireMsg::data(forged));
                 }
                 other => emit(ctx, other),
             }
@@ -428,7 +429,7 @@ mod tests {
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         // It receives and delivers, but forwards nothing.
         let actions = drive(&mut mute, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         assert!(actions.iter().any(|a| matches!(a, Action::Deliver { .. })));
         assert!(sends(&actions)
@@ -443,7 +444,7 @@ mod tests {
         let mut mute = MuteNode::new(byz(1, &reg), MutePolicy::DropDataAndGossip);
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         drive(&mut mute, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         // Gossip tick: entries are stripped, the beacon claim survives.
         let actions = drive(&mut mute, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
@@ -468,7 +469,7 @@ mod tests {
         let mut silent = SilentNode::new(byz(1, &reg));
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         let actions = drive(&mut silent, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         assert!(sends(&actions).is_empty());
         // Beacons are suppressed too.
@@ -488,12 +489,12 @@ mod tests {
         drive(&mut forger, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         let actions = drive(&mut forger, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         let datas: Vec<_> = sends(&actions)
             .into_iter()
             .filter_map(|m| match m {
-                WireMsg::Data(d) => Some(*d),
+                WireMsg::Data(d) => Some(**d),
                 _ => None,
             })
             .collect();
@@ -514,7 +515,7 @@ mod tests {
         let own: Vec<_> = sends(&actions)
             .into_iter()
             .filter_map(|m| match m {
-                WireMsg::Data(d) => Some(*d),
+                WireMsg::Data(d) => Some(**d),
                 _ => None,
             })
             .collect();
@@ -527,7 +528,7 @@ mod tests {
         let mut verbose = VerboseNode::new(byz(1, &reg), SimDuration::from_millis(100), 3);
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         drive(&mut verbose, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         let actions = drive(&mut verbose, 1, |p, ctx| p.on_timer(ctx, SPAM_TIMER));
         let reqs = sends(&actions)
@@ -546,12 +547,12 @@ mod tests {
         let victim_msg = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         let ok_msg = DataMsg::sign(&reg.signer(SignerId(2)), 1, 6, 64);
         let a1 = drive(&mut sf, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(0), &WireMsg::Data(victim_msg))
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(victim_msg))
         });
         assert!(sends(&a1).iter().all(|m| !matches!(m, WireMsg::Data(_))));
         assert_eq!(sf.censored, 1);
         let a2 = drive(&mut sf, 1, |p, ctx| {
-            p.on_packet(ctx, NodeId(2), &WireMsg::Data(ok_msg))
+            p.on_packet(ctx, NodeId(2), &WireMsg::data(ok_msg))
         });
         assert!(sends(&a2).iter().any(|m| matches!(m, WireMsg::Data(_))));
     }

@@ -76,7 +76,7 @@ impl Protocol for FloodingNode {
         }
         self.seen.insert(m.id);
         ctx.deliver(m.id.origin, m.payload_id);
-        ctx.send(WireMsg::Data(m.with_ttl(1)));
+        ctx.send(WireMsg::Data(DataMsg::share_with_ttl(m, 1)));
         self.forwards += 1;
     }
 
@@ -92,7 +92,7 @@ impl Protocol for FloodingNode {
         );
         self.seen.insert(m.id);
         ctx.deliver(self.id, payload.id);
-        ctx.send(WireMsg::Data(m));
+        ctx.send(WireMsg::data(m));
     }
 }
 
@@ -146,12 +146,12 @@ mod tests {
         let (mut n, reg) = node(1);
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         let a1 = drive(&mut n, |n, ctx| {
-            n.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            n.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         assert_eq!(a1.len(), 2); // deliver + forward
         assert_eq!(n.forwards, 1);
         let a2 = drive(&mut n, |n, ctx| {
-            n.on_packet(ctx, NodeId(2), &WireMsg::Data(m))
+            n.on_packet(ctx, NodeId(2), &WireMsg::data(m))
         });
         assert!(a2.is_empty());
         assert_eq!(n.seen_count(), 1);
@@ -163,7 +163,7 @@ mod tests {
         let mut m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
         m.payload_id = 6;
         let a = drive(&mut n, |n, ctx| {
-            n.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            n.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         assert!(a.is_empty());
         assert_eq!(n.bad_signatures, 1);

@@ -37,14 +37,14 @@ fn bench_data_msg(c: &mut Criterion) {
 fn bench_store(c: &mut Criterion) {
     let reg = keys();
     let signer = reg.signer(SignerId(0));
-    let msgs: Vec<DataMsg> = (0..1000)
-        .map(|s| DataMsg::sign(&signer, s, s, 512))
+    let msgs: Vec<Arc<DataMsg>> = (0..1000)
+        .map(|s| Arc::new(DataMsg::sign(&signer, s, s, 512)))
         .collect();
     c.bench_function("store/insert_1000_purge", |b| {
         b.iter(|| {
             let mut store = MessageStore::new(SimDuration::from_secs(10));
             for (i, m) in msgs.iter().enumerate() {
-                store.insert(SimTime::from_millis(i as u64), *m);
+                store.insert(SimTime::from_millis(i as u64), Arc::clone(m));
             }
             store.purge(SimTime::from_secs(30));
             black_box(store.high_water())
@@ -78,7 +78,7 @@ fn bench_handle_data(c: &mut Criterion) {
                     let mut actions: Vec<Action<WireMsg>> = Vec::new();
                     let mut ctx =
                         Context::new(NodeId(1), SimTime::from_millis(seq), &mut rng, &mut actions);
-                    node.on_packet(&mut ctx, NodeId(0), &WireMsg::Data(m));
+                    node.on_packet(&mut ctx, NodeId(0), &WireMsg::data(m));
                     black_box(actions.len())
                 })
             },

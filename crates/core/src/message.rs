@@ -9,10 +9,18 @@
 //! `sig(msg_id ‖ node_id)` without possessing the message body — which is the
 //! whole point of gossiping signatures instead of payloads.
 //!
+//! A signed DATA body is immutable once signed, so the network shares one
+//! allocation of it: [`WireMsg::Data`] carries an `Arc<DataMsg>`, and every
+//! forward and every receiver's store keeps that same `Arc`. Only a change
+//! of TTL (the one unsigned field) makes a new allocation; see
+//! [`DataMsg::share_with_ttl`].
+//!
 //! Simulation note: application payloads are represented by `(payload_id,
 //! payload_len)` rather than real bytes; signatures cover these fields, so a
 //! Byzantine node that tampers with either is caught exactly as a real
 //! payload tamperer would be.
+
+use std::sync::Arc;
 
 use byzcast_crypto::{Signature, Signer, SignerId, Verifier};
 use byzcast_fd::{MsgHeader, MsgKind};
@@ -114,6 +122,16 @@ impl DataMsg {
     pub fn with_ttl(mut self, ttl: u8) -> Self {
         self.ttl = ttl;
         self
+    }
+
+    /// The shared body with the given TTL: the same allocation when the TTL
+    /// already matches, a new one only when it really changes.
+    pub fn share_with_ttl(this: &Arc<Self>, ttl: u8) -> Arc<Self> {
+        if this.ttl == ttl {
+            Arc::clone(this)
+        } else {
+            Arc::new(this.with_ttl(ttl))
+        }
     }
 
     const BASE_WIRE: usize = 1 + 12 + 8 + 4 + Signature::WIRE_SIZE * 2 + 1;
@@ -401,8 +419,8 @@ impl BeaconMsg {
 /// The protocol's wire message: everything a byzcast node puts on the air.
 #[derive(Clone, PartialEq, Debug)]
 pub enum WireMsg {
-    /// An application data message.
-    Data(DataMsg),
+    /// An application data message, its signed body shared by reference.
+    Data(Arc<DataMsg>),
     /// An aggregated signature gossip.
     Gossip(GossipMsg),
     /// A retransmission request.
@@ -414,6 +432,11 @@ pub enum WireMsg {
 }
 
 impl WireMsg {
+    /// A DATA frame carrying a newly allocated body.
+    pub fn data(m: DataMsg) -> Self {
+        WireMsg::Data(Arc::new(m))
+    }
+
     /// The FD-visible header of the message (for gossip packets: of the
     /// first entry, as the observe path walks entries individually).
     pub fn header(&self) -> Option<MsgHeader> {
@@ -473,6 +496,17 @@ mod tests {
         assert!(m.gossip_entry().verify(&v));
         assert_eq!(m.ttl, 1);
         assert_eq!(m.with_ttl(2).ttl, 2);
+    }
+
+    #[test]
+    fn sharing_allocates_only_when_the_ttl_changes() {
+        let reg = keys();
+        let m = Arc::new(DataMsg::sign(&reg.signer(SignerId(1)), 7, 100, 512));
+        let same = DataMsg::share_with_ttl(&m, 1);
+        assert!(Arc::ptr_eq(&m, &same));
+        let bumped = DataMsg::share_with_ttl(&m, 2);
+        assert!(!Arc::ptr_eq(&m, &bumped));
+        assert_eq!(*bumped, m.with_ttl(2));
     }
 
     #[test]
@@ -541,7 +575,7 @@ mod tests {
     fn wire_sizes_track_contents() {
         let reg = keys();
         let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 512);
-        assert_eq!(WireMsg::Data(m).wire_size(), 106 + 512);
+        assert_eq!(WireMsg::data(m).wire_size(), 106 + 512);
         let g = GossipMsg::of_entries(vec![m.gossip_entry(); 3]);
         assert_eq!(WireMsg::Gossip(g.clone()).wire_size(), 3 + 3 * 64);
         // Aggregation is the win: 3 entries in one packet vs 3 packets.
@@ -556,7 +590,7 @@ mod tests {
         };
         assert_eq!(with_beacon.wire_size(), 3 + 64 + b.wire_size());
         // A gossip entry is much smaller than the message it announces.
-        assert!(GossipEntry::WIRE_SIZE * 4 < WireMsg::Data(m).wire_size());
+        assert!(GossipEntry::WIRE_SIZE * 4 < WireMsg::data(m).wire_size());
     }
 
     #[test]
@@ -581,7 +615,7 @@ mod tests {
             ttl: 2,
         };
         assert_eq!(f.header().kind, MsgKind::FindMissingMsg);
-        assert_eq!(WireMsg::Data(m).kind(), "data");
+        assert_eq!(WireMsg::data(m).kind(), "data");
         assert_eq!(WireMsg::Request(r).kind(), "request");
     }
 

@@ -414,7 +414,7 @@ impl ByzcastNode {
     // Dissemination task (Figure 3, lines 1–25)
     // ------------------------------------------------------------------
 
-    fn handle_data(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, m: &DataMsg) {
+    fn handle_data(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, m: &Arc<DataMsg>) {
         let now = ctx.now();
         // Feed the MUTE detector on *every* reception, duplicates included:
         // the overlay copy satisfying an earlier expectation typically
@@ -440,8 +440,11 @@ impl ByzcastNode {
             return;
         }
 
-        // Line 7: accept — forward to the application.
-        self.store.insert(now, *m);
+        // Line 7: accept — forward to the application. The store and any
+        // forward below keep the received body itself (or, for a TTL-2
+        // response, one TTL-1 copy of it).
+        let body = DataMsg::share_with_ttl(m, 1);
+        self.store.insert(now, Arc::clone(&body));
         ctx.deliver(m.id.origin, m.payload_id);
         // Obtaining the message discharges every pending expectation for it
         // (e.g. the request-path expectation on the targeted gossiper, whom
@@ -475,7 +478,7 @@ impl ByzcastNode {
         // Lines 12–18: overlay nodes forward; non-overlay nodes forward only
         // TTL-2 recovery responses (one extra hop).
         if self.role.is_active() || m.ttl == 2 {
-            ctx.send(WireMsg::Data(m.with_ttl(1)));
+            ctx.send(WireMsg::Data(body));
             self.counters.data_forwards += 1;
         }
     }
@@ -742,8 +745,7 @@ impl ByzcastNode {
                 continue;
             };
             if let Some(stored) = self.store.get(id) {
-                let msg = stored.msg;
-                ctx.send(WireMsg::Data(msg.with_ttl(p.ttl)));
+                ctx.send(WireMsg::Data(DataMsg::share_with_ttl(&stored.msg, p.ttl)));
                 self.counters.recoveries_served += 1;
                 self.served_recently.insert(id, now);
             }
@@ -1107,13 +1109,14 @@ impl Protocol for ByzcastNode {
         let now = ctx.now();
         self.next_seq += 1;
         // Line 1: message := msg_id ‖ node_id ‖ msg ‖ sig(…).
-        let m = DataMsg::sign(
+        let m = Arc::new(DataMsg::sign(
             self.signer.as_ref(),
             self.next_seq,
             payload.id,
             payload.size_bytes as u32,
-        );
-        self.store.insert(now, m);
+        ));
+        let id = m.id;
+        self.store.insert(now, Arc::clone(&m));
         ctx.deliver(self.id, payload.id);
         self.counters.data_originated += 1;
         // Line 3: broadcast(message, DATA, ttl=1).
@@ -1124,7 +1127,7 @@ impl Protocol for ByzcastNode {
         // … on the actual message") — `DataMsg` carries `id_sig`. Under a
         // store cap our own body may have been rejected; then it is not
         // advertised either (we could not serve the requests).
-        self.advertise(now, self.id, m.id, self.config.gossip_advertise_rounds);
+        self.advertise(now, self.id, id, self.config.gossip_advertise_rounds);
     }
 }
 
@@ -1252,12 +1255,12 @@ mod tests {
         h.node.role = OverlayRole::Dominator;
         let m = h.data_from(0, 1);
         let (_, actions) = h.drive(SimTime::from_secs(1), |n, ctx| {
-            n.on_packet(ctx, NodeId(0), &WireMsg::Data(m));
+            n.on_packet(ctx, NodeId(0), &WireMsg::data(m));
         });
         assert_eq!(delivers(&actions), vec![(NodeId(0), 100)]);
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
-        assert!(matches!(s[0], WireMsg::Data(d) if d.id == m.id && d.ttl == 1));
+        assert!(matches!(&s[0], WireMsg::Data(d) if d.id == m.id && d.ttl == 1));
         assert_eq!(h.node.counters().data_forwards, 1);
     }
 
@@ -1266,7 +1269,7 @@ mod tests {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let m = h.data_from(0, 1);
         let (_, actions) = h.drive(SimTime::from_secs(1), |n, ctx| {
-            n.on_packet(ctx, NodeId(0), &WireMsg::Data(m));
+            n.on_packet(ctx, NodeId(0), &WireMsg::data(m));
         });
         assert_eq!(delivers(&actions).len(), 1);
         assert!(sends(&actions).is_empty());
@@ -1277,11 +1280,11 @@ mod tests {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let m = h.data_from(0, 1).with_ttl(2);
         let (_, actions) = h.drive(SimTime::from_secs(1), |n, ctx| {
-            n.on_packet(ctx, NodeId(5), &WireMsg::Data(m));
+            n.on_packet(ctx, NodeId(5), &WireMsg::data(m));
         });
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
-        assert!(matches!(s[0], WireMsg::Data(d) if d.ttl == 1));
+        assert!(matches!(&s[0], WireMsg::Data(d) if d.ttl == 1));
     }
 
     #[test]
@@ -1290,8 +1293,8 @@ mod tests {
         h.node.role = OverlayRole::Dominator;
         let m = h.data_from(0, 1);
         let t = SimTime::from_secs(1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
-        let (_, actions) = h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(2), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
+        let (_, actions) = h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(2), &WireMsg::data(m)));
         assert!(actions.is_empty());
     }
 
@@ -1302,7 +1305,7 @@ mod tests {
         m.payload_id = 999; // tampered in flight by node 3
         let t = SimTime::from_secs(1);
         let (_, actions) = h.drive(t, |n, ctx| {
-            n.on_packet(ctx, NodeId(3), &WireMsg::Data(m));
+            n.on_packet(ctx, NodeId(3), &WireMsg::data(m));
         });
         assert!(actions.is_empty());
         assert_eq!(h.node.trust_level(NodeId(3), t), TrustLevel::Untrusted);
@@ -1319,10 +1322,10 @@ mod tests {
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(9), &WireMsg::Beacon(b)));
         // Receive data from non-overlay node 5 (not the originator 0).
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::data(m)));
         assert_eq!(h.node.fds.mute.pending_expectations(), 1);
         // The overlay neighbour forwarding satisfies it.
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(9), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(9), &WireMsg::data(m)));
         let late = t + SimDuration::from_secs(10);
         let (_, _) = h.drive(late, |n, ctx| n.fd_tick(ctx));
         assert_eq!(h.node.trust_level(NodeId(9), late), TrustLevel::Trusted);
@@ -1345,7 +1348,7 @@ mod tests {
         // suspected (single misses — a collision — would not suffice).
         for seq in 1..=u64::from(threshold) {
             let m = h.data_from(0, seq);
-            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::Data(m)));
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::data(m)));
             t = t + timeout + SimDuration::from_millis(200);
             h.drive(t, |n, ctx| n.fd_tick(ctx));
         }
@@ -1434,7 +1437,7 @@ mod tests {
         h.node.role = OverlayRole::Dominator;
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let req = RequestMsg {
             entry: m.gossip_entry(),
             target: NodeId(7),
@@ -1461,7 +1464,7 @@ mod tests {
         h.node.role = OverlayRole::Dominator;
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let req = RequestMsg {
             entry: m.gossip_entry(),
             target: NodeId(7),
@@ -1470,7 +1473,7 @@ mod tests {
             n.on_packet(ctx, NodeId(5), &WireMsg::Request(req))
         });
         // Another holder answers first: we overhear the duplicate.
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(8), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(8), &WireMsg::data(m)));
         let later = t + h.node.config().rebroadcast_timeout;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         assert!(sends(&actions).is_empty(), "suppression failed");
@@ -1516,7 +1519,7 @@ mod tests {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let req = RequestMsg {
             entry: m.gossip_entry(),
             target: NodeId(1),
@@ -1535,7 +1538,7 @@ mod tests {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let req = RequestMsg {
             entry: m.gossip_entry(),
             target: NodeId(9),
@@ -1618,7 +1621,7 @@ mod tests {
         h.node.role = OverlayRole::Dominator;
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         // Searcher 5 is NOT in our neighbour table → answer with TTL 2.
         let f = FindMissingMsg {
             entry: m.gossip_entry(),
@@ -1632,7 +1635,7 @@ mod tests {
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
-        assert!(matches!(s[0], WireMsg::Data(d) if d.ttl == 2));
+        assert!(matches!(&s[0], WireMsg::Data(d) if d.ttl == 2));
     }
 
     #[test]
@@ -1643,7 +1646,7 @@ mod tests {
         let b = h.beacon_from(5, OverlayRole::Passive);
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::Beacon(b)));
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let f = FindMissingMsg {
             entry: m.gossip_entry(),
             target: NodeId(7),
@@ -1655,7 +1658,7 @@ mod tests {
         let later = t + h.node.config().rebroadcast_timeout;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         let s = sends(&actions);
-        assert!(matches!(s[0], WireMsg::Data(d) if d.ttl == 1));
+        assert!(matches!(&s[0], WireMsg::Data(d) if d.ttl == 1));
         assert_eq!(h.node.fds.verbose.indict_count(NodeId(5)), 1);
     }
 
@@ -1706,7 +1709,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         for seq in 1..=5 {
             let m = h.data_from(0, seq);
-            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         }
         let (_, actions) = h.drive(t, |n, ctx| n.gossip_tick(ctx));
         let s = sends(&actions);
@@ -1727,7 +1730,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         for seq in 1..=3 {
             let m = h.data_from(0, seq);
-            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         }
         let (_, actions) = h.drive(t, |n, ctx| n.gossip_tick(ctx));
         // Three per-entry packets plus the (first-due) beacon-only packet.
@@ -1748,7 +1751,7 @@ mod tests {
         let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::Gossip(g)));
         // Message arrives before the flush.
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(9), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(9), &WireMsg::data(m)));
         assert_eq!(h.node.missing_count(), 0);
         let t2 = t + SimDuration::from_secs(1);
         let (_, actions) = h.drive(t2, |n, ctx| n.flush_requests(ctx));
@@ -1907,7 +1910,7 @@ mod tests {
         let m = h.data_from(0, 1);
         let id = m.id;
         h.drive(SimTime::from_millis(100), |n, ctx| {
-            n.on_packet(ctx, NodeId(0), &WireMsg::Data(m))
+            n.on_packet(ctx, NodeId(0), &WireMsg::data(m))
         });
         // Original request at t=580 ms; our response served at t=600 ms
         // (20 ms of rebroadcast jitter).
@@ -2051,7 +2054,7 @@ mod tests {
         // are only served by overlay nodes and the targeted gossiper).
         let mut h = Harness::new(1, config);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(7), &find(3)));
         let (_, actions) = h.drive(t + SimDuration::from_millis(60), |n, ctx| {
             n.flush_responses(ctx)
@@ -2065,7 +2068,7 @@ mod tests {
         // ...but stay silent for plain TTL-2 searches, as in the paper.
         let mut h = Harness::new(1, ByzcastConfig::default());
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(7), &find(2)));
         let (_, actions) = h.drive(t + SimDuration::from_millis(60), |n, ctx| {
             n.flush_responses(ctx)
@@ -2079,7 +2082,7 @@ mod tests {
         h.node.role = OverlayRole::Dominator;
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let far = t + h.node.config().purge_after + SimDuration::from_secs(1);
         h.drive(far, |n, ctx| n.purge_tick(ctx));
         let (_, actions) = h.drive(far, |n, ctx| n.gossip_tick(ctx));
@@ -2123,7 +2126,7 @@ mod tests {
         // burst (2) is dispatched, the rest are dropped before delivery.
         for seq in 1..=5 {
             let m = h.data_from(0, seq);
-            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         }
         let stats = h.node.resource_stats();
         assert_eq!(stats.frames_admitted, 2);
@@ -2132,7 +2135,7 @@ mod tests {
         // Another neighbour's bucket is untouched.
         let m = h.data_from(2, 1);
         let (_, actions) = h.drive(t, |n, ctx| {
-            n.on_packet(ctx, NodeId(2), &WireMsg::Data(m));
+            n.on_packet(ctx, NodeId(2), &WireMsg::data(m));
         });
         assert_eq!(delivers(&actions).len(), 1);
     }
@@ -2154,9 +2157,9 @@ mod tests {
         // the second is dropped before any crypto — and without suspecting
         // the sender, since nothing was authenticated.
         let m1 = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m1)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m1)));
         let m2 = h.data_from(0, 2);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m2)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m2)));
         assert!(h.node.store().has(m1.id));
         assert!(!h.node.store().seen(m2.id));
         let stats = h.node.resource_stats();
@@ -2182,7 +2185,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         for seq in 1..=120 {
             let m = h.data_from(0, seq);
-            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         }
         assert!(h.node.fds().verbose.is_suspected(NodeId(0), t));
         assert!(h.node.resource_stats().quota_suspicions >= 1);
@@ -2234,7 +2237,7 @@ mod tests {
         for seq in 1..=5 {
             let m = h.data_from(0, seq);
             let (_, actions) = h.drive(t, |n, ctx| {
-                n.on_packet(ctx, NodeId(0), &WireMsg::Data(m));
+                n.on_packet(ctx, NodeId(0), &WireMsg::data(m));
             });
             delivered += delivers(&actions).len();
         }
@@ -2271,7 +2274,7 @@ mod tests {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
-        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m)));
+        h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         let rounds = h.node.config().gossip_advertise_rounds;
         for _ in 0..rounds {
             assert_eq!(gossiped(&mut h, t), vec![m.id]);
@@ -2303,8 +2306,8 @@ mod tests {
         let (m1, m2) = (h.data_from(0, 1), h.data_from(0, 2));
         let t1 = SimTime::from_secs(1);
         let t2 = SimTime::from_secs(5);
-        h.drive(t1, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m1)));
-        h.drive(t2, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::Data(m2)));
+        h.drive(t1, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m1)));
+        h.drive(t2, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m2)));
         // Origin 0's one slot goes to m1; m2 is buffered but not advertised.
         assert!(h.node.store().has(m2.id));
         assert_eq!(h.node.resource_stats().quota_drops, 1);

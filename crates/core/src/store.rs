@@ -26,23 +26,37 @@
 //!   the ones an age-based policy would have dropped, so memory pressure
 //!   degrades toward age-based retention, never past it for recent traffic.
 //!
+//! # Memory
+//!
+//! A stored body is the network's one shared allocation of it (an
+//! `Arc<DataMsg>`, see [`crate::message`]), so a buffered (node, message)
+//! pair costs an index entry and a pointer, not a copy of the signatures.
+//! The indexes, and when each exists:
+//!
+//! * `messages` — id → [`StoredMsg`], one entry per buffered body;
+//! * `seen` — every retained seen-id, always;
+//! * `seen_by_time` — `(time, id)` order over `seen`, filled only when a
+//!   seen-id cap is set, since only cap eviction reads it.
+//!
 //! # Advertisement
 //!
 //! Each body also carries its gossip advertisement slot: how many lazycast
 //! rounds it has left. Purging a body drops its slot with it, and a
 //! per-origin count of slots keeps the per-origin gossip quota O(1).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
 use crate::message::{DataMsg, GossipEntry, MessageId};
 
 /// A stored message with its reception time and advertisement slot.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Debug)]
 pub struct StoredMsg {
-    /// The message (TTL normalized to 1; TTLs are hop counters, not state).
-    pub msg: DataMsg,
+    /// The shared message body (TTL normalized to 1; TTLs are hop counters,
+    /// not state).
+    pub msg: Arc<DataMsg>,
     /// When this node first received (or originated) it.
     pub received_at: SimTime,
     /// Gossip rounds left to advertise it: `None` = no slot, `Some(0)` =
@@ -67,15 +81,17 @@ pub(crate) enum Advertise {
 /// The per-node message buffer.
 ///
 /// ```
+/// use std::sync::Arc;
 /// use byzcast_core::{MessageStore, message::DataMsg};
 /// use byzcast_crypto::{KeyRegistry, SignerId, SimScheme};
 /// use byzcast_sim::{SimDuration, SimTime};
 ///
 /// let keys: KeyRegistry<SimScheme> = KeyRegistry::generate(1, 1);
-/// let m = DataMsg::sign(&keys.signer(SignerId(0)), 1, 42, 128);
+/// let m = Arc::new(DataMsg::sign(&keys.signer(SignerId(0)), 1, 42, 128));
 /// let mut store = MessageStore::new(SimDuration::from_secs(10));
-/// assert!(store.insert(SimTime::from_secs(1), m));   // first reception
-/// assert!(!store.insert(SimTime::from_secs(2), m));  // duplicate
+/// assert!(store.insert(SimTime::from_secs(1), Arc::clone(&m)));   // first reception
+/// assert!(!store.insert(SimTime::from_secs(2), Arc::clone(&m)));  // duplicate
+/// assert!(Arc::ptr_eq(&store.get(m.id).unwrap().msg, &m));       // shared, not copied
 /// store.purge(SimTime::from_secs(20));
 /// assert!(!store.has(m.id));  // body purged…
 /// assert!(store.seen(m.id));  // …but still deduplicated
@@ -87,9 +103,10 @@ pub struct MessageStore {
     /// Ids of messages already seen (all of them delivered), retained past
     /// body purging so a purged message re-received late — or replayed by an
     /// adversary — is never delivered twice. Bounded by `max_seen` only.
-    seen: BTreeMap<MessageId, SimTime>,
-    /// Reception-order index over `seen`, for oldest-first cap eviction.
-    seen_by_time: BTreeMap<(SimTime, MessageId), ()>,
+    seen: BTreeSet<MessageId>,
+    /// Reception-order index over `seen`, for oldest-first cap eviction;
+    /// empty unless `max_seen` is set.
+    seen_by_time: BTreeSet<(SimTime, MessageId)>,
     /// Cap on buffered bodies (count); `0` = unlimited.
     max_msgs: usize,
     /// Cap on buffered bodies (total wire bytes); `0` = unlimited.
@@ -131,8 +148,8 @@ impl MessageStore {
         MessageStore {
             hold_for,
             messages: BTreeMap::new(),
-            seen: BTreeMap::new(),
-            seen_by_time: BTreeMap::new(),
+            seen: BTreeSet::new(),
+            seen_by_time: BTreeSet::new(),
             max_msgs,
             max_bytes,
             max_seen,
@@ -156,16 +173,17 @@ impl MessageStore {
 
     /// Whether the message has ever been seen (even if since purged).
     pub fn seen(&self, id: MessageId) -> bool {
-        self.seen.contains_key(&id)
+        self.seen.contains(&id)
     }
 
     /// Inserts a message received at `now`. Returns `true` if it is new
     /// (first reception → deliver/forward), `false` on duplicates. Under a
     /// count/byte cap the body of a new message may be rejected (drop-newest;
     /// check [`MessageStore::has`]) while the id is still recorded as seen.
-    pub fn insert(&mut self, now: SimTime, msg: DataMsg) -> bool {
+    /// The store keeps `msg` itself, or a TTL-1 copy when its TTL differs.
+    pub fn insert(&mut self, now: SimTime, msg: Arc<DataMsg>) -> bool {
         let id = msg.id;
-        if self.seen.contains_key(&id) {
+        if self.seen.contains(&id) {
             return false;
         }
         self.record_seen(now, id);
@@ -191,7 +209,7 @@ impl MessageStore {
         self.messages.insert(
             id,
             StoredMsg {
-                msg: msg.with_ttl(1),
+                msg: DataMsg::share_with_ttl(&msg, 1),
                 received_at: now,
                 advert: None,
             },
@@ -203,15 +221,16 @@ impl MessageStore {
     }
 
     fn record_seen(&mut self, now: SimTime, id: MessageId) {
-        if self.max_seen != 0 && self.seen.len() >= self.max_seen {
-            if let Some((&key, ())) = self.seen_by_time.iter().next() {
-                self.seen_by_time.remove(&key);
-                self.seen.remove(&key.1);
-                self.seen_evictions += 1;
+        if self.max_seen != 0 {
+            if self.seen.len() >= self.max_seen {
+                if let Some((_, oldest)) = self.seen_by_time.pop_first() {
+                    self.seen.remove(&oldest);
+                    self.seen_evictions += 1;
+                }
             }
+            self.seen_by_time.insert((now, id));
         }
-        self.seen.insert(id, now);
-        self.seen_by_time.insert((now, id), ());
+        self.seen.insert(id);
         self.peak_seen = self.peak_seen.max(self.seen.len());
     }
 
@@ -365,9 +384,9 @@ mod tests {
     use super::*;
     use byzcast_crypto::{KeyRegistry, SignerId, SimScheme};
 
-    fn msg(seq: u64) -> DataMsg {
+    fn msg(seq: u64) -> Arc<DataMsg> {
         let reg: KeyRegistry<SimScheme> = KeyRegistry::generate(1, 1);
-        DataMsg::sign(&reg.signer(SignerId(0)), seq, seq * 10, 100)
+        Arc::new(DataMsg::sign(&reg.signer(SignerId(0)), seq, seq * 10, 100))
     }
 
     fn store() -> MessageStore {
@@ -384,8 +403,8 @@ mod tests {
         let mut s = store();
         let t = SimTime::from_secs(1);
         let m = msg(1);
-        assert!(s.insert(t, m));
-        assert!(!s.insert(t, m));
+        assert!(s.insert(t, Arc::clone(&m)));
+        assert!(!s.insert(t, Arc::clone(&m)));
         assert!(s.has(m.id));
         assert!(s.seen(m.id));
         assert_eq!(s.len(), 1);
@@ -395,12 +414,12 @@ mod tests {
     fn purge_removes_old_bodies_but_remembers_ids() {
         let mut s = store();
         let m = msg(1);
-        s.insert(SimTime::from_secs(1), m);
+        s.insert(SimTime::from_secs(1), Arc::clone(&m));
         s.purge(SimTime::from_secs(12));
         assert!(!s.has(m.id), "body survived purge");
         assert!(s.seen(m.id), "seen-id purged too early");
         // Re-receiving a purged message is still a duplicate.
-        assert!(!s.insert(SimTime::from_secs(13), m));
+        assert!(!s.insert(SimTime::from_secs(13), Arc::clone(&m)));
     }
 
     #[test]
@@ -410,10 +429,10 @@ mod tests {
         // bounded only by the seen-id cap.
         let mut s = store();
         let m = msg(1);
-        s.insert(SimTime::from_secs(1), m);
+        s.insert(SimTime::from_secs(1), Arc::clone(&m));
         s.purge(SimTime::from_secs(100)); // far past the old 4 × hold horizon
         assert!(s.seen(m.id), "late replay window reopened");
-        assert!(!s.insert(SimTime::from_secs(100), m));
+        assert!(!s.insert(SimTime::from_secs(100), Arc::clone(&m)));
     }
 
     #[test]
@@ -433,9 +452,10 @@ mod tests {
     #[test]
     fn stored_ttl_is_normalized() {
         let mut s = store();
-        let m = msg(1).with_ttl(2);
-        s.insert(SimTime::from_secs(1), m);
+        let m = Arc::new(msg(1).with_ttl(2));
+        s.insert(SimTime::from_secs(1), Arc::clone(&m));
         assert_eq!(s.get(m.id).unwrap().msg.ttl, 1);
+        assert_eq!(m.ttl, 2, "the caller's body is never altered");
     }
 
     #[test]
@@ -460,10 +480,13 @@ mod tests {
         assert!(s.insert(t, msg(2)));
         let m3 = msg(3);
         // Still a first reception (deliver), but the body is dropped.
-        assert!(s.insert(t, m3));
+        assert!(s.insert(t, Arc::clone(&m3)));
         assert!(!s.has(m3.id));
         assert!(s.seen(m3.id));
-        assert!(!s.insert(t, m3), "rejected body must stay deduplicated");
+        assert!(
+            !s.insert(t, Arc::clone(&m3)),
+            "rejected body must stay deduplicated"
+        );
         assert_eq!(s.len(), 2);
         assert_eq!(s.body_rejects(), 1);
         // Established bodies survive (drop-newest keeps them servable).
@@ -503,6 +526,34 @@ mod tests {
     }
 
     #[test]
+    fn ids_seen_at_the_same_instant_are_evicted_in_id_order() {
+        let mut s = MessageStore::with_limits(SimDuration::from_secs(10), 0, 0, 2);
+        let t = SimTime::from_secs(1);
+        // Inserted out of id order, at one instant.
+        s.insert(t, msg(2));
+        s.insert(t, msg(1));
+        s.insert(SimTime::from_secs(2), msg(3));
+        assert!(!s.seen(msg(1).id), "the lower id goes first on a tie");
+        assert!(s.seen(msg(2).id) && s.seen(msg(3).id));
+        s.insert(SimTime::from_secs(3), msg(4));
+        assert!(!s.seen(msg(2).id) && s.seen(msg(3).id) && s.seen(msg(4).id));
+        assert_eq!(s.seen_evictions(), 2);
+    }
+
+    #[test]
+    fn uncapped_store_keeps_no_eviction_index_and_shares_bodies() {
+        let mut s = store();
+        let m = msg(1);
+        for seq in 1..=3 {
+            s.insert(SimTime::from_secs(seq), msg(seq + 1));
+        }
+        s.insert(SimTime::from_secs(4), Arc::clone(&m));
+        assert!(s.seen_by_time.is_empty());
+        assert_eq!(s.seen_len(), 4);
+        assert!(Arc::ptr_eq(&s.get(m.id).unwrap().msg, &m));
+    }
+
+    #[test]
     fn body_that_outlived_its_seen_id_is_replaced_not_added() {
         let one = msg(0).wire_size();
         for caps in [(0, 0), (2, 2 * one)] {
@@ -524,7 +575,7 @@ mod tests {
     fn rehearing_a_held_entry_arms_it_exactly_once() {
         let mut s = store();
         let m = msg(1);
-        s.insert(SimTime::from_secs(1), m);
+        s.insert(SimTime::from_secs(1), Arc::clone(&m));
         assert_eq!(s.advertise(m.id, 1, 0), Advertise::Armed);
         assert_eq!(s.advertise(m.id, 1, 0), Advertise::Held);
         assert_eq!(s.advertise(m.id, 3, 0), Advertise::Held);
@@ -538,7 +589,7 @@ mod tests {
     fn exhausted_slot_is_never_rearmed() {
         let mut s = store();
         let m = msg(1);
-        s.insert(SimTime::from_secs(1), m);
+        s.insert(SimTime::from_secs(1), Arc::clone(&m));
         s.advertise(m.id, 2, 0);
         assert_eq!(s.gossip_round(40).len(), 1);
         assert_eq!(s.gossip_round(40).len(), 1);
@@ -570,7 +621,7 @@ mod tests {
     fn purge_drops_the_slot_and_its_origin_count() {
         let mut s = store();
         let m = msg(1);
-        s.insert(SimTime::from_secs(1), m);
+        s.insert(SimTime::from_secs(1), Arc::clone(&m));
         s.advertise(m.id, 3, 0);
         s.purge(SimTime::from_secs(12));
         assert_eq!(slots(&s, m.id.origin), 0);
@@ -583,8 +634,8 @@ mod tests {
     fn per_origin_quota_admits_again_after_a_purge() {
         let mut s = store();
         let (a, b) = (msg(1), msg(2));
-        s.insert(SimTime::from_secs(1), a);
-        s.insert(SimTime::from_secs(5), b);
+        s.insert(SimTime::from_secs(1), Arc::clone(&a));
+        s.insert(SimTime::from_secs(5), Arc::clone(&b));
         assert_eq!(s.advertise(a.id, 3, 1), Advertise::Armed);
         assert_eq!(s.advertise(b.id, 3, 1), Advertise::OverQuota);
         assert_eq!(s.get(b.id).unwrap().advert, None);
@@ -599,11 +650,11 @@ mod tests {
     fn reinserting_a_body_whose_seen_id_was_evicted_restarts_its_slot() {
         let mut s = MessageStore::with_limits(SimDuration::from_secs(10), 0, 0, 1);
         let (a, b) = (msg(1), msg(2));
-        s.insert(SimTime::from_secs(1), a);
+        s.insert(SimTime::from_secs(1), Arc::clone(&a));
         s.advertise(a.id, 3, 0);
-        s.insert(SimTime::from_secs(2), b); // evicts `a`'s seen-id
+        s.insert(SimTime::from_secs(2), Arc::clone(&b)); // evicts `a`'s seen-id
         assert!(s.has(a.id) && !s.seen(a.id));
-        assert!(s.insert(SimTime::from_secs(3), a));
+        assert!(s.insert(SimTime::from_secs(3), Arc::clone(&a)));
         assert_eq!(s.get(a.id).unwrap().advert, None);
         assert_eq!(slots(&s, a.id.origin), 0);
         assert_eq!(s.advertise(a.id, 3, 0), Advertise::Armed);

@@ -1,5 +1,7 @@
 //! Property-based tests for the message store and wire format.
 
+use std::sync::Arc;
+
 use proptest::prelude::*;
 
 use byzcast_core::message::{DataMsg, GossipMsg, WireMsg};
@@ -24,7 +26,7 @@ fn store_invariants_case(ops: &[(u8, u64, u64)]) -> Result<(), TestCaseError> {
         match op {
             0 | 1 => {
                 let m = msg(&reg, 0, seq, 64);
-                let newly = store.insert(clock, m);
+                let newly = store.insert(clock, Arc::new(m));
                 if newly {
                     if let Some(&prev) = last_new.get(&seq) {
                         prop_assert!(
@@ -82,7 +84,7 @@ proptest! {
             .collect();
         let entries = msgs.iter().map(|m| m.gossip_entry()).collect::<Vec<_>>();
         let packet = WireMsg::Gossip(GossipMsg::of_entries(entries));
-        let data_total: usize = msgs.iter().map(|m| WireMsg::Data(*m).wire_size()).sum();
+        let data_total: usize = msgs.iter().map(|m| WireMsg::data(*m).wire_size()).sum();
         prop_assert!(packet.wire_size() < data_total);
         // Additivity.
         let one = WireMsg::Gossip(GossipMsg::of_entries(vec![msgs[0].gossip_entry()]));
@@ -114,11 +116,11 @@ proptest! {
         let mut store = MessageStore::new(SimDuration::from_secs(hold_s));
         let m = msg(&reg, 0, 1, 64);
         let t0 = SimTime::from_secs(1);
-        prop_assert!(store.insert(t0, m));
+        prop_assert!(store.insert(t0, Arc::new(m)));
         let later = t0 + SimDuration::from_secs(gap_s);
         store.purge(later);
         if gap_s <= 4 * hold_s {
-            prop_assert!(!store.insert(later, m), "dedup window broken");
+            prop_assert!(!store.insert(later, Arc::new(m)), "dedup window broken");
         }
         let _ = NodeId(0);
     }

@@ -142,8 +142,13 @@ impl VerboseDetector {
         self.last_arrival.insert((node, kind), now);
     }
 
-    /// Ages counters down and expires old suspicions.
+    /// Ages counters down and expires old suspicions. At each aging step it
+    /// also forgets arrivals at least their kind's spacing old: the next
+    /// arrival of that kind from that node cannot violate the rule against
+    /// them, so dropping them changes no verdict and bounds the table by the
+    /// senders heard within one decay interval.
     pub fn tick(&mut self, now: SimTime) {
+        let aged = now.saturating_since(self.last_decay) >= self.config.decay_interval;
         while now.saturating_since(self.last_decay) >= self.config.decay_interval {
             self.last_decay += self.config.decay_interval;
             self.counters.retain(|_, c| {
@@ -152,6 +157,14 @@ impl VerboseDetector {
             });
         }
         self.suspicions.retain(|_, until| *until > now);
+        if aged {
+            let spacing = &self.min_spacing;
+            self.last_arrival.retain(|(_, kind), at| {
+                spacing
+                    .get(kind)
+                    .is_some_and(|&s| now.saturating_since(*at) < s)
+            });
+        }
     }
 
     /// Whether `node` is currently suspected.
@@ -306,6 +319,36 @@ mod tests {
         }
         assert_eq!(fd.indict_count(NodeId(4)), 0);
         assert!(!fd.is_suspected(NodeId(4), t));
+    }
+
+    #[test]
+    fn quiet_senders_leave_no_arrival_entry_after_a_tick() {
+        let mut fd = VerboseDetector::new(config());
+        let spacing = SimDuration::from_millis(500);
+        fd.set_min_spacing(MsgKind::Gossip, spacing);
+        let t = SimTime::from_secs(1);
+        fd.observe_arrival(t, NodeId(3), MsgKind::Gossip);
+        fd.observe_arrival(
+            t + SimDuration::from_millis(200),
+            NodeId(4),
+            MsgKind::Gossip,
+        );
+        // At the tick node 3 has been quiet for exactly the spacing; node 4
+        // was heard recently enough to still matter.
+        let later = t + spacing;
+        fd.tick(later);
+        assert!(!fd.last_arrival.contains_key(&(NodeId(3), MsgKind::Gossip)));
+        assert!(fd.last_arrival.contains_key(&(NodeId(4), MsgKind::Gossip)));
+        // Node 3's next arrival is compliant and still does not indict.
+        fd.observe_arrival(later, NodeId(3), MsgKind::Gossip);
+        assert_eq!(fd.indict_count(NodeId(3)), 0);
+        // The kept entry still catches a too-early arrival.
+        fd.observe_arrival(
+            later + SimDuration::from_millis(100),
+            NodeId(4),
+            MsgKind::Gossip,
+        );
+        assert_eq!(fd.indict_count(NodeId(4)), 1);
     }
 
     #[test]

@@ -1,6 +1,9 @@
 //! Integration tests for the §3.5 analysis: dissemination-time bounds
 //! (Theorem 3.4 and the static `n/2` worst case) and the buffer bound.
 
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
+
 use byzcast::harness::{byz_view, figure5_worst_case, ScenarioConfig, Workload};
 use byzcast::sim::{NodeId, SimDuration, SimTime};
 
@@ -86,6 +89,57 @@ fn buffer_bound_holds() {
                 "node {i} buffered {hw} > bound {bound}"
             );
         }
+    }
+}
+
+#[test]
+fn buffered_bodies_are_shared_not_copied() {
+    // Each buffered (node, message) pair points at the network's shared
+    // body: only a TTL change (a TTL-2 recovery response, normalised to TTL
+    // 1 on receipt) allocates a new one. Stores are inspected before the
+    // purge horizon, while every body is still buffered.
+    let config = ScenarioConfig {
+        seed: 11,
+        n: 60,
+        sim: byzcast::sim::SimConfig {
+            field: byzcast::sim::Field::new(800.0, 800.0),
+            ..byzcast::sim::SimConfig::default()
+        },
+        ..ScenarioConfig::default()
+    };
+    let workload = Workload {
+        senders: vec![NodeId(0), NodeId(1)],
+        count: 6,
+        payload_bytes: 512,
+        start: SimDuration::from_secs(4),
+        interval: SimDuration::from_millis(500),
+        drain: SimDuration::from_secs(10),
+    };
+    let mut sim = config.build_wire_sim();
+    for (at, sender, payload_id, size) in workload.schedule() {
+        sim.schedule_app_broadcast(at, sender, payload_id, size);
+    }
+    sim.run_until(SimTime::from_secs(9));
+    let mut holders: BTreeMap<_, (usize, BTreeSet<_>)> = BTreeMap::new();
+    for i in 0..config.n as u32 {
+        let node = byz_view(&sim, NodeId(i)).expect("all nodes run byzcast");
+        for stored in node.store().iter() {
+            let entry = holders.entry(stored.msg.id).or_default();
+            entry.0 += 1;
+            entry.1.insert(Arc::as_ptr(&stored.msg));
+        }
+    }
+    assert_eq!(holders.len(), workload.count);
+    for (id, (held, bodies)) in &holders {
+        assert!(
+            *held * 10 >= config.n * 9,
+            "{id:?} held by only {held} nodes"
+        );
+        assert!(
+            bodies.len() <= 3,
+            "{id:?}: {} distinct bodies across {held} holders",
+            bodies.len()
+        );
     }
 }
 

@@ -147,3 +147,22 @@ fn seed_aggregate_of_governed_chaos_case_is_pinned() {
         0xbfb3_9d1a_4487_1250,
     );
 }
+
+#[test]
+fn seen_id_cap_eviction_record_is_pinned() {
+    // Case 48's flooder injects far more unique ids than this cap holds, so
+    // the oldest-first seen-id eviction runs on every correct node. No other
+    // digest here reaches that path. A cap this tight also re-opens the
+    // replay hole that `paper_envelope` sizes `max_seen_ids` against: the
+    // record carries no-duplication violations, and they are pinned too.
+    let mut case = generate_case(48, true);
+    case.scenario.byzcast.resources.max_seen_ids = 48;
+    let checked = run_case(&case);
+    let res = checked.summary.resources.expect("governed run");
+    assert!(res.seen_evictions > 0, "seen-id cap never bound");
+    assert_digest(
+        "chaos-48-seen-cap",
+        &record(&case.name, 48, &checked.summary),
+        0x9213_c1fc_727e_fa9b,
+    );
+}
