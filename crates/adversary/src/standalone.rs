@@ -156,15 +156,15 @@ impl Protocol for ImpersonatorNode {
         };
         ctx.send(WireMsg::data(forged));
         // A beacon claiming to be the victim.
-        let fake_beacon = BeaconMsg {
-            sender: self.victim,
-            role: OverlayRole::Dominator,
-            marked: true,
-            neighbors: vec![self.me],
-            dominator_neighbors: vec![],
-            suspects: vec![],
-            sig: Signature::zero(),
-        };
+        let fake_beacon = BeaconMsg::from_parts(
+            self.victim,
+            OverlayRole::Dominator,
+            true,
+            vec![self.me],
+            vec![],
+            vec![],
+            Signature::zero(),
+        );
         ctx.send(WireMsg::Beacon(fake_beacon));
         self.injected += 2;
         ctx.set_timer_after(self.inject_period, INJECT_TIMER);
@@ -457,7 +457,7 @@ mod tests {
         }
         match s[1] {
             WireMsg::Beacon(b) => {
-                assert_eq!(b.sender, NodeId(0));
+                assert_eq!(b.sender(), NodeId(0));
                 assert!(!b.verify(&v));
             }
             other => panic!("unexpected {other:?}"),

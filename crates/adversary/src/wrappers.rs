@@ -422,7 +422,7 @@ mod tests {
         let actions = drive(&mut mute, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
         match sends(&actions).first() {
             Some(WireMsg::Gossip(g)) => {
-                assert_eq!(g.beacon.as_ref().unwrap().role, OverlayRole::Dominator)
+                assert_eq!(g.beacon.as_ref().unwrap().role(), OverlayRole::Dominator)
             }
             other => panic!("expected gossip+beacon, got {other:?}"),
         }

@@ -262,24 +262,24 @@ impl FindMissingMsg {
 
 /// An overlay-maintenance beacon, signed by its sender ("we assume that
 /// overlay maintenance messages are signed as well").
+///
+/// A beacon is immutable once built: its fields are private, and it keeps
+/// the canonical bytes they encode, so receivers verify those bytes as they
+/// are instead of rebuilding them. Every constructor derives the bytes from
+/// the parts, which keeps them in step with what the accessors return. The
+/// lists are shared (`Arc<[NodeId]>`): a clone of the beacon, and every
+/// receiver's neighbour-table entry, refer to the sender's one allocation.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct BeaconMsg {
-    /// The beaconing node.
-    pub sender: NodeId,
-    /// Its current overlay role.
-    pub role: OverlayRole,
-    /// Its Wu–Li *marked* flag (role-independent; CDS pruning compares
-    /// against neighbours' marked flags, see `byzcast_overlay::cds`).
-    pub marked: bool,
-    /// Its one-hop neighbour list.
-    pub neighbors: Vec<NodeId>,
-    /// Its dominator neighbours (for the MIS+B 3-hop bridge rule).
-    pub dominator_neighbors: Vec<NodeId>,
-    /// Nodes it currently suspects (second-hand trust reports: "a node that
-    /// suspects one of its neighbors should notify its other neighbors").
-    pub suspects: Vec<NodeId>,
-    /// The sender's signature over all of the above.
-    pub sig: Signature,
+    sender: NodeId,
+    role: OverlayRole,
+    marked: bool,
+    neighbors: Arc<[NodeId]>,
+    dominator_neighbors: Arc<[NodeId]>,
+    suspects: Arc<[NodeId]>,
+    /// The canonical encoding of all of the above: what `sig` signs.
+    signed: Arc<[u8]>,
+    sig: Signature,
 }
 
 impl BeaconMsg {
@@ -287,34 +287,9 @@ impl BeaconMsg {
         sender: NodeId,
         role: OverlayRole,
         marked: bool,
-        neighbors: &[NodeId],
-        dominator_neighbors: &[NodeId],
-        suspects: &[NodeId],
-    ) -> Vec<u8> {
-        let mut out = Vec::new();
-        Self::canonical_bytes_into(
-            &mut out,
-            sender,
-            role,
-            marked,
-            neighbors,
-            dominator_neighbors,
-            suspects,
-        );
-        out
-    }
-
-    fn canonical_bytes_into(
-        out: &mut Vec<u8>,
-        sender: NodeId,
-        role: OverlayRole,
-        marked: bool,
-        neighbors: &[NodeId],
-        dominator_neighbors: &[NodeId],
-        suspects: &[NodeId],
-    ) {
-        out.clear();
-        out.reserve(16 + 4 * (neighbors.len() + dominator_neighbors.len() + suspects.len()));
+        lists: [&[NodeId]; 3],
+    ) -> Arc<[u8]> {
+        let mut out = Vec::with_capacity(6 + lists.iter().map(|l| 4 + 4 * l.len()).sum::<usize>());
         out.extend_from_slice(&sender.0.to_le_bytes());
         out.push(match role {
             OverlayRole::Passive => 0,
@@ -322,12 +297,13 @@ impl BeaconMsg {
             OverlayRole::Bridge => 2,
         });
         out.push(marked as u8);
-        for list in [neighbors, dominator_neighbors, suspects] {
+        for list in lists {
             out.extend_from_slice(&(list.len() as u32).to_le_bytes());
             for n in list {
                 out.extend_from_slice(&n.0.to_le_bytes());
             }
         }
+        out.into()
     }
 
     /// Builds and signs a beacon. `marked` defaults to the role's activity;
@@ -335,9 +311,9 @@ impl BeaconMsg {
     pub fn sign(
         signer: &dyn Signer,
         role: OverlayRole,
-        neighbors: Vec<NodeId>,
-        dominator_neighbors: Vec<NodeId>,
-        suspects: Vec<NodeId>,
+        neighbors: impl Into<Arc<[NodeId]>>,
+        dominator_neighbors: impl Into<Arc<[NodeId]>>,
+        suspects: impl Into<Arc<[NodeId]>>,
     ) -> Self {
         Self::sign_marked(
             signer,
@@ -354,19 +330,47 @@ impl BeaconMsg {
         signer: &dyn Signer,
         role: OverlayRole,
         marked: bool,
-        neighbors: Vec<NodeId>,
-        dominator_neighbors: Vec<NodeId>,
-        suspects: Vec<NodeId>,
+        neighbors: impl Into<Arc<[NodeId]>>,
+        dominator_neighbors: impl Into<Arc<[NodeId]>>,
+        suspects: impl Into<Arc<[NodeId]>>,
     ) -> Self {
-        let sender = NodeId(signer.id().0);
-        let sig = signer.sign(&Self::canonical_bytes(
+        let mut b = Self::from_parts(
+            NodeId(signer.id().0),
+            role,
+            marked,
+            neighbors,
+            dominator_neighbors,
+            suspects,
+            Signature::zero(),
+        );
+        b.sig = signer.sign(&b.signed);
+        b
+    }
+
+    /// Assembles a beacon from its parts and a signature made elsewhere —
+    /// how a Byzantine node builds a forged or tampered beacon. The signed
+    /// bytes are derived from the parts, so `sig` verifies only if it really
+    /// signs them.
+    pub fn from_parts(
+        sender: NodeId,
+        role: OverlayRole,
+        marked: bool,
+        neighbors: impl Into<Arc<[NodeId]>>,
+        dominator_neighbors: impl Into<Arc<[NodeId]>>,
+        suspects: impl Into<Arc<[NodeId]>>,
+        sig: Signature,
+    ) -> Self {
+        let (neighbors, dominator_neighbors, suspects) = (
+            neighbors.into(),
+            dominator_neighbors.into(),
+            suspects.into(),
+        );
+        let signed = Self::canonical_bytes(
             sender,
             role,
             marked,
-            &neighbors,
-            &dominator_neighbors,
-            &suspects,
-        ));
+            [&neighbors, &dominator_neighbors, &suspects],
+        );
         BeaconMsg {
             sender,
             role,
@@ -374,30 +378,51 @@ impl BeaconMsg {
             neighbors,
             dominator_neighbors,
             suspects,
+            signed,
             sig,
         }
     }
 
-    /// Verifies the sender's signature.
-    pub fn verify(&self, verifier: &dyn Verifier) -> bool {
-        self.verify_with(verifier, &mut Vec::new())
+    /// The beaconing node.
+    pub fn sender(&self) -> NodeId {
+        self.sender
     }
 
-    /// Verifies the sender's signature, rebuilding the signed preimage into
-    /// `scratch` (beacons are the most frequently verified message, and a
-    /// caller-owned buffer makes the rebuild allocation-free on the hot
-    /// path).
-    pub fn verify_with(&self, verifier: &dyn Verifier, scratch: &mut Vec<u8>) -> bool {
-        Self::canonical_bytes_into(
-            scratch,
-            self.sender,
-            self.role,
-            self.marked,
-            &self.neighbors,
-            &self.dominator_neighbors,
-            &self.suspects,
-        );
-        verifier.verify(SignerId(self.sender.0), scratch, &self.sig)
+    /// Its current overlay role.
+    pub fn role(&self) -> OverlayRole {
+        self.role
+    }
+
+    /// Its Wu–Li *marked* flag (role-independent; CDS pruning compares
+    /// against neighbours' marked flags, see `byzcast_overlay::cds`).
+    pub fn marked(&self) -> bool {
+        self.marked
+    }
+
+    /// Its one-hop neighbour list, as sent (a correct sender's is sorted).
+    pub fn neighbors(&self) -> &Arc<[NodeId]> {
+        &self.neighbors
+    }
+
+    /// Its dominator neighbours (for the MIS+B 3-hop bridge rule).
+    pub fn dominator_neighbors(&self) -> &Arc<[NodeId]> {
+        &self.dominator_neighbors
+    }
+
+    /// Nodes it currently suspects (second-hand trust reports: "a node that
+    /// suspects one of its neighbors should notify its other neighbors").
+    pub fn suspects(&self) -> &[NodeId] {
+        &self.suspects
+    }
+
+    /// The sender's signature over all of the above.
+    pub fn sig(&self) -> &Signature {
+        &self.sig
+    }
+
+    /// Verifies the sender's signature over the beacon's canonical bytes.
+    pub fn verify(&self, verifier: &dyn Verifier) -> bool {
+        verifier.verify(SignerId(self.sender.0), &self.signed, &self.sig)
     }
 
     /// The FD-visible header.
@@ -560,15 +585,26 @@ mod tests {
             vec![NodeId(3)],
         );
         assert!(b.verify(&v));
-        let mut bad = b.clone();
-        bad.suspects = vec![NodeId(1)]; // framing a different node
+        // A tampered beacon keeps the original signature over altered parts.
+        let tampered = |sender, role, suspects: Vec<NodeId>| {
+            BeaconMsg::from_parts(
+                sender,
+                role,
+                b.marked(),
+                Arc::clone(b.neighbors()),
+                Arc::clone(b.dominator_neighbors()),
+                suspects,
+                *b.sig(),
+            )
+        };
+        let bad = tampered(b.sender(), b.role(), vec![NodeId(1)]); // framing a different node
         assert!(!bad.verify(&v));
-        let mut bad = b.clone();
-        bad.role = OverlayRole::Passive;
+        let bad = tampered(b.sender(), OverlayRole::Passive, b.suspects().to_vec());
         assert!(!bad.verify(&v));
-        let mut bad = b.clone();
-        bad.sender = NodeId(1);
+        let bad = tampered(NodeId(1), b.role(), b.suspects().to_vec());
         assert!(!bad.verify(&v));
+        // The same parts with the same signature are the same beacon.
+        assert_eq!(tampered(b.sender(), b.role(), b.suspects().to_vec()), b);
     }
 
     #[test]

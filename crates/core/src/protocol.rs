@@ -148,9 +148,13 @@ pub struct ByzcastNode {
     /// holder answers a given id at most once per window, bounding response
     /// implosion even when collisions hide other holders' answers.
     served_recently: BTreeMap<MessageId, SimTime>,
-    /// Reused preimage buffer for beacon verification (the most frequent
-    /// signature check).
-    beacon_scratch: Vec<u8>,
+    /// The last beacon signed, re-sent as is while its contents still hold
+    /// (both signature schemes are deterministic, so re-signing the same
+    /// contents would give the same bytes).
+    signed_beacon: Option<BeaconMsg>,
+    /// `TrustDetector::generation` when `prev_untrusted` was last taken: an
+    /// fd tick rebuilds and diffs the untrusted set only if it has moved.
+    fd_generation: u64,
     /// Admission control and verification budgets (resource governance).
     governor: Governor,
     /// Escalated-recovery and overlay-repair accounting (only reported when
@@ -226,7 +230,8 @@ impl ByzcastNode {
             pending_responses: BTreeMap::new(),
             finds_forwarded: BTreeMap::new(),
             served_recently: BTreeMap::new(),
-            beacon_scratch: Vec::new(),
+            signed_beacon: None,
+            fd_generation: 0,
             governor,
             recovery_stats: RecoveryStats::default(),
             peak_missing: 0,
@@ -873,7 +878,7 @@ impl ByzcastNode {
 
     fn handle_beacon(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, b: &BeaconMsg) {
         let now = ctx.now();
-        if b.sender != from {
+        if b.sender() != from {
             // The radio identified the true transmitter; a beacon claiming a
             // different sender is an impersonation attempt.
             self.suspect(now, from, SuspicionReason::ProtocolViolation);
@@ -882,7 +887,7 @@ impl ByzcastNode {
         if !self.may_verify(now, from) {
             return;
         }
-        if !b.verify_with(self.verifier.as_ref(), &mut self.beacon_scratch) {
+        if !b.verify(self.verifier.as_ref()) {
             self.suspect(now, from, SuspicionReason::BadSignature);
             return;
         }
@@ -890,14 +895,14 @@ impl ByzcastNode {
         self.table.record_beacon_marked(
             now,
             from,
-            b.role,
-            b.marked,
-            b.neighbors.iter().copied(),
-            b.dominator_neighbors.iter().copied(),
+            b.role(),
+            b.marked(),
+            Arc::clone(b.neighbors()),
+            Arc::clone(b.dominator_neighbors()),
         );
         // Second-hand suspicion reports ("a node that suspects one of its
         // neighbors should notify its other neighbors about this suspicion").
-        for &s in &b.suspects {
+        for &s in b.suspects() {
             if s != self.id {
                 self.fds.trust.report_from_neighbor(now, from, s);
             }
@@ -906,7 +911,9 @@ impl ByzcastNode {
     }
 
     /// Runs the periodic overlay-maintenance computation step (paper §3.3)
-    /// and builds the signed beacon to advertise.
+    /// and builds the signed beacon to advertise: the previous one when
+    /// role, marked flag, lists and suspects are all unchanged, else a
+    /// newly signed one.
     fn make_beacon(&mut self, now: SimTime) -> BeaconMsg {
         self.table.prune(now);
         self.fds.tick(now);
@@ -920,24 +927,41 @@ impl ByzcastNode {
             .decide(self.id, &self.table, &trust_view);
         self.role = decision.role;
         self.marked = decision.marked;
-        let neighbors = self.table.neighbor_ids();
-        let dominator_neighbors: Vec<NodeId> = self
-            .table
-            .iter()
-            .filter(|(_, i)| i.role == OverlayRole::Dominator)
-            .map(|(id, _)| id)
-            .collect();
         let mut suspects = self.fds.trust.untrusted(now);
         suspects.truncate(16);
         self.counters.beacons_sent += 1;
-        BeaconMsg::sign_marked(
+        let table = &self.table;
+        let neighbors = || table.iter().map(|(id, _)| id);
+        let dominator_neighbors = || {
+            table
+                .iter()
+                .filter(|(_, i)| i.role == OverlayRole::Dominator)
+                .map(|(id, _)| id)
+        };
+        if let Some(prev) = &self.signed_beacon {
+            if prev.role() == self.role
+                && prev.marked() == self.marked
+                && prev.suspects() == suspects
+                && prev.neighbors().iter().copied().eq(neighbors())
+                && prev
+                    .dominator_neighbors()
+                    .iter()
+                    .copied()
+                    .eq(dominator_neighbors())
+            {
+                return prev.clone();
+            }
+        }
+        let b = BeaconMsg::sign_marked(
             self.signer.as_ref(),
             self.role,
             self.marked,
-            neighbors,
-            dominator_neighbors,
+            neighbors().collect::<Vec<_>>(),
+            dominator_neighbors().collect::<Vec<_>>(),
             suspects,
-        )
+        );
+        self.signed_beacon = Some(b.clone());
+        b
     }
 
     /// The periodic lazycast: aggregated gossip entries, with the overlay
@@ -984,16 +1008,23 @@ impl ByzcastNode {
     fn fd_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
         self.fds.tick(now);
-        // Log TRUST transitions for the interval-FD analyses.
-        let current: BTreeSet<NodeId> = self.fds.trust.untrusted(now).into_iter().collect();
-        let fresh: Vec<NodeId> = current.difference(&self.prev_untrusted).copied().collect();
-        for &n in &fresh {
-            self.sus_log.begin(now, self.id, n);
+        // Log TRUST transitions for the interval-FD analyses. The untrusted
+        // set can only have changed if TRUST's generation moved since the
+        // last time it was read; otherwise there is nothing to log and no
+        // fresh indictment.
+        let mut fresh = Vec::new();
+        if self.fds.trust.generation() != self.fd_generation {
+            self.fd_generation = self.fds.trust.generation();
+            let current: BTreeSet<NodeId> = self.fds.trust.untrusted(now).into_iter().collect();
+            fresh = current.difference(&self.prev_untrusted).copied().collect();
+            for &n in &fresh {
+                self.sus_log.begin(now, self.id, n);
+            }
+            for &n in self.prev_untrusted.difference(&current) {
+                self.sus_log.end(now, self.id, n);
+            }
+            self.prev_untrusted = current;
         }
-        for &n in self.prev_untrusted.difference(&current) {
-            self.sus_log.end(now, self.id, n);
-        }
-        self.prev_untrusted = current;
         if self.config.recovery.reelect_on_indictment {
             // Liveness-driven overlay repair: a freshly indicted neighbour —
             // or one whose beacons expired — otherwise lingers in the table
@@ -1691,11 +1722,61 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_beacon_lists_are_stored_normalised_and_decide_alike() {
+        use byzcast_overlay::{Cds, MapTrust};
+        let mut h = Harness::new(1, ByzcastConfig::default());
+        let t = SimTime::from_secs(1);
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        // Node 6, the highest id, covers node 1's whole neighbourhood, but
+        // advertises it reversed and with a duplicate: a correctly signed
+        // beacon of a shape no correct node sends.
+        let raw = ids(&[5, 4, 3, 2, 1, 5]);
+        let sorted = ids(&[1, 2, 3, 4, 5]);
+        let mut reference = NeighborTable::new(h.node.table().timeout());
+        for q in 2..=6u32 {
+            let (role, marked, nbrs, doms) = if q == 6 {
+                (OverlayRole::Dominator, true, raw.clone(), ids(&[5, 5, 2]))
+            } else {
+                (OverlayRole::Passive, false, ids(&[1, 6]), ids(&[6]))
+            };
+            let signer = h.reg.signer(SignerId(q));
+            let b = BeaconMsg::sign_marked(&signer, role, marked, nbrs.clone(), doms, vec![]);
+            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(q), &WireMsg::Beacon(b)));
+            let nbrs = if q == 6 { sorted.clone() } else { nbrs };
+            let doms = if q == 6 { ids(&[2, 5]) } else { ids(&[6]) };
+            reference.record_beacon_marked(t, NodeId(q), role, marked, nbrs.into(), doms.into());
+        }
+        let info = h
+            .node
+            .table()
+            .info(NodeId(6))
+            .expect("signed beacon accepted");
+        assert_eq!(&info.neighbors[..], &sorted[..]);
+        assert_eq!(&info.dominator_neighbors[..], &ids(&[2, 5])[..]);
+        let trust = MapTrust::default();
+        let decision = Cds.decide(NodeId(1), h.node.table(), &trust);
+        assert_eq!(decision, Cds.decide(NodeId(1), &reference, &trust));
+        // Node 6 covers everything, so node 1 prunes itself out.
+        assert_eq!(decision.role, OverlayRole::Passive);
+        assert!(decision.marked);
+    }
+
+    #[test]
     fn tampered_beacon_is_rejected() {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let t = SimTime::from_secs(1);
-        let mut b = h.beacon_from(2, OverlayRole::Dominator);
-        b.suspects = vec![NodeId(3)]; // framing attempt after signing
+        let signed = h.beacon_from(2, OverlayRole::Dominator);
+        // Framing attempt after signing: the parts change, the signature
+        // does not.
+        let b = BeaconMsg::from_parts(
+            signed.sender(),
+            signed.role(),
+            signed.marked(),
+            Arc::clone(signed.neighbors()),
+            Arc::clone(signed.dominator_neighbors()),
+            vec![NodeId(3)],
+            *signed.sig(),
+        );
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(2), &WireMsg::Beacon(b)));
         assert!(!h.node.table().contains(NodeId(2)));
         assert_eq!(h.node.trust_level(NodeId(3), t), TrustLevel::Trusted);

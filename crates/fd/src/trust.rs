@@ -88,6 +88,9 @@ pub struct TrustDetector {
     reports: HashMap<NodeId, HashMap<NodeId, SimTime>>,
     /// Total suspicions raised per node, by reason (diagnostic).
     history: HashMap<(NodeId, SuspicionReason), u64>,
+    /// Bumped by every `suspect` call and every tick that expires a direct
+    /// suspicion: equal generations mean an unchanged suspicion set.
+    generation: u64,
 }
 
 impl TrustDetector {
@@ -98,6 +101,7 @@ impl TrustDetector {
             suspicions: HashMap::new(),
             reports: HashMap::new(),
             history: HashMap::new(),
+            generation: 0,
         }
     }
 
@@ -113,6 +117,7 @@ impl TrustDetector {
         entry.0 = entry.0.max(until);
         entry.1 = reason;
         *self.history.entry((node, reason)).or_insert(0) += 1;
+        self.generation += 1;
     }
 
     /// Handles a second-hand report: `reporter` (a neighbour) says it
@@ -133,11 +138,24 @@ impl TrustDetector {
 
     /// Ages out stale suspicions and second-hand reports.
     pub fn tick(&mut self, now: SimTime) {
+        let before = self.suspicions.len();
         self.suspicions.retain(|_, (until, _)| *until > now);
+        if self.suspicions.len() != before {
+            self.generation += 1;
+        }
         self.reports.retain(|_, reporters| {
             reporters.retain(|_, until| *until > now);
             !reporters.is_empty()
         });
+    }
+
+    /// A counter that changes whenever the set of directly suspected nodes
+    /// may have: on every [`TrustDetector::suspect`] call and on every tick
+    /// that expires a suspicion. Right after a tick at `now`,
+    /// [`TrustDetector::untrusted`]`(now)` is exactly that set, so two equal
+    /// readings taken after ticks mean an unchanged untrusted set.
+    pub fn generation(&self) -> u64 {
+        self.generation
     }
 
     /// Whether `node` is directly suspected at `now`.
@@ -259,6 +277,25 @@ mod tests {
         let later = t + SimDuration::from_secs(11);
         d.tick(later);
         assert_eq!(d.level(NodeId(3), later), TrustLevel::Trusted);
+    }
+
+    #[test]
+    fn generation_moves_whenever_the_untrusted_set_may_change() {
+        let mut d = det();
+        let t = SimTime::from_secs(1);
+        let g0 = d.generation();
+        d.report_from_neighbor(t, NodeId(2), NodeId(3));
+        d.tick(t);
+        assert_eq!(d.generation(), g0, "reports do not touch the untrusted set");
+        d.suspect(t, NodeId(4), SuspicionReason::Mute);
+        let g1 = d.generation();
+        assert_ne!(g1, g0);
+        d.tick(t + SimDuration::from_secs(5));
+        assert_eq!(d.generation(), g1, "nothing expired");
+        let later = t + SimDuration::from_secs(10);
+        d.tick(later);
+        assert_ne!(d.generation(), g1, "the suspicion expired");
+        assert!(d.untrusted(later).is_empty());
     }
 
     #[test]

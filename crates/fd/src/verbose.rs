@@ -53,7 +53,8 @@ pub struct VerboseDetector {
     config: VerboseConfig,
     counters: HashMap<NodeId, u32>,
     suspicions: HashMap<NodeId, SimTime>,
-    min_spacing: HashMap<MsgKind, SimDuration>,
+    /// Spacing rule per message kind, indexed by `kind as usize`.
+    min_spacing: [Option<SimDuration>; MsgKind::COUNT],
     last_arrival: HashMap<(NodeId, MsgKind), SimTime>,
     last_decay: SimTime,
     /// Total indictments per node over the whole run (diagnostic; not aged).
@@ -70,7 +71,7 @@ impl VerboseDetector {
             config,
             counters: HashMap::new(),
             suspicions: HashMap::new(),
-            min_spacing: HashMap::new(),
+            min_spacing: [None; MsgKind::COUNT],
             last_arrival: HashMap::new(),
             last_decay: SimTime::ZERO,
             indict_counts: HashMap::new(),
@@ -87,7 +88,7 @@ impl VerboseDetector {
     /// together than `spacing` constitute a verbose fault. Typically invoked
     /// at initialization time.
     pub fn set_min_spacing(&mut self, kind: MsgKind, spacing: SimDuration) {
-        self.min_spacing.insert(kind, spacing);
+        self.min_spacing[kind as usize] = Some(spacing);
     }
 
     /// Indicts `node` for sending too many messages of some type.
@@ -131,15 +132,15 @@ impl VerboseDetector {
         // Arrival times are only ever compared against a spacing rule, so
         // kinds without one need no tracking at all (rules are registered at
         // initialization time, before any arrivals).
-        let Some(&spacing) = self.min_spacing.get(&kind) else {
+        let Some(spacing) = self.min_spacing[kind as usize] else {
             return;
         };
-        if let Some(&prev) = self.last_arrival.get(&(node, kind)) {
+        // One probe: record this arrival and get the previous one back.
+        if let Some(prev) = self.last_arrival.insert((node, kind), now) {
             if now.saturating_since(prev) < spacing {
                 self.indict(now, node);
             }
         }
-        self.last_arrival.insert((node, kind), now);
     }
 
     /// Ages counters down and expires old suspicions. At each aging step it
@@ -160,9 +161,7 @@ impl VerboseDetector {
         if aged {
             let spacing = &self.min_spacing;
             self.last_arrival.retain(|(_, kind), at| {
-                spacing
-                    .get(kind)
-                    .is_some_and(|&s| now.saturating_since(*at) < s)
+                spacing[*kind as usize].is_some_and(|s| now.saturating_since(*at) < s)
             });
         }
     }

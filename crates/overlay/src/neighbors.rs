@@ -10,6 +10,14 @@
 //! current suspicions (consumed by the TRUST detector, not stored here).
 //! Entries expire when beacons stop arriving, which is how departed or mute
 //! neighbours fall out of the view.
+//!
+//! An entry keeps a neighbour's advertised lists by reference: the
+//! `Arc<[NodeId]>` the beacon carried is what every receiver stores, so a
+//! beacon heard by ten neighbours is one allocation, not ten copies. Lists
+//! must be strictly ascending (membership is a binary search); a list that
+//! is not (a Byzantine sender's) is stored as a sorted, deduplicated copy.
+
+use std::sync::Arc;
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
@@ -28,11 +36,23 @@ pub struct NeighborInfo {
     /// The neighbour's advertised one-hop neighbour set, sorted ascending
     /// and deduplicated (so membership is a binary search and iteration
     /// order matches the former `BTreeSet` representation exactly).
-    pub neighbors: Vec<NodeId>,
+    pub neighbors: Arc<[NodeId]>,
     /// The neighbour's advertised *dominator* neighbours (used by the MIS+B
     /// bridge rule to find dominators two hops away). Sorted ascending and
     /// deduplicated.
-    pub dominator_neighbors: Vec<NodeId>,
+    pub dominator_neighbors: Arc<[NodeId]>,
+}
+
+/// `list` itself if it is strictly ascending, else a sorted, deduplicated
+/// copy of it.
+fn normalised(list: Arc<[NodeId]>) -> Arc<[NodeId]> {
+    if list.windows(2).all(|w| w[0] < w[1]) {
+        return list;
+    }
+    let mut copy = list.to_vec();
+    copy.sort_unstable();
+    copy.dedup();
+    copy.into()
 }
 
 /// A node's view of its one-hop neighbourhood (and, through advertised
@@ -80,7 +100,7 @@ impl NeighborTable {
         self.timeout
     }
 
-    /// Records a beacon heard from `from`.
+    /// Records a beacon heard from `from`, collecting its lists.
     pub fn record_beacon(
         &mut self,
         now: SimTime,
@@ -94,57 +114,34 @@ impl NeighborTable {
             from,
             role,
             role.is_active(),
-            neighbors,
-            dominator_neighbors,
+            neighbors.into_iter().collect(),
+            dominator_neighbors.into_iter().collect(),
         );
     }
 
-    /// Records a beacon carrying an explicit marked flag.
+    /// Records a beacon carrying an explicit marked flag, keeping its lists
+    /// by reference (or, if one is not strictly ascending, a sorted,
+    /// deduplicated copy of it).
     pub fn record_beacon_marked(
         &mut self,
         now: SimTime,
         from: NodeId,
         role: OverlayRole,
         marked: bool,
-        neighbors: impl IntoIterator<Item = NodeId>,
-        dominator_neighbors: impl IntoIterator<Item = NodeId>,
+        neighbors: Arc<[NodeId]>,
+        dominator_neighbors: Arc<[NodeId]>,
     ) {
-        let fill = |list: &mut Vec<NodeId>, items: &mut dyn Iterator<Item = NodeId>| {
-            list.clear();
-            list.extend(items);
-            list.sort_unstable();
-            list.dedup();
+        let info = NeighborInfo {
+            last_heard: now,
+            role,
+            marked,
+            neighbors: normalised(neighbors),
+            dominator_neighbors: normalised(dominator_neighbors),
         };
-        // Re-fill in place on refresh: a periodic beacon then costs no
-        // allocation once the entry's lists have grown to their working size.
-        let pos = match self.entries.binary_search_by_key(&from, |&(id, _)| id) {
-            Ok(pos) => pos,
-            Err(pos) => {
-                self.entries.insert(
-                    pos,
-                    (
-                        from,
-                        NeighborInfo {
-                            last_heard: now,
-                            role,
-                            marked,
-                            neighbors: Vec::new(),
-                            dominator_neighbors: Vec::new(),
-                        },
-                    ),
-                );
-                pos
-            }
-        };
-        let info = &mut self.entries[pos].1;
-        info.last_heard = now;
-        info.role = role;
-        info.marked = marked;
-        fill(&mut info.neighbors, &mut neighbors.into_iter());
-        fill(
-            &mut info.dominator_neighbors,
-            &mut dominator_neighbors.into_iter(),
-        );
+        match self.entries.binary_search_by_key(&from, |&(id, _)| id) {
+            Ok(pos) => self.entries[pos].1 = info,
+            Err(pos) => self.entries.insert(pos, (from, info)),
+        }
     }
 
     /// Drops entries whose last beacon is older than the timeout.
@@ -304,6 +301,26 @@ mod tests {
             t.record_beacon(now, NodeId(id), OverlayRole::Passive, [], []);
         }
         assert_eq!(t.neighbor_ids(), vec![NodeId(1), NodeId(3), NodeId(5)]);
+    }
+
+    #[test]
+    fn ascending_lists_are_kept_by_reference_and_others_normalised() {
+        let mut t = table();
+        let now = SimTime::from_secs(1);
+        let sorted: Arc<[NodeId]> = vec![NodeId(1), NodeId(4), NodeId(7)].into();
+        let shuffled: Arc<[NodeId]> = vec![NodeId(7), NodeId(1), NodeId(7), NodeId(4)].into();
+        t.record_beacon_marked(
+            now,
+            NodeId(2),
+            OverlayRole::Passive,
+            false,
+            Arc::clone(&sorted),
+            Arc::clone(&shuffled),
+        );
+        let info = t.info(NodeId(2)).unwrap();
+        assert!(Arc::ptr_eq(&info.neighbors, &sorted));
+        assert_eq!(info.dominator_neighbors, sorted);
+        assert!(!Arc::ptr_eq(&info.dominator_neighbors, &shuffled));
     }
 
     #[test]

@@ -57,8 +57,8 @@ impl Rig {
                 q,
                 self.roles[qi],
                 self.marked[qi],
-                self.adj[qi].iter().copied(),
-                dom,
+                self.adj[qi].iter().copied().collect(),
+                dom.into(),
             );
         }
         t

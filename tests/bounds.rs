@@ -144,6 +144,50 @@ fn buffered_bodies_are_shared_not_copied() {
 }
 
 #[test]
+fn advertised_neighbor_lists_are_shared_not_copied() {
+    // A neighbour-table entry keeps the list its beacon carried by
+    // reference, and a sender re-sends its previous beacon while nothing
+    // changed. So all receivers of one sender's list share a few
+    // allocations (one per distinct list it advertised recently), not one
+    // each.
+    let config = ScenarioConfig {
+        seed: 11,
+        n: 60,
+        sim: byzcast::sim::SimConfig {
+            field: byzcast::sim::Field::new(800.0, 800.0),
+            ..byzcast::sim::SimConfig::default()
+        },
+        ..ScenarioConfig::default()
+    };
+    let mut sim = config.build_wire_sim();
+    sim.run_until(SimTime::from_secs(8));
+    let node = |i: u32| byz_view(&sim, NodeId(i)).expect("all nodes run byzcast");
+    let mut entries = 0;
+    let mut links = 0;
+    for s in 0..config.n as u32 {
+        let mut lists = BTreeSet::new();
+        let mut holders = 0;
+        for r in 0..config.n as u32 {
+            if let Some(info) = node(r).table().info(NodeId(s)) {
+                holders += 1;
+                lists.insert(Arc::as_ptr(&info.neighbors));
+            }
+        }
+        assert!(
+            lists.len() <= 3,
+            "node {s}: {} distinct neighbour lists across {holders} holders",
+            lists.len()
+        );
+        entries += holders;
+        links += node(s).table().len();
+    }
+    assert!(
+        entries * 10 >= links * 9,
+        "only {entries} entries for {links} advertised links"
+    );
+}
+
+#[test]
 fn buffer_bound_static_failure_free() {
     // §3.5's static requirement: a node needs at most max_timeout · δ
     // buffered messages. The bound presumes bodies are retired once the

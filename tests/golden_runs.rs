@@ -12,6 +12,7 @@
 //! prints the new digest and the record it hashes.
 
 use byzcast_adversary::MutePolicy;
+use byzcast_core::RecoveryConfig;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{
@@ -164,5 +165,59 @@ fn seen_id_cap_eviction_record_is_pinned() {
         "chaos-48-seen-cap",
         &record(&case.name, 48, &checked.summary),
         0x9213_c1fc_727e_fa9b,
+    );
+}
+
+#[test]
+fn mixed_byzantine_beacon_and_fd_record_is_pinned() {
+    // An impersonator, two forgers and a gossip liar exercise forged and
+    // tampered beacons, bad-signature counting, TRUST suspicions and
+    // indictment-driven re-election. The run spans several MUTE (8 s) and
+    // VERBOSE (5 s) decay boundaries, so it also pins when the failure
+    // detectors age their counters.
+    let config = ScenarioConfig {
+        seed: 13,
+        n: 40,
+        sim: SimConfig {
+            field: Field::new(700.0, 700.0),
+            ..SimConfig::default()
+        },
+        byzcast: byzcast_core::ByzcastConfig {
+            recovery: RecoveryConfig::standard(),
+            ..byzcast_core::ByzcastConfig::default()
+        },
+        adversary_assignments: vec![
+            (
+                NodeId(39),
+                AdversaryKind::Impersonator { victim: NodeId(2) },
+            ),
+            (NodeId(38), AdversaryKind::Forger),
+            (NodeId(37), AdversaryKind::Forger),
+            (NodeId(36), AdversaryKind::GossipLiar),
+        ],
+        ..ScenarioConfig::default()
+    };
+    let workload = Workload {
+        senders: vec![NodeId(0), NodeId(1)],
+        count: 24,
+        payload_bytes: 256,
+        start: SimDuration::from_secs(4),
+        interval: SimDuration::from_millis(1000),
+        drain: SimDuration::from_secs(12),
+    };
+    let summary = config.run(&workload);
+    let counters = summary.counters.expect("byzcast counters");
+    assert!(
+        counters.bad_signatures_seen > 0,
+        "no forged signature reached a verifier"
+    );
+    assert!(
+        summary.true_suspicions + summary.false_suspicions > 0,
+        "no detector ever suspected anyone"
+    );
+    assert_digest(
+        "mixed-byzantine-40",
+        &record("mixed-byzantine-40", 13, &summary),
+        0x1239_897d_ee2c_7fa6,
     );
 }
