@@ -7,25 +7,30 @@
 //!
 //! Each adversary here either *wraps* a correct `ByzcastNode` and perturbs
 //! its outgoing actions (the strongest adversaries: they speak the protocol
-//! perfectly except for the deviation), or is a standalone protocol:
+//! perfectly except for the deviation), or is a standalone protocol.
 //!
-//! * [`MuteNode`] — runs the protocol but never forwards data (and optionally
-//!   never gossips), while *claiming to be an overlay dominator* so correct
-//!   neighbours defer to it. The attack the MUTE failure detector exists for,
-//!   and the failure mode the paper's evaluation focuses on ("nodes
-//!   experience mute failures, as these failures seem to have the most
-//!   adverse impact on the protocol's performance").
+//! The wrappers:
+//!
+//! * [`ByzantineNode`] — one wrapper for every [`Deviation`]: mute (never
+//!   forwards data, optionally never gossips, while *claiming to be an
+//!   overlay dominator* so correct neighbours defer to it — the failure mode
+//!   the paper's evaluation focuses on), forger (tampers with relayed
+//!   payloads; signatures catch it), censor (forwards everything except
+//!   messages from victim originators), verbose (floods duplicate
+//!   `REQUEST_MSG`s for messages it already has) and sabotage (a broken
+//!   delivery layer — duplicate, phantom or dropped deliveries — that proves
+//!   the chaos oracles catch real protocol bugs). Built with
+//!   [`ByzantineNode::flapping`], a node is correct until the fault plan's
+//!   `SetByzantine` windows switch a mute or forging [`FlapBehavior`] on and
+//!   off: the hardest case for the MUTE/TRUST detectors.
 //! * [`SilentNode`] — generic crash-like mute: drops every transmission of
 //!   any wrapped protocol (used against the baselines too).
-//! * [`ForgerNode`] — tampers with the payload of every forwarded data
-//!   message ("send messages with false information"); signatures catch it.
-//! * [`VerboseNode`] — floods duplicate `REQUEST_MSG`s for messages it
-//!   already has; the VERBOSE failure detector exists for this.
+//!
+//! The standalone adversaries:
+//!
 //! * [`GossipLiarNode`] — gossips about messages it never supplies, the
 //!   behaviour §3.2.2 calls out: "If q gossips about messages that do not
 //!   exist or q does not want to supply them, it will be suspected."
-//! * [`SelectiveForwarder`] — forwards everything except messages from
-//!   victim originators (targeted censorship).
 //! * [`ImpersonatorNode`] — injects data messages with forged originators
 //!   and unsigned beacons; pure noise once signatures are checked.
 //! * [`FlooderNode`] — a registered node injecting unique *validly signed*
@@ -36,26 +41,16 @@
 //! * [`SigGrinderNode`] — unique valid-looking frames with garbage
 //!   signatures; every one costs the receiver a full failing verification
 //!   (CPU exhaustion).
-//! * [`FlappingNode`] — a correct node whose Byzantine behaviour (mute or
-//!   forging) is switched on and off mid-run by the fault plan's activation
-//!   windows; the hardest case for the MUTE/TRUST detectors.
-//! * [`SabotagedNode`] — a deliberately broken "correct" node (duplicate,
-//!   phantom or dropped deliveries) used to prove the chaos oracles catch
-//!   real protocol bugs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod flapping;
-pub mod sabotage;
 pub mod standalone;
 pub mod wrappers;
 
-pub use flapping::{FlapBehavior, FlappingNode};
-pub use sabotage::{SabotageKind, SabotagedNode};
 pub use standalone::{FlooderNode, GossipLiarNode, ImpersonatorNode, ReplayerNode, SigGrinderNode};
 pub use wrappers::{
-    AlwaysDominator, ForgerNode, MuteNode, MutePolicy, SelectiveForwarder, SilentNode, VerboseNode,
+    AlwaysDominator, ByzantineNode, Deviation, FlapBehavior, MutePolicy, SabotageKind, SilentNode,
 };
 
 use byzcast_sim::node::Action;

@@ -4,9 +4,8 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use byzcast_adversary::{
-    FlapBehavior, FlappingNode, FlooderNode, ForgerNode, GossipLiarNode, ImpersonatorNode,
-    MuteNode, MutePolicy, ReplayerNode, SabotageKind, SabotagedNode, SelectiveForwarder,
-    SigGrinderNode, SilentNode, VerboseNode,
+    ByzantineNode, Deviation, FlapBehavior, FlooderNode, GossipLiarNode, ImpersonatorNode,
+    MutePolicy, ReplayerNode, SabotageKind, SigGrinderNode, SilentNode,
 };
 use byzcast_baselines::{plan_overlays, FloodingNode, MoMsg, MultiOverlayNode};
 use byzcast_core::message::WireMsg;
@@ -535,6 +534,10 @@ impl WireNodeFactory {
         )
     }
 
+    fn make_deviant(&self, id: NodeId, deviation: Deviation) -> BoxedProtocol<WireMsg> {
+        Box::new(ByzantineNode::new(self.make_byz(id), deviation))
+    }
+
     fn make_silent_flooder(&self, id: NodeId) -> BoxedProtocol<WireMsg> {
         Box::new(SilentNode::new(FloodingNode::new(
             id,
@@ -547,7 +550,7 @@ impl WireNodeFactory {
         let Some(kind) = &self.kinds[id.index()] else {
             if let Some((sab_id, sab_kind)) = self.sabotage {
                 if sab_id == id {
-                    return Box::new(SabotagedNode::new(self.make_byz(id), sab_kind));
+                    return self.make_deviant(id, Deviation::Sabotage(sab_kind));
                 }
             }
             return if self.flooding {
@@ -571,17 +574,21 @@ impl WireNodeFactory {
             // The remaining adversaries are byzcast-protocol-aware; against
             // flooding they degrade to silence.
             _ if self.flooding => self.make_silent_flooder(id),
-            AdversaryKind::Mute(policy) => Box::new(MuteNode::new(self.make_byz(id), *policy)),
-            AdversaryKind::Forger => Box::new(ForgerNode::new(self.make_byz(id))),
-            AdversaryKind::Verbose { period, per_tick } => {
-                Box::new(VerboseNode::new(self.make_byz(id), *period, *per_tick))
-            }
+            AdversaryKind::Mute(policy) => self.make_deviant(id, Deviation::Mute(*policy)),
+            AdversaryKind::Forger => self.make_deviant(id, Deviation::Forger),
+            AdversaryKind::Verbose { period, per_tick } => self.make_deviant(
+                id,
+                Deviation::Verbose {
+                    period: *period,
+                    per_tick: *per_tick,
+                },
+            ),
             AdversaryKind::GossipLiar => Box::new(GossipLiarNode::new(
                 Box::new(self.keys.signer(SignerId(id.0))),
                 SimDuration::from_millis(500),
             )),
             AdversaryKind::SelectiveForwarder(victims) => {
-                Box::new(SelectiveForwarder::new(self.make_byz(id), victims.clone()))
+                self.make_deviant(id, Deviation::Censor(victims.clone()))
             }
             AdversaryKind::Impersonator { victim } => Box::new(ImpersonatorNode::new(
                 id,
@@ -605,7 +612,7 @@ impl WireNodeFactory {
                 Box::new(SigGrinderNode::new(id, *period, *per_tick))
             }
             AdversaryKind::Flapping(behavior) => {
-                Box::new(FlappingNode::new(self.make_byz(id), *behavior))
+                Box::new(ByzantineNode::flapping(self.make_byz(id), *behavior))
             }
         }
     }
@@ -655,28 +662,11 @@ pub fn byz_view(sim: &Simulator<WireMsg>, id: NodeId) -> Option<&ByzcastNode> {
     if let Some(n) = sim.protocol::<ByzcastNode>(id) {
         return Some(n);
     }
-    if let Some(w) = sim.protocol::<MuteNode>(id) {
+    if let Some(w) = sim.protocol::<ByzantineNode>(id) {
         return Some(w.inner());
     }
-    if let Some(w) = sim.protocol::<ForgerNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<VerboseNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<SelectiveForwarder>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<SilentNode<ByzcastNode>>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<FlappingNode>(id) {
-        return Some(w.inner());
-    }
-    if let Some(w) = sim.protocol::<SabotagedNode>(id) {
-        return Some(w.inner());
-    }
-    None
+    sim.protocol::<SilentNode<ByzcastNode>>(id)
+        .map(|w| w.inner())
 }
 
 #[cfg(test)]

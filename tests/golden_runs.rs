@@ -11,13 +11,14 @@
 //! A deliberate behaviour change re-pins a digest: the failure message
 //! prints the new digest and the record it hashes.
 
-use byzcast_adversary::MutePolicy;
+use byzcast_adversary::{FlapBehavior, MutePolicy, SabotageKind};
 use byzcast_core::RecoveryConfig;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{
     aggregate, replicate, AdversaryKind, MobilityChoice, RunSummary, ScenarioConfig, Workload,
 };
+use byzcast_sim::fault::FaultPlan;
 use byzcast_sim::{Field, NodeId, SimConfig, SimDuration};
 
 /// 64-bit FNV-1a.
@@ -219,5 +220,66 @@ fn mixed_byzantine_beacon_and_fd_record_is_pinned() {
         "mixed-byzantine-40",
         &record("mixed-byzantine-40", 13, &summary),
         0x1239_897d_ee2c_7fa6,
+    );
+}
+
+#[test]
+fn wrapped_deviations_record_is_pinned() {
+    // Every deviation that wraps a correct node, side by side: both
+    // non-default mute policies, a silent node, a verbose spammer, a
+    // censor, a mute and a forger flapper with one activation window each,
+    // and a node whose delivery layer double-delivers. The other digests
+    // reach only `Mute(DropData)`, `Forger` and chaos case 48's draw.
+    let config = ScenarioConfig {
+        seed: 14,
+        n: 50,
+        sim: SimConfig {
+            field: Field::new(800.0, 800.0),
+            ..SimConfig::default()
+        },
+        adversary_assignments: vec![
+            (
+                NodeId(49),
+                AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
+            ),
+            (NodeId(48), AdversaryKind::Mute(MutePolicy::DropEverything)),
+            (NodeId(47), AdversaryKind::Silent),
+            (
+                NodeId(46),
+                AdversaryKind::Verbose {
+                    period: SimDuration::from_millis(250),
+                    per_tick: 4,
+                },
+            ),
+            (
+                NodeId(45),
+                AdversaryKind::SelectiveForwarder(vec![NodeId(0)]),
+            ),
+            (
+                NodeId(44),
+                AdversaryKind::Flapping(FlapBehavior::Mute(MutePolicy::DropData)),
+            ),
+            (NodeId(43), AdversaryKind::Flapping(FlapBehavior::Forger)),
+        ],
+        fault_plan: FaultPlan::new()
+            .set_byzantine(SimDuration::from_secs(5), NodeId(44), true)
+            .set_byzantine(SimDuration::from_secs(9), NodeId(44), false)
+            .set_byzantine(SimDuration::from_secs(6), NodeId(43), true)
+            .set_byzantine(SimDuration::from_secs(10), NodeId(43), false),
+        sabotage: Some((NodeId(5), SabotageKind::DoubleDeliver)),
+        ..ScenarioConfig::default()
+    };
+    let summary = config.run(&workload());
+    let faults = summary.faults.as_ref().expect("fault stats");
+    assert_eq!(faults.byz_activations, 2, "a flapper window never opened");
+    let counters = summary.counters.as_ref().expect("byzcast counters");
+    assert!(
+        counters.requests_sent > 0,
+        "the deviations must force recovery traffic"
+    );
+    assert_digest(
+        "wrapped-deviations-50",
+        &record("wrapped-deviations-50", 14, &summary),
+        0xd0b4_0278_8f00_94de,
     );
 }
