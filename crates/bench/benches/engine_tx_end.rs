@@ -3,18 +3,18 @@
 //! `handle_tx_end` dominates simulation wall time at scale — for every
 //! transmission it must find the audible receivers and probe the active
 //! transmissions for half-duplex and collision overlaps. This bench runs
-//! the same paper-density scenario with the spatial index on and off
-//! (results are bit-identical either way; only wall time differs), at
-//! node counts where the O(n)-scan engine visibly falls behind.
+//! the same paper-density scenario with radius-sized grid cells (`grid`)
+//! and with one cell covering the field (`one-cell`, i.e. every query
+//! scans every node and transmission); results are bit-identical either
+//! way, only wall time differs.
 //!
 //! The field is scaled with `n` to hold the paper's R5 density constant
 //! (80 nodes on 1000 m × 1000 m), so larger points stress bookkeeping
 //! rather than congestion collapse. The points start at n = 480: the
 //! audible radius at R5 density is ~412 m, so on smaller fields a 3×3
 //! cell block covers most of the field and the grid merely breaks even
-//! (measured crossover under this saturating flooding workload is around
-//! n ≈ 400) — the index is a big-n tool and `SimConfig::spatial_index`
-//! leaves the naive scan available below the crossover.
+//! with a full scan (measured crossover under this saturating flooding
+//! workload is around n ≈ 400).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -60,7 +60,7 @@ fn bench_engine_tx_end(c: &mut Criterion) {
     let mut group = c.benchmark_group("engine_tx_end");
     group.sample_size(10);
     for n in [480usize, 800] {
-        for (label, spatial) in [("grid", true), ("naive", false)] {
+        for (label, spatial) in [("grid", true), ("one-cell", false)] {
             let config = scenario(n, spatial);
             group.bench_with_input(BenchmarkId::new(label, n), &config, |b, config| {
                 b.iter(|| black_box(config.run(&w)))

@@ -1,13 +1,14 @@
 //! Counter sets declared once.
 //!
 //! A run reports several structs of `u64` counters (protocol, resource,
-//! recovery and fault stats). Each one is declared with [`counter_set!`],
-//! which names every field's merge rule next to the field. From that one
-//! declaration the macro derives the struct, its `merge`, and a
-//! [`CounterSet`] impl, so that reporting and aggregation code can handle
-//! every set without naming its fields.
+//! recovery and fault stats). Each one is declared with
+//! [`counter_set!`](crate::counter_set!), which names every field's merge
+//! rule next to the field. From that one declaration the macro derives the
+//! struct, its `merge`, and a [`CounterSet`] impl, so that reporting and
+//! aggregation code can handle every set without naming its fields.
 
-/// A struct of `u64` counters declared with [`counter_set!`].
+/// A struct of `u64` counters declared with
+/// [`counter_set!`](crate::counter_set!).
 pub trait CounterSet {
     /// Calls `f(name, value)` for every field, in declaration order.
     fn visit(&self, f: &mut dyn FnMut(&'static str, u64));

@@ -46,11 +46,13 @@ pub struct SimConfig {
     pub mobility_tick: SimDuration,
     /// Trace ring-buffer capacity; zero disables tracing.
     pub trace_capacity: usize,
-    /// Index node positions and in-flight transmissions in uniform spatial
-    /// grids so `TxEnd` resolution probes only nearby entities instead of
-    /// scanning all of them. Results are bit-identical either way (the grid
-    /// is a conservative pre-filter for the exact same geometric predicates);
-    /// `false` keeps the naive O(n) scans, mainly for differential testing.
+    /// Cell size of the spatial grids over node positions and in-flight
+    /// transmissions. `true` uses cells about one audible radius wide, so
+    /// `TxEnd` resolution probes only nearby entities; `false` uses one cell
+    /// covering the field, so every query returns every node or
+    /// transmission (the reference for differential tests). Results are
+    /// bit-identical either way: the grid is a conservative pre-filter for
+    /// the same exact geometric predicates.
     pub spatial_index: bool,
 }
 
@@ -240,17 +242,17 @@ impl<M: Message> SimBuilder<M> {
         // Cell size = the audible radius: a radius-r query then touches at
         // most a 3 × 3 block of cells. A floor on the cell size caps the
         // grid at a sane cell count whatever the radio range. Any positive
-        // cell size is correct — the grid is only a conservative pre-filter.
-        let (grid, tx_grid) = if self.config.spatial_index && audible_radius > 0.0 {
-            let field = &self.config.field;
-            let cell = audible_radius.max(field.width.max(field.height) / 128.0);
-            (
-                Some(NodeGrid::new(field, cell, &positions)),
-                Some(TxGrid::new(field, cell)),
-            )
+        // cell size is correct — the grid is only a conservative pre-filter —
+        // and one cell covering the field makes every query a full scan.
+        let field = &self.config.field;
+        let span = field.width.max(field.height);
+        let cell = if self.config.spatial_index {
+            audible_radius.max(span / 128.0)
         } else {
-            (None, None)
+            span
         };
+        let grid = NodeGrid::new(field, cell, &positions);
+        let tx_grid = TxGrid::new(field, cell);
         Simulator {
             metrics: Metrics::new(n),
             timers: vec![Vec::new(); n],
@@ -323,14 +325,14 @@ pub struct Simulator<M: Message> {
     /// Audible (carrier-sense) radius, cached from the radio model: the
     /// radius of every spatial query the engine makes.
     audible_radius: f64,
-    /// Node-position grid; `None` when `spatial_index` is off.
-    grid: Option<NodeGrid>,
-    /// In-flight-transmission grid; `None` when `spatial_index` is off.
-    tx_grid: Option<TxGrid>,
-    /// Per-node `(start, end)` intervals of that node's own transmissions
-    /// still in `active_tx` (maintained only when the spatial index is on):
-    /// half-duplex and own-carrier checks must not depend on the node's
-    /// *current* position, so they cannot go through the grids.
+    /// Node-position grid (one cell when `spatial_index` is off).
+    grid: NodeGrid,
+    /// In-flight-transmission grid, keyed by each transmitter's position at
+    /// transmission start (one cell when `spatial_index` is off).
+    tx_grid: TxGrid,
+    /// Per-node `(start, end)` intervals of that node's own recent
+    /// transmissions: half-duplex and own-carrier checks must not depend on
+    /// the node's *current* position, so they cannot go through the grids.
     tx_log: Vec<VecDeque<(SimTime, SimTime)>>,
     /// Scratch buffer for grid candidate queries (reused across events).
     candidate_buf: Vec<u32>,
@@ -509,9 +511,7 @@ impl<M: Message + 'static> Simulator<M> {
                     &self.config.field,
                     &mut self.mobility_rng,
                 );
-                if let Some(grid) = &mut self.grid {
-                    grid.refresh(&self.positions);
-                }
+                self.grid.refresh(&self.positions);
                 self.queue.push(self.now + tick, EventKind::MobilityTick);
             }
             EventKind::Fault { index } => self.handle_fault(index),
@@ -703,15 +703,6 @@ impl<M: Message + 'static> Simulator<M> {
     /// (its own transmission or any audible ongoing one); `None` if idle.
     fn medium_busy_until(&self, node: NodeId) -> Option<SimTime> {
         let pos = self.positions[node.index()];
-        let Some(tx_grid) = &self.tx_grid else {
-            return self
-                .active_tx
-                .iter()
-                .filter(|t| t.end > self.now)
-                .filter(|t| t.src == node || self.radio.audible(&t.src_pos, &pos))
-                .map(|t| t.end)
-                .max();
-        };
         // Own transmissions come from the per-node log — the node may have
         // moved since it transmitted, so the grid probe below (which is
         // anchored at the *current* position) cannot be trusted to find
@@ -722,11 +713,12 @@ impl<M: Message + 'static> Simulator<M> {
             .filter(|&&(_, end)| end > self.now)
             .map(|&(_, end)| end)
             .max();
-        tx_grid.for_each_within(&pos, self.audible_radius, |t| {
-            if t.end > self.now && self.radio.audible(&t.src_pos, &pos) {
-                busy = Some(busy.map_or(t.end, |b| b.max(t.end)));
-            }
-        });
+        self.tx_grid
+            .for_each_within(&pos, self.audible_radius, |t| {
+                if t.end > self.now && self.radio.audible(&t.src_pos, &pos) {
+                    busy = Some(busy.map_or(t.end, |b| b.max(t.end)));
+                }
+            });
         busy
     }
 
@@ -746,12 +738,11 @@ impl<M: Message + 'static> Simulator<M> {
             return;
         }
         let msg = self.mac[i].dequeue().expect("checked has_pending");
-        self.start_transmission(node, msg);
+        let end = self.start_transmission(node, msg);
         if self.mac[i].has_pending() {
-            // Schedule the next frame after this transmission + fresh backoff.
-            let end = self
-                .medium_busy_until(node)
-                .expect("just started a transmission");
+            // Schedule the next frame after this transmission + fresh
+            // backoff. The medium was idle a moment ago, so it is busy
+            // exactly until this transmission's end.
             self.mac[i].set_attempt_pending(true);
             let slots = self.node_rngs[i].gen_range_u64(self.config.mac.cw_slots);
             let delay = self.config.mac.backoff_delay(slots);
@@ -759,7 +750,8 @@ impl<M: Message + 'static> Simulator<M> {
         }
     }
 
-    fn start_transmission(&mut self, node: NodeId, msg: M) {
+    /// Puts `msg` on the air from `node` now; returns when it ends.
+    fn start_transmission(&mut self, node: NodeId, msg: M) -> SimTime {
         let bytes = msg.wire_size();
         let kind = msg.kind();
         let air = SimDuration::from_micros(self.config.radio.air_time_us(bytes));
@@ -768,30 +760,28 @@ impl<M: Message + 'static> Simulator<M> {
         self.tx_counter += 1;
         let src_pos = self.positions[node.index()];
         let end = self.now + air;
-        if let Some(tx_grid) = &mut self.tx_grid {
-            tx_grid.insert(TxEntry {
-                id,
-                start: self.now,
-                end,
-                src: node.0,
-                src_pos,
-            });
-            // Prune this node's own log here, where it is already touched,
-            // rather than sweeping all n logs on every transmission end.
-            // Entries older than two max-air-times cannot overlap any
-            // current or future transmission (see `handle_tx_end`), so
-            // leftovers on nodes that stop transmitting are inert.
-            let keep_after = SimTime::from_micros(
-                self.now
-                    .as_micros()
-                    .saturating_sub(2 * self.max_air_time.as_micros()),
-            );
-            let log = &mut self.tx_log[node.index()];
-            while log.front().is_some_and(|&(_, e)| e < keep_after) {
-                log.pop_front();
-            }
-            log.push_back((self.now, end));
+        self.tx_grid.insert(TxEntry {
+            id,
+            start: self.now,
+            end,
+            src: node.0,
+            src_pos,
+        });
+        // Prune this node's own log here, where it is already touched,
+        // rather than sweeping all n logs on every transmission end.
+        // Entries older than two max-air-times cannot overlap any current
+        // or future transmission (see `handle_tx_end`), so leftovers on
+        // nodes that stop transmitting are inert.
+        let keep_after = SimTime::from_micros(
+            self.now
+                .as_micros()
+                .saturating_sub(2 * self.max_air_time.as_micros()),
+        );
+        let log = &mut self.tx_log[node.index()];
+        while log.front().is_some_and(|&(_, e)| e < keep_after) {
+            log.pop_front();
         }
+        log.push_back((self.now, end));
         self.active_tx.push(Transmission {
             id,
             src: node,
@@ -805,6 +795,7 @@ impl<M: Message + 'static> Simulator<M> {
         self.trace
             .record(self.now, TraceEvent::TxStart { node, kind, bytes });
         self.queue.push(end, EventKind::TxEnd { tx_id: id });
+        end
     }
 
     fn handle_tx_end(&mut self, tx_id: u64) {
@@ -822,18 +813,13 @@ impl<M: Message + 'static> Simulator<M> {
         // transmission, which the MAC never produces).
         self.mac[src.index()].set_transmitting(false);
 
-        // Candidate receivers: with the grid, a conservative superset of the
-        // audible disk in ascending id order — exactly the order and (after
-        // the `audible` filter below) exactly the set the naive 0..n scan
-        // visits, so both paths consume per-node RNG streams identically.
+        // Candidate receivers: a conservative superset of the audible disk
+        // in ascending id order, so whatever the cell size, the `audible`
+        // filter below visits the same receivers in the same order and
+        // per-node RNG streams are consumed identically.
         let mut candidates = std::mem::take(&mut self.candidate_buf);
-        match &mut self.grid {
-            Some(grid) => grid.candidates_within(&src_pos, self.audible_radius, &mut candidates),
-            None => {
-                candidates.clear();
-                candidates.extend(0..self.nodes.len() as u32);
-            }
-        }
+        self.grid
+            .candidates_within(&src_pos, self.audible_radius, &mut candidates);
 
         // Potential interferers, collected ONCE per transmission end rather
         // than probed per receiver: every receiver q lies within the audible
@@ -842,16 +828,15 @@ impl<M: Message + 'static> Simulator<M> {
         // of radius 2r around src sees a superset of every interferer any
         // receiver can hear. The time-overlap and id filters are
         // receiver-independent and applied here; the receiver-dependent
-        // `audible`/`captures` predicates below are exactly the naive ones.
+        // `audible`/`captures` predicates are applied per receiver below.
         let mut overlaps = std::mem::take(&mut self.overlap_buf);
         overlaps.clear();
-        if let Some(tx_grid) = &self.tx_grid {
-            tx_grid.for_each_within(&src_pos, 2.0 * self.audible_radius, |t| {
+        self.tx_grid
+            .for_each_within(&src_pos, 2.0 * self.audible_radius, |t| {
                 if t.id != tx_id && t.start < end && t.end > start {
                     overlaps.push((NodeId(t.src), t.src_pos));
                 }
             });
-        }
 
         for &q_raw in &candidates {
             let qi = q_raw as usize;
@@ -867,15 +852,8 @@ impl<M: Message + 'static> Simulator<M> {
                 continue;
             }
             // Half-duplex: q cannot receive while itself transmitting. The
-            // per-node log holds exactly q's own entries of `active_tx`.
-            let q_was_transmitting = if self.tx_grid.is_some() {
-                self.tx_log[qi].iter().any(|&(s, e)| s < end && e > start)
-            } else {
-                self.active_tx
-                    .iter()
-                    .any(|t| t.src == q && t.start < end && t.end > start)
-            };
-            if q_was_transmitting {
+            // per-node log finds q's own transmissions wherever q was.
+            if self.tx_log[qi].iter().any(|&(s, e)| s < end && e > start) {
                 self.metrics.record_half_duplex_loss();
                 continue;
             }
@@ -883,24 +861,13 @@ impl<M: Message + 'static> Simulator<M> {
             // audible at q corrupts this reception — unless the signal
             // captures over the interferer (much closer transmitter). The
             // pre-collected overlap set is a superset of the audible
-            // transmitters at every receiver; the exact naive predicate is
-            // re-applied per receiver.
-            let collided = if self.tx_grid.is_some() {
-                overlaps.iter().any(|&(t_src, t_pos)| {
-                    t_src != q
-                        && self.radio.audible(&t_pos, &q_pos)
-                        && !self.radio.captures(&src_pos, &t_pos, &q_pos)
-                })
-            } else {
-                self.active_tx.iter().any(|t| {
-                    t.id != tx_id
-                        && t.src != q
-                        && t.start < end
-                        && t.end > start
-                        && self.radio.audible(&t.src_pos, &q_pos)
-                        && !self.radio.captures(&src_pos, &t.src_pos, &q_pos)
-                })
-            };
+            // transmitters at every receiver; the exact predicate is applied
+            // per receiver.
+            let collided = overlaps.iter().any(|&(t_src, t_pos)| {
+                t_src != q
+                    && self.radio.audible(&t_pos, &q_pos)
+                    && !self.radio.captures(&src_pos, &t_pos, &q_pos)
+            });
             if collided {
                 self.metrics.record_collision(q);
                 self.trace
@@ -957,9 +924,7 @@ impl<M: Message + 'static> Simulator<M> {
         self.active_tx.retain(|t| {
             let keep = t.end >= keep_after;
             if !keep {
-                if let Some(tx_grid) = tx_grid {
-                    tx_grid.remove(t.id, &t.src_pos);
-                }
+                tx_grid.remove(t.id, &t.src_pos);
             }
             keep
         });
@@ -1531,20 +1496,148 @@ mod spatial_differential_tests {
         sim.metrics().clone()
     }
 
-    /// The tentpole guarantee: the spatial index changes nothing observable.
-    /// Every counter, every delivery record (node, origin, payload, time),
-    /// every per-node metric is bit-identical for several seeds on a mobile
-    /// scenario — i.e. per-node RNG streams were consumed identically.
+    /// The grid's cell size changes nothing observable. A one-cell grid
+    /// (every query returns everything, i.e. a full scan) and the default
+    /// radius-sized cells agree on every counter, every delivery record
+    /// (node, origin, payload, time) and every per-node metric for several
+    /// seeds on a mobile scenario — i.e. per-node RNG streams were consumed
+    /// identically.
     #[test]
-    fn grid_path_is_bit_identical_to_naive_scan() {
+    fn grid_path_is_bit_identical_to_one_cell_grid() {
         for seed in [1, 2, 3] {
-            let naive = run(seed, false);
+            let one_cell = run(seed, false);
             let indexed = run(seed, true);
             assert!(
                 !indexed.deliveries.is_empty() && indexed.frames_sent > 100,
                 "scenario too trivial to be convincing (seed {seed})"
             );
-            assert_eq!(naive, indexed, "seed {seed} diverged");
+            assert_eq!(one_cell, indexed, "seed {seed} diverged");
+        }
+    }
+}
+
+#[cfg(test)]
+mod moved_transmitter_tests {
+    use super::*;
+
+    #[derive(Clone, Debug)]
+    struct Frame {
+        bytes: usize,
+    }
+    impl Message for Frame {
+        fn wire_size(&self) -> usize {
+            self.bytes
+        }
+        fn kind(&self) -> &'static str {
+            "frame"
+        }
+    }
+
+    /// Sends a frame of `first` bytes at start (if any) and one of `second`
+    /// bytes when its timer fires at `second_at`.
+    struct Scripted {
+        first: Option<usize>,
+        second: usize,
+        second_at: SimDuration,
+    }
+    impl Protocol for Scripted {
+        type Msg = Frame;
+        fn on_start(&mut self, ctx: &mut Context<'_, Frame>) {
+            if let Some(bytes) = self.first {
+                ctx.send(Frame { bytes });
+            }
+            ctx.set_timer_after(self.second_at, TimerKey(1));
+        }
+        fn on_packet(&mut self, ctx: &mut Context<'_, Frame>, from: NodeId, _: &Frame) {
+            ctx.deliver(from, 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Context<'_, Frame>, _: TimerKey) {
+            ctx.send(Frame { bytes: self.second });
+        }
+        fn on_app_broadcast(&mut self, _: &mut Context<'_, Frame>, _: AppPayload) {}
+    }
+
+    /// Moves one node to a fixed spot on the first tick, then nothing.
+    struct Teleport {
+        node: usize,
+        to: Position,
+        done: bool,
+    }
+    impl MobilityModel for Teleport {
+        fn initial_positions(&mut self, n: usize, _: &Field, _: &mut SimRng) -> Vec<Position> {
+            vec![Position::new(0.0, 0.0); n]
+        }
+        fn step(&mut self, positions: &mut [Position], _: SimDuration, _: &Field, _: &mut SimRng) {
+            if !std::mem::replace(&mut self.done, true) {
+                positions[self.node] = self.to;
+            }
+        }
+    }
+
+    /// Half-duplex and own-carrier checks follow where a node *was* when it
+    /// transmitted, not where it is now. Q starts a 40 ms frame at x = 50,
+    /// jumps next to S (x = 880, far outside every grid query around its old
+    /// spot) 5 ms in, and S sends a short frame 10 ms in: Q is still on the
+    /// air, so S's frame is a half-duplex loss at Q, not a reception. Q's
+    /// second frame, queued 20 ms in, must wait for its own first one to end.
+    #[test]
+    fn moved_transmitter_stays_half_duplex_and_defers_to_itself() {
+        for spatial_index in [true, false] {
+            let config = SimConfig {
+                radio: RadioConfig::ideal_disk(100.0),
+                field: Field::new(1000.0, 100.0),
+                mobility_tick: SimDuration::from_millis(5),
+                trace_capacity: 64,
+                spatial_index,
+                ..SimConfig::default()
+            };
+            let (q, s) = (NodeId(0), NodeId(1));
+            let start = Position::new(50.0, 50.0);
+            let to = Position::new(880.0, 50.0);
+            let mut sim = SimBuilder::new(config)
+                .with_mobility(Box::new(Teleport {
+                    node: q.index(),
+                    to,
+                    done: false,
+                }))
+                .with_positions(vec![start, Position::new(900.0, 50.0)])
+                .with_node(Box::new(Scripted {
+                    first: Some(10_000),
+                    second: 64,
+                    second_at: SimDuration::from_millis(20),
+                }))
+                .with_node(Box::new(Scripted {
+                    first: None,
+                    second: 64,
+                    second_at: SimDuration::from_millis(10),
+                }))
+                .build();
+            sim.run_for(SimDuration::from_millis(100));
+            assert_eq!(sim.position(q), to);
+            assert!(start.distance(&to) > 3.0 * sim.radio().audible_radius());
+
+            let starts = |node: NodeId| -> Vec<SimTime> {
+                sim.trace()
+                    .entries()
+                    .filter(|e| matches!(e.event, TraceEvent::TxStart { node: n, .. } if n == node))
+                    .map(|e| e.time)
+                    .collect()
+            };
+            let (q_starts, s_starts) = (starts(q), starts(s));
+            assert_eq!((q_starts.len(), s_starts.len()), (2, 1));
+            let air = SimDuration::from_micros(sim.radio().config().air_time_us(10_000));
+            let q_first_end = q_starts[0] + air;
+            assert!(s_starts[0] < q_first_end, "S's frame must overlap Q's");
+
+            let m = sim.metrics();
+            assert_eq!(m.half_duplex_losses, 1, "spatial_index {spatial_index}");
+            assert_eq!(m.per_node[q.index()].frames_received, 0);
+            assert!(
+                q_starts[1] >= q_first_end,
+                "Q's second frame started at {:?}, before its first ended at {:?}",
+                q_starts[1],
+                q_first_end
+            );
         }
     }
 }

@@ -10,10 +10,11 @@
 //! Both indexes are **conservative**: a query returns a superset of the
 //! entities inside the query disk (everything in the overlapping cells), and
 //! the caller re-applies the exact geometric predicate. Because the engine
-//! filters candidates with the very same [`crate::radio::RadioModel::audible`]
-//! check the naive scan uses — and [`NodeGrid::candidates_within`] returns
-//! ids in ascending order, matching the naive `0..n` iteration — runs are
-//! bit-for-bit identical with and without the index.
+//! filters candidates with the exact [`crate::radio::RadioModel::audible`]
+//! check — and [`NodeGrid::candidates_within`] returns ids in ascending
+//! order — runs are bit-for-bit identical whatever the cell size. One cell
+//! covering the field turns every query into a full scan, which is the
+//! engine's reference setting (`SimConfig::spatial_index = false`).
 
 use crate::geometry::{Field, Position};
 use crate::time::SimTime;
@@ -128,8 +129,7 @@ impl NodeGrid {
 
     /// Appends to `out` every node id whose cell overlaps the disk of
     /// `radius` around `center` — a superset of the nodes inside the disk —
-    /// in **ascending id order** (the order the naive `0..n` scan visits
-    /// them).
+    /// in **ascending id order**, whatever the cell size.
     pub fn candidates_within(&mut self, center: &Position, radius: f64, out: &mut Vec<u32>) {
         out.clear();
         self.mask.fill(0);
@@ -162,7 +162,7 @@ impl NodeGrid {
 }
 
 /// One in-flight transmission as the spatial index sees it: everything the
-/// engine's half-duplex and collision probes need, so a grid query answers
+/// engine's carrier-sense and collision probes need, so a grid query answers
 /// them without chasing the transmission id back through another table.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct TxEntry {
@@ -247,20 +247,76 @@ mod tests {
             .collect()
     }
 
+    /// Cell sizes to check: smaller than, about, and larger than the query
+    /// radii, plus one cell covering the whole field (the field's max
+    /// dimension), which must return every entity.
+    const CELLS: [f64; 4] = [37.0, 120.0, 400.0, 1000.0];
+
     #[test]
     fn candidates_are_a_sorted_superset_of_the_disk() {
         let field = Field::new(1000.0, 800.0);
         let mut rng = SimRng::new(42);
         let positions: Vec<Position> = (0..300).map(|_| field.random_position(&mut rng)).collect();
-        let mut grid = NodeGrid::new(&field, 120.0, &positions);
         let mut out = Vec::new();
-        for center in &positions {
-            for radius in [50.0, 120.0, 333.0] {
-                grid.candidates_within(center, radius, &mut out);
-                assert!(out.windows(2).all(|w| w[0] < w[1]), "not sorted ascending");
-                let candidates: BTreeSet<u32> = out.iter().copied().collect();
-                for inside in naive_within(&positions, center, radius) {
-                    assert!(candidates.contains(&inside), "grid missed node {inside}");
+        for cell in CELLS {
+            let mut grid = NodeGrid::new(&field, cell, &positions);
+            for center in &positions {
+                for radius in [50.0, 120.0, 333.0] {
+                    grid.candidates_within(center, radius, &mut out);
+                    assert!(out.windows(2).all(|w| w[0] < w[1]), "not sorted ascending");
+                    let candidates: BTreeSet<u32> = out.iter().copied().collect();
+                    for inside in naive_within(&positions, center, radius) {
+                        assert!(
+                            candidates.contains(&inside),
+                            "cell {cell}: grid missed node {inside}"
+                        );
+                    }
+                    if cell == 1000.0 {
+                        assert_eq!(out.len(), positions.len(), "one cell returns all");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn tx_queries_are_a_superset_of_the_disk() {
+        let field = Field::new(1000.0, 800.0);
+        let mut rng = SimRng::new(7);
+        let entries: Vec<TxEntry> = (0..200u64)
+            .map(|id| TxEntry {
+                id,
+                start: SimTime::ZERO,
+                end: SimTime::ZERO,
+                src: id as u32,
+                src_pos: field.random_position(&mut rng),
+            })
+            .collect();
+        let positions: Vec<Position> = entries.iter().map(|e| e.src_pos).collect();
+        let centers: Vec<Position> = (0..100).map(|_| field.random_position(&mut rng)).collect();
+        for cell in CELLS {
+            let mut grid = TxGrid::new(&field, cell);
+            for &e in &entries {
+                grid.insert(e);
+            }
+            for center in &centers {
+                for radius in [50.0, 120.0, 333.0] {
+                    let mut seen = Vec::new();
+                    grid.for_each_within(center, radius, |e| {
+                        assert_eq!(*e, entries[e.id as usize], "entry fields travel intact");
+                        seen.push(e.id as u32);
+                    });
+                    let found: BTreeSet<u32> = seen.iter().copied().collect();
+                    assert_eq!(found.len(), seen.len(), "cell {cell}: entry visited twice");
+                    for inside in naive_within(&positions, center, radius) {
+                        assert!(
+                            found.contains(&inside),
+                            "cell {cell}: grid missed tx {inside}"
+                        );
+                    }
+                    if cell == 1000.0 {
+                        assert_eq!(seen.len(), entries.len(), "one cell returns all");
+                    }
                 }
             }
         }

@@ -1,14 +1,15 @@
-//! Differential determinism: the PR-2 performance machinery (spatial grids
-//! in the engine, per-node signature-verification caches, fixed-base
-//! exponentiation tables) must not change a single observable result.
+//! Differential determinism: the performance machinery (radius-sized
+//! spatial grid cells in the engine, per-node signature-verification caches)
+//! must not change a single observable result.
 //!
 //! Each test runs one mid-size **mobile** byzcast scenario twice per seed —
-//! everything enabled vs. the naive paths — and asserts the summaries and
-//! the per-run JSONL records are byte-identical. The only tolerated
-//! difference is the `sig_cache_hits`/`sig_cache_misses` counters, which are
-//! observability *of the cache itself* (necessarily zero when it is off);
-//! the test masks them after asserting the cached run actually used the
-//! cache.
+//! radius-sized grid cells plus the cache vs. one grid cell covering the
+//! field (every radio query scans everything) with no cache — and asserts
+//! the summaries and the per-run JSONL records are byte-identical. The only
+//! tolerated difference is the `sig_cache_hits`/`sig_cache_misses`
+//! counters, which are observability *of the cache itself* (necessarily
+//! zero when it is off); the test masks them after asserting the cached run
+//! actually used the cache.
 
 use byzcast_core::{RecoveryConfig, ResourceConfig};
 use byzcast_harness::record::{run_record, RecordMeta};
