@@ -1,12 +1,15 @@
 //! Engine hot-path benchmark: reception resolution at transmission end.
 //!
-//! `handle_tx_end` dominates simulation wall time at scale — for every
-//! transmission it must find the audible receivers and probe the active
-//! transmissions for half-duplex and collision overlaps. This bench runs
-//! the same paper-density scenario with radius-sized grid cells (`grid`)
-//! and with one cell covering the field (`one-cell`, i.e. every query
-//! scans every node and transmission); results are bit-identical either
-//! way, only wall time differs.
+//! `handle_tx_end` dominates the engine's own time at scale — for every
+//! transmission it walks the sender's cached audible neighbourhood and
+//! probes the in-flight transmissions within twice the audible radius for
+//! collision overlaps, while each MAC attempt reads the per-node busy
+//! index. This bench runs the same paper-density scenario with
+//! radius-sized grid cells (`grid`) and with one cell covering the field
+//! (`one-cell`, i.e. every neighbourhood build and overlap query scans
+//! every node and transmission). The static placement builds each
+//! neighbourhood once, so the two arms now differ mainly in the overlap
+//! query; results are bit-identical either way, only wall time differs.
 //!
 //! The field is scaled with `n` to hold the paper's R5 density constant
 //! (80 nodes on 1000 m × 1000 m), so larger points stress bookkeeping

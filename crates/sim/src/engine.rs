@@ -47,11 +47,14 @@ pub struct SimConfig {
     /// Trace ring-buffer capacity; zero disables tracing.
     pub trace_capacity: usize,
     /// Cell size of the spatial grids over node positions and in-flight
-    /// transmissions. `true` uses cells about one audible radius wide, so
-    /// `TxEnd` resolution probes only nearby entities; `false` uses one cell
-    /// covering the field, so every query returns every node or
-    /// transmission (the reference for differential tests). Results are
-    /// bit-identical either way: the grid is a conservative pre-filter for
+    /// transmissions; nothing else. `true` uses cells about one audible
+    /// radius wide, so a query probes only nearby entities; `false` uses
+    /// one cell covering the field, so every query returns every node or
+    /// transmission (the reference for differential tests). The node grid
+    /// is queried only to rebuild a node's cached audible neighbourhood
+    /// (after a mobility tick or from a new anchor), the transmission grid
+    /// once per frame end for the collision overlap set. Results are
+    /// bit-identical either way: the grids are conservative pre-filters for
     /// the same exact geometric predicates.
     pub spatial_index: bool,
 }
@@ -111,6 +114,20 @@ struct Transmission<M> {
     start: SimTime,
     end: SimTime,
     msg: Arc<M>,
+}
+
+/// The nodes audible from one anchor position, cached per transmitter.
+///
+/// `ids` holds, in ascending order, every node `q` with
+/// `audible(anchor, positions[q])`, the owner too while it is within range
+/// of the anchor. It is valid while `key` equals
+/// `(positions_epoch, anchor)`: positions only change on a mobility tick,
+/// which moves the epoch, and a node's frames are resolved around the
+/// position it held when each one started.
+#[derive(Clone, Debug, Default)]
+struct Neighbourhood {
+    key: Option<(u64, Position)>,
+    ids: Vec<u32>,
 }
 
 /// Builds a [`Simulator`].
@@ -271,8 +288,11 @@ impl<M: Message> SimBuilder<M> {
             audible_radius,
             grid,
             tx_grid,
+            positions_epoch: 0,
+            neighbourhoods: vec![Neighbourhood::default(); n],
+            busy_until: vec![SimTime::ZERO; n],
             tx_log: vec![VecDeque::new(); n],
-            candidate_buf: Vec::new(),
+            own_tx_end: vec![SimTime::ZERO; n],
             overlap_buf: Vec::new(),
             actions_buf: Vec::new(),
             config: self.config,
@@ -325,17 +345,37 @@ pub struct Simulator<M: Message> {
     /// Audible (carrier-sense) radius, cached from the radio model: the
     /// radius of every spatial query the engine makes.
     audible_radius: f64,
-    /// Node-position grid (one cell when `spatial_index` is off).
+    /// Node-position grid (one cell when `spatial_index` is off), queried
+    /// only to rebuild a stale entry of `neighbourhoods`.
     grid: NodeGrid,
     /// In-flight-transmission grid, keyed by each transmitter's position at
-    /// transmission start (one cell when `spatial_index` is off).
+    /// transmission start (one cell when `spatial_index` is off), queried
+    /// once per `TxEnd` for the radius-2r collision overlap set.
     tx_grid: TxGrid,
+    /// Moves on every mobility tick, the only place positions change, and
+    /// so invalidates every cached neighbourhood at once.
+    positions_epoch: u64,
+    /// Per-node cached audible neighbourhood, around the anchor the node
+    /// last transmitted from: a frame's receivers and the nodes whose
+    /// medium it makes busy.
+    neighbourhoods: Vec<Neighbourhood>,
+    /// Per-node medium-busy index: the latest end of a transmission audible
+    /// at the node's current position, exact whenever it lies in the
+    /// future. Raised by `start_transmission` over the sender's
+    /// neighbourhood and rebuilt from `active_tx` on every mobility tick;
+    /// values at or before `now` are stale and ignored.
+    busy_until: Vec<SimTime>,
     /// Per-node `(start, end)` intervals of that node's own recent
-    /// transmissions: half-duplex and own-carrier checks must not depend on
-    /// the node's *current* position, so they cannot go through the grids.
+    /// transmissions: the half-duplex check must not depend on the node's
+    /// *current* position, so it cannot go through the grids or the
+    /// neighbourhoods.
     tx_log: Vec<VecDeque<(SimTime, SimTime)>>,
-    /// Scratch buffer for grid candidate queries (reused across events).
-    candidate_buf: Vec<u32>,
+    /// End of each node's latest own transmission (`ZERO` before its
+    /// first). A node never starts a frame while its own carrier is up, so
+    /// its transmissions are disjoint and its `tx_log` is sorted by end:
+    /// this is the log's latest end, kept flat so the own-carrier and
+    /// half-duplex checks of a node that is not transmitting read one slot.
+    own_tx_end: Vec<SimTime>,
     /// Scratch buffer for the per-transmission collision overlap set
     /// (reused across events).
     overlap_buf: Vec<(NodeId, Position)>,
@@ -512,6 +552,8 @@ impl<M: Message + 'static> Simulator<M> {
                     &mut self.mobility_rng,
                 );
                 self.grid.refresh(&self.positions);
+                self.positions_epoch += 1;
+                self.rebuild_busy_index();
                 self.queue.push(self.now + tick, EventKind::MobilityTick);
             }
             EventKind::Fault { index } => self.handle_fault(index),
@@ -699,27 +741,75 @@ impl<M: Message + 'static> Simulator<M> {
         }
     }
 
+    /// Makes `neighbourhoods[node]` hold the nodes audible from `anchor`
+    /// under the current positions: a grid query for the conservative
+    /// candidate superset (ascending ids), then the exact `audible`
+    /// predicate. Rebuilds only when the epoch or the anchor changed.
+    fn ensure_neighbourhood(&mut self, node: usize, anchor: Position) {
+        let key = Some((self.positions_epoch, anchor));
+        let nb = &mut self.neighbourhoods[node];
+        if nb.key == key {
+            return;
+        }
+        self.grid
+            .candidates_within(&anchor, self.audible_radius, &mut nb.ids);
+        let (radio, positions) = (&self.radio, &self.positions);
+        nb.ids
+            .retain(|&q| radio.audible(&anchor, &positions[q as usize]));
+        nb.key = key;
+    }
+
+    /// Marks the medium busy until `end` at every node that hears a frame
+    /// sent by `src` from `anchor`.
+    fn raise_busy(&mut self, src: usize, anchor: Position, end: SimTime) {
+        self.ensure_neighbourhood(src, anchor);
+        for &q in &self.neighbourhoods[src].ids {
+            let busy = &mut self.busy_until[q as usize];
+            *busy = (*busy).max(end);
+        }
+    }
+
+    /// Recomputes `busy_until` from the transmissions still on the air,
+    /// after a mobility tick moved the nodes that hear them.
+    fn rebuild_busy_index(&mut self) {
+        self.busy_until.fill(SimTime::ZERO);
+        for k in 0..self.active_tx.len() {
+            let t = &self.active_tx[k];
+            if t.end > self.now {
+                let (src, anchor, end) = (t.src.index(), t.src_pos, t.end);
+                self.raise_busy(src, anchor, end);
+            }
+        }
+    }
+
     /// Latest instant until which the medium is busy as heard at `node`
     /// (its own transmission or any audible ongoing one); `None` if idle.
     fn medium_busy_until(&self, node: NodeId) -> Option<SimTime> {
-        let pos = self.positions[node.index()];
-        // Own transmissions come from the per-node log — the node may have
-        // moved since it transmitted, so the grid probe below (which is
-        // anchored at the *current* position) cannot be trusted to find
-        // them. Others come from the grid probe; any own transmissions it
-        // re-finds are harmless under `max`.
-        let mut busy = self.tx_log[node.index()]
-            .iter()
-            .filter(|&&(_, end)| end > self.now)
-            .map(|&(_, end)| end)
-            .max();
-        self.tx_grid
-            .for_each_within(&pos, self.audible_radius, |t| {
-                if t.end > self.now && self.radio.audible(&t.src_pos, &pos) {
-                    busy = Some(busy.map_or(t.end, |b| b.max(t.end)));
-                }
-            });
-        busy
+        let i = node.index();
+        // The own carrier comes from the node's latest own frame, wherever
+        // the node was when it sent it — it may have moved since, out of
+        // that frame's audible disk. Others come from the busy index; an
+        // own transmission it also holds is harmless under `max`.
+        let own = Some(self.own_tx_end[i]).filter(|&e| e > self.now);
+        let heard = Some(self.busy_until[i]).filter(|&b| b > self.now);
+        #[cfg(test)]
+        {
+            let logged = self.tx_log[i]
+                .iter()
+                .map(|&(_, end)| end)
+                .filter(|&end| end > self.now)
+                .max();
+            assert_eq!(own, logged, "own carrier of {node:?} diverged");
+            let pos = self.positions[i];
+            let scanned = self
+                .active_tx
+                .iter()
+                .filter(|t| t.end > self.now && self.radio.audible(&t.src_pos, &pos))
+                .map(|t| t.end)
+                .max();
+            assert_eq!(heard, scanned, "busy index of {node:?} diverged");
+        }
+        own.max(heard)
     }
 
     fn handle_mac_attempt(&mut self, node: NodeId) {
@@ -760,6 +850,7 @@ impl<M: Message + 'static> Simulator<M> {
         self.tx_counter += 1;
         let src_pos = self.positions[node.index()];
         let end = self.now + air;
+        self.raise_busy(node.index(), src_pos, end);
         self.tx_grid.insert(TxEntry {
             id,
             start: self.now,
@@ -782,6 +873,8 @@ impl<M: Message + 'static> Simulator<M> {
             log.pop_front();
         }
         log.push_back((self.now, end));
+        debug_assert!(self.own_tx_end[node.index()] <= self.now);
+        self.own_tx_end[node.index()] = end;
         self.active_tx.push(Transmission {
             id,
             src: node,
@@ -813,13 +906,21 @@ impl<M: Message + 'static> Simulator<M> {
         // transmission, which the MAC never produces).
         self.mac[src.index()].set_transmitting(false);
 
-        // Candidate receivers: a conservative superset of the audible disk
-        // in ascending id order, so whatever the cell size, the `audible`
-        // filter below visits the same receivers in the same order and
-        // per-node RNG streams are consumed identically.
-        let mut candidates = std::mem::take(&mut self.candidate_buf);
-        self.grid
-            .candidates_within(&src_pos, self.audible_radius, &mut candidates);
+        // Receivers: the nodes audible from where the frame started, in
+        // ascending id order, so per-node RNG streams are consumed in the
+        // same order whatever the cell size. The cached neighbourhood
+        // usually still holds them; after a mobility tick it is rebuilt
+        // around the same anchor. It is taken out for the loop (dispatch
+        // never starts a transmission, so nothing reads it meanwhile).
+        self.ensure_neighbourhood(src.index(), src_pos);
+        let receivers = std::mem::take(&mut self.neighbourhoods[src.index()].ids);
+        #[cfg(test)]
+        {
+            let scanned: Vec<u32> = (0..self.positions.len() as u32)
+                .filter(|&q| self.radio.audible(&src_pos, &self.positions[q as usize]))
+                .collect();
+            assert_eq!(receivers, scanned, "neighbourhood of {src:?} diverged");
+        }
 
         // Potential interferers, collected ONCE per transmission end rather
         // than probed per receiver: every receiver q lies within the audible
@@ -838,7 +939,7 @@ impl<M: Message + 'static> Simulator<M> {
                 }
             });
 
-        for &q_raw in &candidates {
+        for &q_raw in &receivers {
             let qi = q_raw as usize;
             let q = NodeId(q_raw);
             if q == src {
@@ -848,12 +949,13 @@ impl<M: Message + 'static> Simulator<M> {
                 continue; // crashed receivers hear nothing (no RNG draws)
             }
             let q_pos = self.positions[qi];
-            if !self.radio.audible(&src_pos, &q_pos) {
-                continue;
-            }
-            // Half-duplex: q cannot receive while itself transmitting. The
-            // per-node log finds q's own transmissions wherever q was.
-            if self.tx_log[qi].iter().any(|&(s, e)| s < end && e > start) {
+            // Half-duplex: q cannot receive while itself transmitting. If
+            // q's latest own frame ended by `start`, none of its disjoint,
+            // end-ordered frames overlaps this one; otherwise the per-node
+            // log finds q's own transmissions wherever q was.
+            if self.own_tx_end[qi] > start
+                && self.tx_log[qi].iter().any(|&(s, e)| s < end && e > start)
+            {
                 self.metrics.record_half_duplex_loss();
                 continue;
             }
@@ -879,9 +981,7 @@ impl<M: Message + 'static> Simulator<M> {
             if p_link <= 0.0 {
                 continue; // audible (carrier) but not decodable: not counted
             }
-            let received = self
-                .radio
-                .draw_reception(&src_pos, &q_pos, &mut self.node_rngs[qi]);
+            let received = self.radio.draw_reception(p_link, &mut self.node_rngs[qi]);
             if !received {
                 self.metrics.record_noise_loss();
                 continue;
@@ -907,7 +1007,7 @@ impl<M: Message + 'static> Simulator<M> {
             );
             self.dispatch(q, |p, ctx| p.on_packet(ctx, src, msg.as_ref()));
         }
-        self.candidate_buf = candidates;
+        self.neighbourhoods[src.index()].ids = receivers;
         self.overlap_buf = overlaps;
 
         // Prune transmissions that ended more than two max-air-times ago: no
@@ -1469,24 +1569,43 @@ mod spatial_differential_tests {
     /// A mid-size mobile scenario with fading, background noise and real
     /// contention, run to completion, returning the full metrics.
     fn run(seed: u64, spatial_index: bool) -> Metrics {
+        let motion = Motion {
+            tick: SimDuration::from_millis(100),
+            max_mps: 15.0,
+            broadcasts: 8,
+            gap_ms: 400,
+        };
+        run_moving(seed, spatial_index, &motion)
+    }
+
+    /// How fast the nodes of [`run_moving`] move, and how much they send.
+    struct Motion {
+        tick: SimDuration,
+        max_mps: f64,
+        broadcasts: u64,
+        gap_ms: u64,
+    }
+
+    /// 60 flooding nodes under random waypoint motion for 8 s.
+    fn run_moving(seed: u64, spatial_index: bool, motion: &Motion) -> Metrics {
         let config = SimConfig {
             seed,
             spatial_index,
             radio: RadioConfig::default(),
-            mobility_tick: SimDuration::from_millis(100),
+            mobility_tick: motion.tick,
             ..SimConfig::default()
         };
         let mut sim = SimBuilder::new(config)
             .with_mobility(Box::new(RandomWaypoint::new(
                 1.0,
-                15.0,
+                motion.max_mps,
                 SimDuration::from_secs(1),
             )))
             .with_nodes(60, Flooder::boxed)
             .build();
-        for k in 0..8u64 {
+        for k in 0..motion.broadcasts {
             sim.schedule_app_broadcast(
-                SimDuration::from_millis(10 + k * 400),
+                SimDuration::from_millis(10 + k * motion.gap_ms),
                 NodeId((k * 7 % 60) as u32),
                 k,
                 512,
@@ -1507,6 +1626,39 @@ mod spatial_differential_tests {
         for seed in [1, 2, 3] {
             let one_cell = run(seed, false);
             let indexed = run(seed, true);
+            assert!(
+                !indexed.deliveries.is_empty() && indexed.frames_sent > 100,
+                "scenario too trivial to be convincing (seed {seed})"
+            );
+            assert_eq!(one_cell, indexed, "seed {seed} diverged");
+        }
+    }
+
+    /// Mobility ticks shorter than a frame's air time land inside almost
+    /// every frame, so each `TxEnd` resolves its receivers around an anchor
+    /// the sender has left under positions its cached neighbourhood has not
+    /// seen, and each tick rebuilds the busy index while frames are on the
+    /// air. Nodes move fast (up to 200 m/s) and a broadcast every 20 ms
+    /// keeps the MAC queues full, so over a run many nodes cross the edge
+    /// of some frame's audible disk mid-frame while they contend for the
+    /// medium, and many senders start their next frame from a new anchor
+    /// before the next tick. Under `cfg(test)` every MAC attempt asserts
+    /// that the busy index and the own carrier match a scan of `active_tx`
+    /// and of the node's log, and every `TxEnd` that its receivers match a
+    /// scan of all positions; the two cell sizes must also agree.
+    #[test]
+    fn mid_frame_ticks_keep_the_caches_exact() {
+        let motion = Motion {
+            tick: SimDuration::from_millis(1),
+            max_mps: 200.0,
+            broadcasts: 200,
+            gap_ms: 20,
+        };
+        let air = RadioConfig::default().air_time_us(512);
+        assert!(air > motion.tick.as_micros(), "frames must span a tick");
+        for seed in [1, 2] {
+            let one_cell = run_moving(seed, false, &motion);
+            let indexed = run_moving(seed, true, &motion);
             assert!(
                 !indexed.deliveries.is_empty() && indexed.frames_sent > 100,
                 "scenario too trivial to be convincing (seed {seed})"

@@ -118,6 +118,11 @@ impl RadioConfig {
 #[derive(Clone, Debug)]
 pub struct RadioModel {
     config: RadioConfig,
+    /// [`RadioModel::audible_radius`], derived once from the config.
+    audible_radius: f64,
+    /// Its square: [`RadioModel::audible`] runs once per candidate pair on
+    /// the engine's hot path, so the product is not recomputed there.
+    audible_radius_sq: f64,
 }
 
 impl RadioModel {
@@ -130,7 +135,13 @@ impl RadioModel {
         if let Err(e) = config.validate() {
             panic!("invalid radio config: {e}");
         }
-        RadioModel { config }
+        let audible_radius =
+            config.range_m * config.carrier_sense_factor * (1.0 + config.fading_fraction);
+        RadioModel {
+            config,
+            audible_radius,
+            audible_radius_sq: audible_radius * audible_radius,
+        }
     }
 
     /// The configuration this model was built from.
@@ -165,26 +176,27 @@ impl RadioModel {
     /// transmission can neither defer a sender nor corrupt a reception, so
     /// it bounds every spatial query the engine makes.
     pub fn audible_radius(&self) -> f64 {
-        self.config.range_m * self.config.carrier_sense_factor * (1.0 + self.config.fading_fraction)
+        self.audible_radius
     }
 
     /// Whether a transmission from `tx` is *audible* at `rx` — strong enough
     /// to defer a CSMA sender or corrupt an overlapping reception, even if
     /// not decodable.
     pub fn audible(&self, tx: &Position, rx: &Position) -> bool {
-        let cs = self.audible_radius();
-        tx.distance_squared(rx) <= cs * cs
+        tx.distance_squared(rx) <= self.audible_radius_sq
     }
 
-    /// Draws whether a frame from `tx` is received at `rx`, combining link
+    /// Draws whether a frame is received over a link whose
+    /// [`RadioModel::link_success_probability`] is `p_link`, combining link
     /// fading and background noise (but not collisions, which the engine
-    /// resolves from transmission overlap).
-    pub fn draw_reception(&self, tx: &Position, rx: &Position, rng: &mut SimRng) -> bool {
-        let p = self.link_success_probability(tx, rx);
-        if p <= 0.0 {
+    /// resolves from transmission overlap). The caller passes the
+    /// probability in because it has already computed it to skip
+    /// undecodable links; a non-positive `p_link` draws nothing.
+    pub fn draw_reception(&self, p_link: f64, rng: &mut SimRng) -> bool {
+        if p_link <= 0.0 {
             return false;
         }
-        if !rng.gen_bool(p) {
+        if !rng.gen_bool(p_link) {
             return false;
         }
         !rng.gen_bool(self.config.background_loss)
@@ -227,8 +239,10 @@ mod tests {
             0.0
         );
         let mut rng = SimRng::new(1);
-        assert!(m.draw_reception(&o, &Position::new(50.0, 0.0), &mut rng));
-        assert!(!m.draw_reception(&o, &Position::new(150.0, 0.0), &mut rng));
+        let p_near = m.link_success_probability(&o, &Position::new(50.0, 0.0));
+        let p_far = m.link_success_probability(&o, &Position::new(150.0, 0.0));
+        assert!(m.draw_reception(p_near, &mut rng));
+        assert!(!m.draw_reception(p_far, &mut rng));
     }
 
     #[test]
@@ -273,6 +287,48 @@ mod tests {
     }
 
     #[test]
+    fn cached_audible_radius_matches_the_config() {
+        let c = RadioConfig {
+            range_m: 250.0,
+            fading_fraction: 0.1,
+            carrier_sense_factor: 1.5,
+            ..RadioConfig::default()
+        };
+        let m = RadioModel::new(c);
+        let r = c.range_m * c.carrier_sense_factor * (1.0 + c.fading_fraction);
+        assert_eq!(m.audible_radius(), r);
+        // The disk is closed: a receiver exactly on the radius hears it.
+        let o = Position::new(0.0, 0.0);
+        assert!(m.audible(&o, &Position::new(r, 0.0)));
+        assert!(!m.audible(&o, &Position::new(r + 1e-9, 0.0)));
+    }
+
+    #[test]
+    fn draw_reception_consumes_the_same_draws_as_its_probability() {
+        // Two Bernoulli draws, fading first and background noise second,
+        // the second only if the first succeeded.
+        let m = RadioModel::new(RadioConfig {
+            range_m: 100.0,
+            fading_fraction: 0.2,
+            background_loss: 0.1,
+            ..RadioConfig::default()
+        });
+        let o = Position::new(0.0, 0.0);
+        let p = m.link_success_probability(&o, &Position::new(100.0, 0.0));
+        assert!(p > 0.0 && p < 1.0);
+        let (mut a, mut b) = (SimRng::new(3), SimRng::new(3));
+        for _ in 0..1000 {
+            let got = m.draw_reception(p, &mut a);
+            let want = b.gen_bool(p) && !b.gen_bool(0.1);
+            assert_eq!(got, want);
+        }
+        // Undecodable links consume no randomness.
+        let mut c = SimRng::new(3);
+        assert!(!m.draw_reception(0.0, &mut c));
+        assert_eq!(c.gen_f64(), SimRng::new(3).gen_f64());
+    }
+
+    #[test]
     fn background_loss_drops_some_frames() {
         let m = RadioModel::new(RadioConfig {
             range_m: 100.0,
@@ -281,10 +337,11 @@ mod tests {
             ..RadioConfig::default()
         });
         let o = Position::new(0.0, 0.0);
-        let rx = Position::new(10.0, 0.0);
+        let p_link = m.link_success_probability(&o, &Position::new(10.0, 0.0));
+        assert_eq!(p_link, 1.0);
         let mut rng = SimRng::new(7);
         let ok = (0..10_000)
-            .filter(|_| m.draw_reception(&o, &rx, &mut rng))
+            .filter(|_| m.draw_reception(p_link, &mut rng))
             .count();
         let ratio = ok as f64 / 10_000.0;
         assert!((ratio - 0.7).abs() < 0.03, "ratio was {ratio}");

@@ -1,11 +1,12 @@
 //! Spatial indexing of the radio medium.
 //!
-//! The engine's hot path asks two geometric questions per transmission end:
-//! *which nodes might hear this frame* and *which other transmissions might
-//! interfere at a given receiver*. Answered naively both cost a scan over all
-//! nodes or all in-flight transmissions; this module answers them with
-//! uniform grids over the field, SWANS-style, so each query touches only the
-//! cells a disk of the audible radius can overlap.
+//! The engine asks two geometric questions: *which nodes can hear a frame
+//! sent from here* (asked when a node's cached audible neighbourhood is
+//! built or rebuilt) and *which other transmissions might interfere with a
+//! frame* (asked once per transmission end). Answered naively both cost a
+//! scan over all nodes or all in-flight transmissions; this module answers
+//! them with uniform grids over the field, SWANS-style, so each query
+//! touches only the cells a disk of the query radius can overlap.
 //!
 //! Both indexes are **conservative**: a query returns a superset of the
 //! entities inside the query disk (everything in the overlapping cells), and
