@@ -84,8 +84,10 @@ pub struct TrustDetector {
     config: TrustConfig,
     /// Node → (instant until suspected, latest reason).
     suspicions: HashMap<NodeId, (SimTime, SuspicionReason)>,
-    /// Suspected node → reporters and expiry of their second-hand report.
-    reports: HashMap<NodeId, HashMap<NodeId, SimTime>>,
+    /// Second-hand reports as `(suspected, reporter, until)`, sorted by
+    /// `(suspected, reporter)`, one per pair: a node's reports are one
+    /// contiguous run, and one `retain` ages them all.
+    reports: Vec<(NodeId, NodeId, SimTime)>,
     /// Total suspicions raised per node, by reason (diagnostic).
     history: HashMap<(NodeId, SuspicionReason), u64>,
     /// Bumped by every `suspect` call and every tick that expires a direct
@@ -99,7 +101,7 @@ impl TrustDetector {
         TrustDetector {
             config,
             suspicions: HashMap::new(),
-            reports: HashMap::new(),
+            reports: Vec::new(),
             history: HashMap::new(),
             generation: 0,
         }
@@ -130,10 +132,14 @@ impl TrustDetector {
         if self.is_suspected(suspected, now) {
             return; // already untrusted; unknown would be a downgrade
         }
-        self.reports
-            .entry(suspected)
-            .or_default()
-            .insert(reporter, now + self.config.report_duration);
+        let until = now + self.config.report_duration;
+        match self
+            .reports
+            .binary_search_by_key(&(suspected, reporter), |&(s, r, _)| (s, r))
+        {
+            Ok(pos) => self.reports[pos].2 = until,
+            Err(pos) => self.reports.insert(pos, (suspected, reporter, until)),
+        }
     }
 
     /// Ages out stale suspicions and second-hand reports.
@@ -143,10 +149,7 @@ impl TrustDetector {
         if self.suspicions.len() != before {
             self.generation += 1;
         }
-        self.reports.retain(|_, reporters| {
-            reporters.retain(|_, until| *until > now);
-            !reporters.is_empty()
-        });
+        self.reports.retain(|&(_, _, until)| until > now);
     }
 
     /// A counter that changes whenever the set of directly suspected nodes
@@ -173,13 +176,13 @@ impl TrustDetector {
         if self.is_suspected(node, now) {
             return TrustLevel::Untrusted;
         }
-        if let Some(reporters) = self.reports.get(&node) {
-            let live_trusted_reporter = reporters
-                .iter()
-                .any(|(&r, &until)| until > now && !self.is_suspected(r, now));
-            if live_trusted_reporter {
-                return TrustLevel::Unknown;
-            }
+        let first = self.reports.partition_point(|&(s, _, _)| s < node);
+        let live_trusted_reporter = self.reports[first..]
+            .iter()
+            .take_while(|&&(s, _, _)| s == node)
+            .any(|&(_, r, until)| until > now && !self.is_suspected(r, now));
+        if live_trusted_reporter {
+            return TrustLevel::Unknown;
         }
         TrustLevel::Trusted
     }
@@ -277,6 +280,41 @@ mod tests {
         let later = t + SimDuration::from_secs(11);
         d.tick(later);
         assert_eq!(d.level(NodeId(3), later), TrustLevel::Trusted);
+    }
+
+    #[test]
+    fn reports_on_many_nodes_void_and_age_independently() {
+        let mut d = det();
+        let t = SimTime::from_secs(1);
+        let secs = SimDuration::from_secs;
+        // Two reporters on node 3, one on node 6, one on node 1.
+        d.report_from_neighbor(t, NodeId(5), NodeId(3));
+        d.report_from_neighbor(t, NodeId(2), NodeId(3));
+        d.report_from_neighbor(t, NodeId(4), NodeId(6));
+        d.report_from_neighbor(t + secs(2), NodeId(7), NodeId(1));
+        let level = |d: &TrustDetector, n: u32, at: SimTime| d.level(NodeId(n), at);
+        // Suspecting one reporter leaves node 3 with the other's report.
+        d.suspect(t, NodeId(2), SuspicionReason::Mute);
+        assert_eq!(level(&d, 3, t), TrustLevel::Unknown);
+        // Suspecting the second voids node 3's reports, and only those.
+        d.suspect(t, NodeId(5), SuspicionReason::Verbose);
+        assert_eq!(level(&d, 3, t), TrustLevel::Trusted);
+        assert_eq!(level(&d, 6, t), TrustLevel::Unknown);
+        // Node 4 refreshes its report; the tick at 11 s ages out the
+        // reports made at 1 s and keeps the refreshed and the later one.
+        d.report_from_neighbor(t + secs(5), NodeId(4), NodeId(6));
+        let aged = t + secs(10);
+        d.tick(aged);
+        assert_eq!(level(&d, 6, aged), TrustLevel::Unknown);
+        assert_eq!(level(&d, 1, aged), TrustLevel::Unknown);
+        // Once the reporters' suspicions lapse, node 3's aged-out reports do
+        // not come back.
+        assert_eq!(level(&d, 3, aged), TrustLevel::Trusted);
+        let done = t + secs(15);
+        d.tick(done);
+        for n in [1, 3, 6] {
+            assert_eq!(level(&d, n, done), TrustLevel::Trusted, "node {n}");
+        }
     }
 
     #[test]

@@ -78,11 +78,14 @@ fn normalised(list: Arc<[NodeId]>) -> Arc<[NodeId]> {
 #[derive(Clone, Debug)]
 pub struct NeighborTable {
     timeout: SimDuration,
-    /// Entries sorted by id (the former `BTreeMap` iteration order).
-    /// Neighbourhoods are a few dozen entries, where a sorted vector's
-    /// binary-search lookups and contiguous scans (`prune` runs once per
-    /// beacon made) outpace a tree.
-    entries: Vec<(NodeId, NeighborInfo)>,
+    /// Live neighbour ids, ascending (the former `BTreeMap` iteration
+    /// order). Neighbourhoods are a few dozen entries, where a binary search
+    /// over this dense key column — 4 bytes an entry, a few cache lines in
+    /// all — outpaces a tree.
+    ids: Vec<NodeId>,
+    /// `infos[i]` is what the latest beacon of `ids[i]` said; kept in step
+    /// with `ids` by every insert, prune and removal.
+    infos: Vec<NeighborInfo>,
 }
 
 impl NeighborTable {
@@ -91,7 +94,8 @@ impl NeighborTable {
     pub fn new(timeout: SimDuration) -> Self {
         NeighborTable {
             timeout,
-            entries: Vec::new(),
+            ids: Vec::new(),
+            infos: Vec::new(),
         }
     }
 
@@ -138,59 +142,64 @@ impl NeighborTable {
             neighbors: normalised(neighbors),
             dominator_neighbors: normalised(dominator_neighbors),
         };
-        match self.entries.binary_search_by_key(&from, |&(id, _)| id) {
-            Ok(pos) => self.entries[pos].1 = info,
-            Err(pos) => self.entries.insert(pos, (from, info)),
+        match self.ids.binary_search(&from) {
+            Ok(pos) => self.infos[pos] = info,
+            Err(pos) => {
+                self.ids.insert(pos, from);
+                self.infos.insert(pos, info);
+            }
         }
     }
 
     /// Drops entries whose last beacon is older than the timeout.
     pub fn prune(&mut self, now: SimTime) {
         let timeout = self.timeout;
-        self.entries
-            .retain(|(_, info)| now.saturating_since(info.last_heard) <= timeout);
+        let live = |info: &NeighborInfo| now.saturating_since(info.last_heard) <= timeout;
+        if self.infos.iter().all(live) {
+            return;
+        }
+        let mut infos = self.infos.iter();
+        self.ids.retain(|_| infos.next().is_some_and(live));
+        self.infos.retain(live);
     }
 
     /// Removes a neighbour outright (e.g. on conclusive misbehaviour).
     pub fn remove(&mut self, node: NodeId) {
-        if let Ok(pos) = self.entries.binary_search_by_key(&node, |&(id, _)| id) {
-            self.entries.remove(pos);
+        if let Ok(pos) = self.ids.binary_search(&node) {
+            self.ids.remove(pos);
+            self.infos.remove(pos);
         }
     }
 
     /// The live neighbour ids, in increasing order.
     pub fn neighbor_ids(&self) -> Vec<NodeId> {
-        self.entries.iter().map(|&(id, _)| id).collect()
+        self.ids.clone()
     }
 
     /// Info for a specific neighbour.
     pub fn info(&self, node: NodeId) -> Option<&NeighborInfo> {
-        self.entries
-            .binary_search_by_key(&node, |&(id, _)| id)
-            .ok()
-            .map(|pos| &self.entries[pos].1)
+        let pos = self.ids.binary_search(&node).ok()?;
+        Some(&self.infos[pos])
     }
 
     /// Iterates `(id, info)` pairs in id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NeighborInfo)> {
-        self.entries.iter().map(|(id, info)| (*id, info))
+        self.ids.iter().copied().zip(&self.infos)
     }
 
     /// Whether `node` is currently a live neighbour.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.entries
-            .binary_search_by_key(&node, |&(id, _)| id)
-            .is_ok()
+        self.ids.binary_search(&node).is_ok()
     }
 
     /// Number of live neighbours.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.ids.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.ids.is_empty()
     }
 
     /// Whether, according to advertised lists, `a` and `b` are adjacent.
@@ -335,5 +344,47 @@ mod tests {
         );
         t.remove(NodeId(2));
         assert!(t.is_empty());
+    }
+
+    #[test]
+    fn ids_and_infos_stay_paired_across_interleaved_updates() {
+        // A reference map driven by the same pseudo-random schedule of
+        // beacons, prunes and removals; each beacon tags its info with the
+        // sender and its time, so a mispaired info shows.
+        let mut t = table();
+        let mut model: std::collections::BTreeMap<NodeId, SimTime> = Default::default();
+        let mut rng = 0x2545_f491_4f6c_dd1d_u64;
+        let mut now = SimTime::ZERO;
+        for _ in 0..400 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let node = NodeId((rng % 12) as u32);
+            match (rng >> 8) % 8 {
+                0 => {
+                    now += SimDuration::from_millis(700);
+                    t.prune(now);
+                    model.retain(|_, heard| now.saturating_since(*heard) <= t.timeout());
+                }
+                1 => {
+                    t.remove(node);
+                    model.remove(&node);
+                }
+                _ => {
+                    now += SimDuration::from_millis(100);
+                    t.record_beacon(now, node, OverlayRole::Passive, [node], []);
+                    model.insert(node, now);
+                }
+            }
+            let got: Vec<(NodeId, SimTime)> = t.iter().map(|(id, i)| (id, i.last_heard)).collect();
+            let want: Vec<(NodeId, SimTime)> = model.iter().map(|(&id, &at)| (id, at)).collect();
+            assert_eq!(got, want);
+            for (id, info) in t.iter() {
+                assert_eq!(&info.neighbors[..], &[id], "info of {id:?} mispaired");
+                assert_eq!(t.info(id), Some(info));
+            }
+            assert_eq!(t.neighbor_ids(), model.keys().copied().collect::<Vec<_>>());
+            assert_eq!(t.len(), model.len());
+        }
     }
 }
