@@ -8,9 +8,10 @@
 //! 2. The **MAC** carrier-senses the medium and transmits after a random
 //!    backoff, retrying while the medium is busy.
 //! 3. A **transmission** occupies the medium for its air time; at its end the
-//!    engine resolves, per potential receiver, half-duplex misses, collisions
-//!    (any overlapping audible transmission destroys the frame), fading and
-//!    background-noise losses — and dispatches `on_packet` for survivors.
+//!    engine resolves, per potential receiver, half-duplex misses, links
+//!    too weak to decode (not counted as any loss), collisions (any
+//!    overlapping audible transmission destroys a decodable frame), fading
+//!    and background-noise losses — and dispatches `on_packet` for survivors.
 //!
 //! Runs are bit-for-bit reproducible from [`SimConfig::seed`].
 
@@ -959,6 +960,13 @@ impl<M: Message + 'static> Simulator<M> {
                 self.metrics.record_half_duplex_loss();
                 continue;
             }
+            // Audible (carrier) but not decodable: q could not have received
+            // the frame whatever else was on the air, so it is no loss of
+            // any kind, a collision included.
+            let p_link = self.radio.link_success_probability(&src_pos, &q_pos);
+            if p_link <= 0.0 {
+                continue;
+            }
             // Collision: any other transmission overlapping in time and
             // audible at q corrupts this reception — unless the signal
             // captures over the interferer (much closer transmitter). The
@@ -977,10 +985,6 @@ impl<M: Message + 'static> Simulator<M> {
                 continue;
             }
             // Fading + background noise.
-            let p_link = self.radio.link_success_probability(&src_pos, &q_pos);
-            if p_link <= 0.0 {
-                continue; // audible (carrier) but not decodable: not counted
-            }
             let received = self.radio.draw_reception(p_link, &mut self.node_rngs[qi]);
             if !received {
                 self.metrics.record_noise_loss();
@@ -2176,6 +2180,51 @@ mod capture_engine_tests {
             "receiver decoded through a collision with capture disabled"
         );
         assert!(sim.metrics().collision_losses >= 1);
+    }
+
+    #[test]
+    fn undecodable_receivers_count_no_collision() {
+        // Range 100 m, audible to 250 m. S at 0 and I at 300 m cannot hear
+        // each other, so their frames overlap. Q (150 m from both) decodes
+        // neither; R (80 m from S, 220 m from I) decodes only S's.
+        let config = SimConfig {
+            radio: RadioConfig {
+                carrier_sense_factor: 2.5,
+                ..RadioConfig::ideal_disk(100.0)
+            },
+            mac: MacConfig {
+                slot_us: 0,
+                difs_us: 0,
+                cw_slots: 1,
+                queue_capacity: 8,
+            },
+            field: Field::new(400.0, 100.0),
+            ..SimConfig::default()
+        };
+        let (s, q, r, i) = (NodeId(0), NodeId(1), NodeId(2), NodeId(3));
+        let mut sim = SimBuilder::new(config)
+            .with_positions(vec![
+                Position::new(10.0, 50.0),
+                Position::new(160.0, 50.0),
+                Position::new(90.0, 50.0),
+                Position::new(310.0, 50.0),
+            ])
+            .with_nodes(4, |_| {
+                Box::new(Deliverer {
+                    got: HashSet::new(),
+                })
+            })
+            .build();
+        sim.schedule_app_broadcast(SimDuration::from_millis(1), s, 1, 64);
+        sim.schedule_app_broadcast(SimDuration::from_millis(1), i, 2, 64);
+        sim.run_for(SimDuration::from_millis(100));
+        let m = sim.metrics();
+        assert_eq!(m.per_node[q.index()].collision_losses, 0);
+        // R lost S's frame, the one it could decode, to I's; I's own frame
+        // was never decodable at R.
+        assert_eq!(m.per_node[r.index()].collision_losses, 1);
+        assert_eq!(m.collision_losses, 1);
+        assert!(m.deliveries.is_empty());
     }
 
     #[test]

@@ -78,7 +78,7 @@ fn static_default_byzcast_record_is_pinned() {
     assert_digest(
         "static-60",
         &record("static-60", 11, &summary),
-        0x768d_3aa9_372c_c6b9,
+        0x692a_1eff_a51f_e671,
     );
 }
 
@@ -110,7 +110,7 @@ fn waypoint_mute_drop_data_record_is_pinned() {
     assert_digest(
         "waypoint-mute-40",
         &record("waypoint-mute-40", 12, &summary),
-        0x2572_15c7_0a28_9d60,
+        0x763e_4c4a_bcd3_c672,
     );
 }
 
@@ -128,7 +128,7 @@ fn governed_chaos_case_record_is_pinned() {
     assert_digest(
         "chaos-48",
         &record(&case.name, 48, &checked.summary),
-        0xacc8_e18c_9274_e64e,
+        0xd198_b43e_9532_a544,
     );
 }
 
@@ -146,7 +146,7 @@ fn seed_aggregate_of_governed_chaos_case_is_pinned() {
     assert_digest(
         "chaos-48-aggregate",
         &record(&case.name, 48, &agg),
-        0xbfb3_9d1a_4487_1250,
+        0x506a_97be_7b15_d8aa,
     );
 }
 
@@ -165,7 +165,7 @@ fn seen_id_cap_eviction_record_is_pinned() {
     assert_digest(
         "chaos-48-seen-cap",
         &record(&case.name, 48, &checked.summary),
-        0x9213_c1fc_727e_fa9b,
+        0x10de_f251_aadd_9b87,
     );
 }
 
@@ -219,7 +219,7 @@ fn mixed_byzantine_beacon_and_fd_record_is_pinned() {
     assert_digest(
         "mixed-byzantine-40",
         &record("mixed-byzantine-40", 13, &summary),
-        0x1239_897d_ee2c_7fa6,
+        0x716a_beed_26ea_4d32,
     );
 }
 
@@ -280,6 +280,6 @@ fn wrapped_deviations_record_is_pinned() {
     assert_digest(
         "wrapped-deviations-50",
         &record("wrapped-deviations-50", 14, &summary),
-        0xd0b4_0278_8f00_94de,
+        0x3a8d_9f5a_8202_b587,
     );
 }
