@@ -16,7 +16,8 @@ use byzcast_core::RecoveryConfig;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{
-    aggregate, replicate, AdversaryKind, MobilityChoice, RunSummary, ScenarioConfig, Workload,
+    aggregate, paper_envelope, replicate, AdversaryKind, MobilityChoice, RunSummary,
+    ScenarioConfig, Workload,
 };
 use byzcast_sim::fault::FaultPlan;
 use byzcast_sim::{Field, NodeId, SimConfig, SimDuration};
@@ -281,5 +282,74 @@ fn wrapped_deviations_record_is_pinned() {
         "wrapped-deviations-50",
         &record("wrapped-deviations-50", 14, &summary),
         0x3a8d_9f5a_8202_b587,
+    );
+}
+
+#[test]
+fn injecting_adversaries_record_is_pinned() {
+    // One node of each kind that injects frames of its own instead of
+    // relaying a correct node's: an impersonator, a gossip liar, a flooder,
+    // a replayer and a signature grinder, under the paper envelope. The
+    // replayer crashes losing its state and restarts before the workload,
+    // so the restart factory rebuilds it and its captures replay inside the
+    // horizon. The other digests reach only the liar, the impersonator and
+    // chaos case 48's flooder.
+    let config = ScenarioConfig {
+        seed: 15,
+        n: 50,
+        sim: SimConfig {
+            field: Field::new(800.0, 800.0),
+            ..SimConfig::default()
+        },
+        byzcast: byzcast_core::ByzcastConfig {
+            resources: paper_envelope(),
+            ..byzcast_core::ByzcastConfig::default()
+        },
+        adversary_assignments: vec![
+            (
+                NodeId(49),
+                AdversaryKind::Impersonator { victim: NodeId(2) },
+            ),
+            (NodeId(48), AdversaryKind::GossipLiar),
+            (
+                NodeId(47),
+                AdversaryKind::Flooder {
+                    period: SimDuration::from_millis(500),
+                    per_tick: 2,
+                    payload_bytes: 128,
+                },
+            ),
+            (
+                NodeId(46),
+                AdversaryKind::Replayer {
+                    delay: SimDuration::from_secs(6),
+                },
+            ),
+            (
+                NodeId(45),
+                AdversaryKind::SigGrinder {
+                    period: SimDuration::from_millis(200),
+                    per_tick: 4,
+                },
+            ),
+        ],
+        fault_plan: FaultPlan::new()
+            .crash(SimDuration::from_secs(2), NodeId(46), false)
+            .restart(SimDuration::from_secs(3), NodeId(46)),
+        ..ScenarioConfig::default()
+    };
+    let summary = config.run(&workload());
+    let faults = summary.faults.as_ref().expect("fault stats");
+    assert_eq!(faults.restarts, 1, "the replayer never restarted");
+    let counters = summary.counters.as_ref().expect("byzcast counters");
+    assert!(
+        counters.bad_signatures_seen > 0,
+        "no ill-signed frame reached a verifier"
+    );
+    assert!(summary.resources.is_some(), "governed run");
+    assert_digest(
+        "injecting-adversaries-50",
+        &record("injecting-adversaries-50", 15, &summary),
+        0xc5b7_f3a1_7728_37c3,
     );
 }
