@@ -5,50 +5,49 @@
 //! send messages with different data to different nodes" — but "a node cannot
 //! impersonate another node", thanks to signatures.
 //!
-//! Each adversary here either *wraps* a correct `ByzcastNode` and perturbs
-//! its outgoing actions (the strongest adversaries: they speak the protocol
-//! perfectly except for the deviation), or is a standalone protocol.
+//! Every such behaviour is one [`Deviation`] of a single [`ByzantineNode`]
+//! built over a correct `ByzcastNode`. The *relaying* deviations run the
+//! inner node and perturb its outgoing actions (the strongest adversaries:
+//! they speak the protocol perfectly except for the deviation):
 //!
-//! The wrappers:
-//!
-//! * [`ByzantineNode`] — one wrapper for every [`Deviation`]: mute (never
-//!   forwards data, optionally never gossips, while *claiming to be an
-//!   overlay dominator* so correct neighbours defer to it — the failure mode
-//!   the paper's evaluation focuses on), forger (tampers with relayed
-//!   payloads; signatures catch it), censor (forwards everything except
-//!   messages from victim originators), verbose (floods duplicate
-//!   `REQUEST_MSG`s for messages it already has) and sabotage (a broken
-//!   delivery layer — duplicate, phantom or dropped deliveries — that proves
-//!   the chaos oracles catch real protocol bugs). Built with
+//! * silent (drops every frame, claims nothing), mute (never forwards data,
+//!   optionally never gossips, while *claiming to be an overlay dominator*
+//!   so correct neighbours defer to it — the failure mode the paper's
+//!   evaluation focuses on), forger (tampers with relayed payloads;
+//!   signatures catch it), censor (forwards everything except messages from
+//!   victim originators), verbose (floods duplicate `REQUEST_MSG`s for
+//!   messages it already has) and sabotage (a broken delivery layer —
+//!   duplicate, phantom or dropped deliveries — that proves the chaos
+//!   oracles catch real protocol bugs). Built with
 //!   [`ByzantineNode::flapping`], a node is correct until the fault plan's
 //!   `SetByzantine` windows switch a mute or forging [`FlapBehavior`] on and
 //!   off: the hardest case for the MUTE/TRUST detectors.
-//! * [`SilentNode`] — generic crash-like mute: drops every transmission of
-//!   any wrapped protocol (used against the baselines too).
 //!
-//! The standalone adversaries:
+//! The *injecting* deviations never start the inner node and send frames of
+//! their own on their own timers; they always claim overlay membership:
 //!
-//! * [`GossipLiarNode`] — gossips about messages it never supplies, the
-//!   behaviour §3.2.2 calls out: "If q gossips about messages that do not
-//!   exist or q does not want to supply them, it will be suspected."
-//! * [`ImpersonatorNode`] — injects data messages with forged originators
-//!   and unsigned beacons; pure noise once signatures are checked.
-//! * [`FlooderNode`] — a registered node injecting unique *validly signed*
-//!   garbage at a configurable rate; pure memory/bandwidth exhaustion that
-//!   only resource-bounded admission can stop.
-//! * [`ReplayerNode`] — captures valid frames and re-injects them unchanged
-//!   after a delay, probing the receiver's seen-id memory horizon.
-//! * [`SigGrinderNode`] — unique valid-looking frames with garbage
+//! * gossip liar — gossips about messages it never supplies, the behaviour
+//!   §3.2.2 calls out: "If q gossips about messages that do not exist or q
+//!   does not want to supply them, it will be suspected."
+//! * impersonator — injects data messages with forged originators and
+//!   unsigned beacons; pure noise once signatures are checked.
+//! * flooder — injects unique *validly signed* garbage at a configurable
+//!   rate; pure memory/bandwidth exhaustion that only resource-bounded
+//!   admission can stop.
+//! * replayer — captures valid frames and re-injects them unchanged after a
+//!   delay, probing the receiver's seen-id memory horizon.
+//! * signature grinder — unique valid-looking frames with garbage
 //!   signatures; every one costs the receiver a full failing verification
 //!   (CPU exhaustion).
+//!
+//! [`SilentNode`] drops every transmission of any wrapped protocol; it
+//! serves the baselines, whose message types differ from byzcast's.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod standalone;
 pub mod wrappers;
 
-pub use standalone::{FlooderNode, GossipLiarNode, ImpersonatorNode, ReplayerNode, SigGrinderNode};
 pub use wrappers::{
     AlwaysDominator, ByzantineNode, Deviation, FlapBehavior, MutePolicy, SabotageKind, SilentNode,
 };

@@ -1,18 +1,25 @@
-//! Adversaries that wrap a correct protocol instance and perturb its output.
+//! One Byzantine node for every deviation the paper's fault model allows.
 //!
-//! Every Byzantine behaviour the paper lists that is a *rewrite* of what a
-//! correct node would send — "fail to send messages, send too many messages,
-//! send messages with false information" (§2.1) — is one [`Deviation`] of a
-//! single [`ByzantineNode`]. It runs a correct [`ByzcastNode`], captures the
-//! actions of each callback and relays them through one filter. The generic
-//! [`SilentNode`] covers the protocols whose message types differ from
-//! byzcast's.
+//! "Byzantine processes may fail to send messages, send too many messages,
+//! send messages with false information" (§2.1): each such behaviour is one
+//! [`Deviation`] of a single [`ByzantineNode`] built over a [`ByzcastNode`].
+//! A *relaying* deviation runs the inner node, captures the actions of each
+//! callback and passes them through one filter. An *injecting* deviation
+//! never starts the inner node, which only lends it an id and a signer; it
+//! sends frames of its own on its own timers. The generic [`SilentNode`]
+//! covers the baselines, whose message types differ from byzcast's.
 
-use byzcast_core::message::{DataMsg, GossipMsg, RequestMsg, WireMsg};
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
+use byzcast_core::message::{
+    BeaconMsg, DataMsg, GossipEntry, GossipMsg, MessageId, RequestMsg, WireMsg,
+};
 use byzcast_core::ByzcastNode;
+use byzcast_crypto::Signature;
 use byzcast_overlay::{NeighborTable, OverlayDecision, OverlayProtocol, OverlayRole, TrustView};
 use byzcast_sim::node::Action;
-use byzcast_sim::{AppPayload, Context, NodeId, Protocol, SimDuration, TimerKey};
+use byzcast_sim::{AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey};
 
 use crate::{capture, emit};
 
@@ -91,8 +98,13 @@ impl SabotageKind {
 }
 
 /// How a [`ByzantineNode`] deviates from the protocol its inner node runs.
+/// The first six variants relay the inner node's actions; the last five
+/// inject frames of their own over an inner node that never starts.
 #[derive(Clone, Debug)]
 pub enum Deviation {
+    /// Drop every outgoing frame, claiming nothing: crash-like silence
+    /// that still receives and delivers.
+    Silent,
     /// Drop outgoing frames per the policy while claiming overlay
     /// membership: the attack the MUTE failure detector exists for, and
     /// the failure mode the paper's evaluation focuses on.
@@ -118,6 +130,48 @@ pub enum Deviation {
     /// that proves the chaos oracles catch real protocol bugs. Each kind
     /// trips exactly one invariant; never part of an adversary mix.
     Sabotage(SabotageKind),
+    /// Re-gossip valid entries overheard from others, for messages it does
+    /// not hold, and never answer the resulting requests; beacons claim
+    /// dominator status. §3.2.2: "If q gossips about messages that do not
+    /// exist or q does not want to supply them, it will be suspected."
+    GossipLiar,
+    /// Inject data messages "from" `victim` and beacons naming it as
+    /// sender, with absent signatures since it cannot forge them: pure
+    /// noise once signatures are checked.
+    Impersonator {
+        /// The framed node.
+        victim: NodeId,
+    },
+    /// Inject `per_tick` unique *validly signed* garbage messages of
+    /// `payload_bytes` bytes every `period`. Each passes both signature
+    /// checks, so an ungoverned receiver buffers and gossips every one:
+    /// the memory and bandwidth exhaustion that only resource-bounded
+    /// admission stops.
+    Flooder {
+        /// Injection period.
+        period: SimDuration,
+        /// Garbage messages per tick.
+        per_tick: u32,
+        /// Payload size of each garbage message.
+        payload_bytes: u32,
+    },
+    /// Capture valid data frames off the air and re-inject each once,
+    /// unchanged, `delay` after capturing it. Only the receiver's seen-id
+    /// memory stops the replay from being delivered again.
+    Replayer {
+        /// How long after capture each frame is replayed.
+        delay: SimDuration,
+    },
+    /// Inject `per_tick` unique valid-looking data frames with garbage
+    /// signatures every `period`. Neither seen-id dedup nor the
+    /// verification cache short-circuits them, so each costs the receiver
+    /// a full failing verification: verifier-CPU exhaustion.
+    SigGrinder {
+        /// Injection period.
+        period: SimDuration,
+        /// Ill-signed frames per tick.
+        per_tick: u32,
+    },
 }
 
 impl From<FlapBehavior> for Deviation {
@@ -133,8 +187,41 @@ impl From<FlapBehavior> for Deviation {
 /// range used by the wrapped protocol).
 const SPAM_TIMER: TimerKey = TimerKey(0x5_0000);
 
+/// Timer keys of the injecting deviations. The liar's gossip and beacon
+/// ticks need two keys: re-setting a key replaces its pending timer.
+const GOSSIP_TIMER: TimerKey = TimerKey(0x6_0001);
+const BEACON_TIMER: TimerKey = TimerKey(0x6_0002);
+const INJECT_TIMER: TimerKey = TimerKey(0x6_0003);
+const FLOOD_TIMER: TimerKey = TimerKey(0x6_0004);
+const REPLAY_TIMER: TimerKey = TimerKey(0x6_0005);
+const GRIND_TIMER: TimerKey = TimerKey(0x6_0006);
+
+/// How often the gossip liar gossips and beacons.
+const LIAR_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// How often the impersonator injects a forged frame and beacon.
+const IMPERSONATION_PERIOD: SimDuration = SimDuration::from_secs(1);
+/// How often the replayer looks for captures whose delay has passed.
+const REPLAY_CHECK_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// Overheard entries the liar re-gossips per gossip.
+const LIES_PER_GOSSIP: usize = 40;
+
 /// XOR mask distinguishing a phantom payload id from any real one.
 const PHANTOM_MASK: u64 = 0x5AB0;
+
+impl Deviation {
+    /// The period and timer keys (in the order `on_start` arms them) of an
+    /// injecting deviation; `None` for a relaying one.
+    fn injection(&self) -> Option<(SimDuration, &'static [TimerKey])> {
+        match *self {
+            Deviation::GossipLiar => Some((LIAR_PERIOD, &[GOSSIP_TIMER, BEACON_TIMER])),
+            Deviation::Impersonator { .. } => Some((IMPERSONATION_PERIOD, &[INJECT_TIMER])),
+            Deviation::Flooder { period, .. } => Some((period, &[FLOOD_TIMER])),
+            Deviation::Replayer { .. } => Some((REPLAY_CHECK_PERIOD, &[REPLAY_TIMER])),
+            Deviation::SigGrinder { period, .. } => Some((period, &[GRIND_TIMER])),
+            _ => None,
+        }
+    }
+}
 
 /// Applies a mute policy to one outgoing frame: pass it through, rewrite it
 /// (strip gossip entries, keep the piggybacked beacon), or drop it.
@@ -165,7 +252,20 @@ fn forge(mut m: DataMsg) -> WireMsg {
     WireMsg::data(m)
 }
 
-/// A correct [`ByzcastNode`] whose outgoing actions pass through one
+/// A data frame with absent signatures: the receiver must run the verifier
+/// to find out they are not the originator's.
+fn unsigned(origin: NodeId, seq: u64, payload_id: u64, payload_len: u32) -> WireMsg {
+    WireMsg::data(DataMsg {
+        id: MessageId::new(origin, seq),
+        payload_id,
+        payload_len,
+        msg_sig: Signature::zero(),
+        id_sig: Signature::zero(),
+        ttl: 1,
+    })
+}
+
+/// A [`ByzcastNode`] that deviates from the protocol through one
 /// [`Deviation`]. Built by [`ByzantineNode::new`] it deviates from the
 /// start; built by [`ByzantineNode::flapping`] it deviates only inside the
 /// fault plan's `SetByzantine` windows.
@@ -177,23 +277,24 @@ pub struct ByzantineNode {
     /// Whether `on_byzantine` switches `active` (flappers only).
     flaps: bool,
     phantom_emitted: bool,
+    /// Sequence number of the last frame an injecting deviation made up.
+    seq: u64,
+    /// The liar's overheard entries (valid: it cannot forge new ones).
+    overheard: BTreeMap<MessageId, GossipEntry>,
+    /// The replayer's captures by id, with capture time.
+    captured: BTreeMap<MessageId, (Arc<DataMsg>, SimTime)>,
 }
 
 impl ByzantineNode {
-    /// Wraps `inner`, deviating from the start. Mute and censoring nodes
+    /// Builds a node deviating from the start. Mute and censoring nodes
     /// are forced to advertise dominator status, so correct neighbours
-    /// defer to them. Fault-plan windows do not affect the node.
+    /// defer to them; an injecting deviation never starts `inner`.
+    /// Fault-plan windows do not affect the node.
     pub fn new(mut inner: ByzcastNode, deviation: Deviation) -> Self {
         if matches!(deviation, Deviation::Mute(_) | Deviation::Censor(_)) {
             inner.set_overlay_protocol(Box::new(AlwaysDominator));
         }
-        ByzantineNode {
-            inner,
-            deviation,
-            active: true,
-            flaps: false,
-            phantom_emitted: false,
-        }
+        Self::build(inner, deviation, false)
     }
 
     /// Wraps `inner` as a flapper: byte-for-byte the shipped protocol —
@@ -201,18 +302,32 @@ impl ByzantineNode {
     /// `behavior` on, and again once it turns it off. The worst case for
     /// the MUTE/TRUST detectors: the node builds up genuine trust first.
     pub fn flapping(inner: ByzcastNode, behavior: FlapBehavior) -> Self {
+        Self::build(inner, behavior.into(), true)
+    }
+
+    fn build(inner: ByzcastNode, deviation: Deviation, flaps: bool) -> Self {
         ByzantineNode {
             inner,
-            deviation: behavior.into(),
-            active: false,
-            flaps: true,
+            deviation,
+            active: !flaps,
+            flaps,
             phantom_emitted: false,
+            seq: 0,
+            overheard: BTreeMap::new(),
+            captured: BTreeMap::new(),
         }
     }
 
-    /// The wrapped (correct-protocol) node.
+    /// The inner (correct-protocol) node; never started under an injecting
+    /// deviation.
     pub fn inner(&self) -> &ByzcastNode {
         &self.inner
+    }
+
+    /// Whether the node counts as an overlay member: an injecting deviation
+    /// always claims membership, a relaying one holds its inner node's role.
+    pub fn claims_overlay(&self) -> bool {
+        self.deviation.injection().is_some() || self.inner.is_overlay()
     }
 
     /// Runs one callback of the inner node and relays its actions.
@@ -232,6 +347,7 @@ impl ByzantineNode {
             return emit(ctx, action);
         }
         match (&self.deviation, action) {
+            (Deviation::Silent, Action::Send(_)) => {}
             (&Deviation::Mute(policy), Action::Send(m)) => {
                 if let Some(kept) = mute_filter(policy, m) {
                     ctx.send(kept);
@@ -271,21 +387,144 @@ impl ByzantineNode {
         }
         ctx.set_timer_after(period, SPAM_TIMER);
     }
+
+    /// What an injecting deviation takes from a frame it hears: the liar
+    /// collects entries to lie about (from data too, whose bodies it does
+    /// not keep, though it still reads them), the replayer captures data.
+    fn overhear(&mut self, ctx: &mut Context<'_, WireMsg>, msg: &WireMsg) {
+        match (&self.deviation, msg) {
+            (Deviation::GossipLiar, WireMsg::Gossip(g)) => {
+                for e in &g.entries {
+                    self.overheard.insert(e.id, *e);
+                }
+            }
+            (Deviation::GossipLiar, WireMsg::Data(m)) => {
+                self.overheard.insert(m.id, m.gossip_entry());
+                ctx.deliver(m.id.origin, m.payload_id);
+            }
+            (Deviation::Replayer { .. }, WireMsg::Data(m)) => {
+                let now = ctx.now();
+                self.captured
+                    .entry(m.id)
+                    .or_insert_with(|| (DataMsg::share_with_ttl(m, 1), now));
+            }
+            _ => {}
+        }
+    }
+
+    /// One injection tick of an injecting deviation.
+    fn inject(&mut self, ctx: &mut Context<'_, WireMsg>, timer: TimerKey) {
+        let me = ctx.node_id();
+        match self.deviation {
+            Deviation::GossipLiar if timer == GOSSIP_TIMER => {
+                let entries: Vec<GossipEntry> = self
+                    .overheard
+                    .values()
+                    .copied()
+                    .take(LIES_PER_GOSSIP)
+                    .collect();
+                if !entries.is_empty() {
+                    ctx.send(WireMsg::Gossip(GossipMsg::of_entries(entries)));
+                }
+            }
+            // Claim to be a dominator with no neighbours to report.
+            Deviation::GossipLiar => ctx.send(WireMsg::Beacon(BeaconMsg::sign(
+                self.inner.signer(),
+                OverlayRole::Dominator,
+                vec![],
+                vec![],
+                vec![],
+            ))),
+            Deviation::Impersonator { victim } => {
+                self.seq += 1;
+                ctx.send(unsigned(
+                    victim,
+                    1_000_000 + self.seq,
+                    0xBAD0 + self.seq,
+                    64,
+                ));
+                ctx.send(WireMsg::Beacon(BeaconMsg::from_parts(
+                    victim,
+                    OverlayRole::Dominator,
+                    true,
+                    vec![me],
+                    vec![],
+                    vec![],
+                    Signature::zero(),
+                )));
+            }
+            // Unique ids and payloads: dedup and verification caches never
+            // short-circuit the cost.
+            Deviation::Flooder {
+                per_tick,
+                payload_bytes,
+                ..
+            } => {
+                for _ in 0..per_tick {
+                    self.seq += 1;
+                    let m = DataMsg::sign(
+                        self.inner.signer(),
+                        self.seq,
+                        0xF100_0000 + self.seq,
+                        payload_bytes,
+                    );
+                    ctx.send(WireMsg::data(m));
+                }
+            }
+            Deviation::Replayer { delay } => {
+                let now = ctx.now();
+                let mut due = Vec::new();
+                self.captured.retain(|_, (m, at)| {
+                    let keep = now.saturating_since(*at) < delay;
+                    if !keep {
+                        due.push(Arc::clone(m));
+                    }
+                    keep
+                });
+                for m in due {
+                    ctx.send(WireMsg::Data(m));
+                }
+            }
+            Deviation::SigGrinder { per_tick, .. } => {
+                for _ in 0..per_tick {
+                    self.seq += 1;
+                    ctx.send(unsigned(me, self.seq, 0x51_6000_0000 + self.seq, 256));
+                }
+            }
+            _ => {}
+        }
+    }
 }
 
 impl Protocol for ByzantineNode {
     type Msg = WireMsg;
 
     fn on_start(&mut self, ctx: &mut Context<'_, WireMsg>) {
+        if let Some((period, timers)) = self.deviation.injection() {
+            for &timer in timers {
+                ctx.set_timer_after(period, timer);
+            }
+            return;
+        }
         self.run(ctx, |inner, sub| inner.on_start(sub));
         if let Deviation::Verbose { period, .. } = self.deviation {
             ctx.set_timer_after(period, SPAM_TIMER);
         }
     }
     fn on_packet(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, msg: &WireMsg) {
+        if self.deviation.injection().is_some() {
+            return self.overhear(ctx, msg);
+        }
         self.run(ctx, |inner, sub| inner.on_packet(sub, from, msg));
     }
     fn on_timer(&mut self, ctx: &mut Context<'_, WireMsg>, timer: TimerKey) {
+        if let Some((period, timers)) = self.deviation.injection() {
+            if timers.contains(&timer) {
+                self.inject(ctx, timer);
+                ctx.set_timer_after(period, timer);
+            }
+            return;
+        }
         match self.deviation {
             Deviation::Verbose { period, per_tick } if timer == SPAM_TIMER => {
                 self.spam(ctx, period, per_tick)
@@ -294,7 +533,10 @@ impl Protocol for ByzantineNode {
         }
     }
     fn on_app_broadcast(&mut self, ctx: &mut Context<'_, WireMsg>, payload: AppPayload) {
-        self.run(ctx, |inner, sub| inner.on_app_broadcast(sub, payload));
+        // An injecting deviation never originates.
+        if self.deviation.injection().is_none() {
+            self.run(ctx, |inner, sub| inner.on_app_broadcast(sub, payload));
+        }
     }
     fn on_byzantine(&mut self, _ctx: &mut Context<'_, WireMsg>, active: bool) {
         if self.flaps {
@@ -304,8 +546,9 @@ impl Protocol for ByzantineNode {
 }
 
 /// Generic crash-like mute: wraps *any* protocol and suppresses every
-/// transmission (receptions and deliveries still happen). Works against the
-/// baselines, whose message types differ from byzcast's.
+/// transmission (receptions and deliveries still happen). Byzcast runs use
+/// [`Deviation::Silent`]; this serves the baselines, whose message types
+/// differ from byzcast's.
 pub struct SilentNode<P: Protocol> {
     inner: P,
 }
@@ -354,10 +597,10 @@ impl<P: Protocol> Protocol for SilentNode<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use byzcast_core::ByzcastConfig;
-    use byzcast_crypto::{KeyRegistry, SignerId, SimScheme, Verifier};
-    use byzcast_sim::{SimRng, SimTime};
-    use std::sync::Arc;
+    use byzcast_core::message::{FindMissingMsg, RequestMsg};
+    use byzcast_core::{ByzcastConfig, ProtocolCounters, ResourceStats};
+    use byzcast_crypto::{CachingVerifier, KeyRegistry, SignerId, SimScheme, Verifier};
+    use byzcast_sim::SimRng;
 
     fn byz(id: u32, reg: &KeyRegistry<SimScheme>) -> ByzcastNode {
         let verifier: Arc<dyn Verifier + Send + Sync> = Arc::new(reg.verifier());
@@ -374,12 +617,18 @@ mod tests {
         id: u32,
         f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
     ) -> Vec<Action<P::Msg>> {
-        let mut rng = SimRng::new(0);
+        drive_at(p, id, SimTime::from_secs(1), &mut SimRng::new(0), f)
+    }
+
+    fn drive_at<P: Protocol>(
+        p: &mut P,
+        id: u32,
+        at: SimTime,
+        rng: &mut SimRng,
+        f: impl FnOnce(&mut P, &mut Context<'_, P::Msg>),
+    ) -> Vec<Action<P::Msg>> {
         let mut actions = Vec::new();
-        {
-            let mut ctx = Context::new(NodeId(id), SimTime::from_secs(1), &mut rng, &mut actions);
-            f(p, &mut ctx);
-        }
+        f(p, &mut Context::new(NodeId(id), at, rng, &mut actions));
         actions
     }
 
@@ -483,7 +732,7 @@ mod tests {
     #[test]
     fn silent_node_sends_nothing_at_all() {
         let reg = KeyRegistry::generate(1, 8);
-        let mut silent = SilentNode::new(byz(1, &reg));
+        let mut silent = ByzantineNode::new(byz(1, &reg), Deviation::Silent);
         let msg = data(&reg, 0, 1, 5);
         let actions = drive(&mut silent, 1, |p, ctx| p.on_packet(ctx, NodeId(0), &msg));
         assert!(sends(&actions).is_empty());
@@ -491,6 +740,8 @@ mod tests {
         let actions = drive(&mut silent, 1, |p, ctx| p.on_timer(ctx, TimerKey(1)));
         assert!(sends(&actions).is_empty());
         assert!(actions.iter().any(|a| matches!(a, Action::SetTimer { .. })));
+        // It claims nothing: the inner node's own role stands.
+        assert!(!silent.claims_overlay());
     }
 
     #[test]
@@ -702,5 +953,303 @@ mod tests {
         let reg = KeyRegistry::generate(1, 8);
         let mut node = sabotaged(SabotageKind::DropDeliver, &reg);
         assert!(receive(&mut node, 1, 5, &reg).is_empty());
+    }
+
+    /// Asserts the actions are exactly `frames` sends followed by the
+    /// re-armed `timer`, `period` after `now`.
+    fn assert_tick(actions: &[Action<WireMsg>], frames: usize, timer: TimerKey, at: SimTime) {
+        assert_eq!(sends(actions).len(), frames, "{actions:?}");
+        assert_eq!(actions.len(), frames + 1, "{actions:?}");
+        assert!(
+            matches!(actions.last(), Some(Action::SetTimer { at: t, key }) if *key == timer && *t == at),
+            "{actions:?}"
+        );
+    }
+
+    #[test]
+    fn liar_gossips_overheard_entries_without_having_messages() {
+        let reg = KeyRegistry::generate(1, 4);
+        let mut liar = ByzantineNode::new(byz(3, &reg), Deviation::GossipLiar);
+        let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
+        // Hears only the gossip, never the message.
+        drive(&mut liar, 3, |p, ctx| {
+            p.on_packet(
+                ctx,
+                NodeId(0),
+                &WireMsg::Gossip(GossipMsg::of_entries(vec![m.gossip_entry()])),
+            )
+        });
+        let actions = drive(&mut liar, 3, |p, ctx| p.on_timer(ctx, GOSSIP_TIMER));
+        match sends(&actions).first() {
+            Some(WireMsg::Gossip(g)) => {
+                assert_eq!(g.entries.len(), 1);
+                // The lied-about entry is still *valid* (originator-signed).
+                assert!(g.entries[0].verify(&reg.verifier()));
+            }
+            other => panic!("expected gossip, got {other:?}"),
+        }
+        // One lying gossip, then the gossip tick re-arms.
+        assert_tick(
+            &actions,
+            1,
+            GOSSIP_TIMER,
+            SimTime::from_secs(1) + LIAR_PERIOD,
+        );
+        // And it ignores the resulting request: nothing at all comes back.
+        let req = RequestMsg {
+            entry: m.gossip_entry(),
+            target: NodeId(3),
+        };
+        let actions = drive(&mut liar, 3, |p, ctx| {
+            p.on_packet(ctx, NodeId(1), &WireMsg::Request(req))
+        });
+        assert!(actions.is_empty(), "{actions:?}");
+        // Its beacons claim dominator status, signed by its own key.
+        let actions = drive(&mut liar, 3, |p, ctx| p.on_timer(ctx, BEACON_TIMER));
+        match sends(&actions).first() {
+            Some(WireMsg::Beacon(b)) => {
+                assert_eq!(b.role(), OverlayRole::Dominator);
+                assert!(b.verify(&reg.verifier()));
+            }
+            other => panic!("expected beacon, got {other:?}"),
+        }
+        assert!(liar.claims_overlay());
+    }
+
+    #[test]
+    fn impersonator_frames_never_verify() {
+        let reg = KeyRegistry::generate(1, 4);
+        let mut imp =
+            ByzantineNode::new(byz(3, &reg), Deviation::Impersonator { victim: NodeId(0) });
+        let actions = drive(&mut imp, 3, |p, ctx| p.on_timer(ctx, INJECT_TIMER));
+        let s = sends(&actions);
+        assert_eq!(s.len(), 2);
+        let v = reg.verifier();
+        match s[0] {
+            WireMsg::Data(d) => {
+                assert_eq!(d.id.origin, NodeId(0));
+                assert!(!d.verify(&v));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        match s[1] {
+            WireMsg::Beacon(b) => {
+                assert_eq!(b.sender(), NodeId(0));
+                assert!(!b.verify(&v));
+            }
+            other => panic!("unexpected {other:?}"),
+        }
+        assert_tick(
+            &actions,
+            2,
+            INJECT_TIMER,
+            SimTime::from_secs(1) + IMPERSONATION_PERIOD,
+        );
+    }
+
+    #[test]
+    fn flooder_signs_unique_garbage_that_verifies() {
+        let reg = KeyRegistry::generate(1, 4);
+        let period = SimDuration::from_millis(100);
+        let mut flooder = ByzantineNode::new(
+            byz(2, &reg),
+            Deviation::Flooder {
+                period,
+                per_tick: 3,
+                payload_bytes: 64,
+            },
+        );
+        let actions = drive(&mut flooder, 2, |p, ctx| p.on_timer(ctx, FLOOD_TIMER));
+        let s = sends(&actions);
+        assert_eq!(s.len(), 3);
+        let v = reg.verifier();
+        let mut ids = Vec::new();
+        for m in &s {
+            match m {
+                WireMsg::Data(d) => {
+                    // Properly signed by a registered key: the receiver
+                    // cannot reject it cheaply.
+                    assert!(d.verify(&v));
+                    assert_eq!(d.id.origin, NodeId(2));
+                    ids.push(d.id);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        ids.dedup();
+        assert_eq!(ids.len(), 3, "every flood frame is unique");
+        assert_tick(&actions, 3, FLOOD_TIMER, SimTime::from_secs(1) + period);
+    }
+
+    #[test]
+    fn replayer_reinjects_captured_frames_only_after_the_delay() {
+        let reg = KeyRegistry::generate(1, 4);
+        let mut rep = ByzantineNode::new(
+            byz(3, &reg),
+            Deviation::Replayer {
+                delay: SimDuration::from_secs(5),
+            },
+        );
+        let m = DataMsg::sign(&reg.signer(SignerId(0)), 7, 9, 64);
+        drive(&mut rep, 3, |p, ctx| {
+            p.on_packet(ctx, NodeId(0), &WireMsg::data(m))
+        });
+        let tick = |rep: &mut ByzantineNode, secs| {
+            let at = SimTime::from_secs(secs);
+            drive_at(rep, 3, at, &mut SimRng::new(0), |p, ctx| {
+                p.on_timer(ctx, REPLAY_TIMER)
+            })
+        };
+        // Too early: nothing due yet.
+        assert!(sends(&tick(&mut rep, 2)).is_empty());
+        // After the delay the captured frame comes back, still valid.
+        let actions = tick(&mut rep, 7);
+        match sends(&actions).first() {
+            Some(WireMsg::Data(d)) => {
+                assert_eq!(d.id, m.id);
+                assert!(d.verify(&reg.verifier()));
+            }
+            other => panic!("expected replayed data, got {other:?}"),
+        }
+        assert_tick(
+            &actions,
+            1,
+            REPLAY_TIMER,
+            SimTime::from_secs(7) + REPLAY_CHECK_PERIOD,
+        );
+        // Each capture replays once.
+        assert!(sends(&tick(&mut rep, 9)).is_empty());
+    }
+
+    #[test]
+    fn grinder_frames_are_unique_and_never_verify() {
+        let reg = KeyRegistry::generate(1, 4);
+        let period = SimDuration::from_millis(100);
+        let mut grinder = ByzantineNode::new(
+            byz(3, &reg),
+            Deviation::SigGrinder {
+                period,
+                per_tick: 4,
+            },
+        );
+        let actions = drive(&mut grinder, 3, |p, ctx| p.on_timer(ctx, GRIND_TIMER));
+        let s = sends(&actions);
+        assert_eq!(s.len(), 4);
+        let v = reg.verifier();
+        let mut ids = Vec::new();
+        for m in &s {
+            match m {
+                WireMsg::Data(d) => {
+                    assert!(!d.verify(&v), "grinder signatures must fail");
+                    ids.push(d.id);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        ids.dedup();
+        assert_eq!(ids.len(), 4, "unique ids defeat dedup and verdict caches");
+        assert_tick(&actions, 4, GRIND_TIMER, SimTime::from_secs(1) + period);
+    }
+
+    #[test]
+    fn injecting_deviations_never_start_the_inner_node() {
+        let injecting = [
+            Deviation::GossipLiar,
+            Deviation::Impersonator { victim: NodeId(0) },
+            Deviation::Flooder {
+                period: SimDuration::from_millis(100),
+                per_tick: 3,
+                payload_bytes: 64,
+            },
+            Deviation::Replayer {
+                delay: SimDuration::from_millis(1),
+            },
+            Deviation::SigGrinder {
+                period: SimDuration::from_millis(100),
+                per_tick: 4,
+            },
+        ];
+        let reg: KeyRegistry<SimScheme> = KeyRegistry::generate(1, 4);
+        let m = DataMsg::sign(&reg.signer(SignerId(0)), 1, 5, 64);
+        let packets = [
+            WireMsg::data(m),
+            WireMsg::Gossip(GossipMsg::of_entries(vec![m.gossip_entry()])),
+            WireMsg::Request(RequestMsg {
+                entry: m.gossip_entry(),
+                target: NodeId(3),
+            }),
+            WireMsg::FindMissing(FindMissingMsg {
+                entry: m.gossip_entry(),
+                target: NodeId(3),
+                ttl: 2,
+            }),
+        ];
+        for deviation in injecting {
+            // The inner node shares a caching verifier with the run, as in
+            // a scenario; verifying anything would move its counters.
+            let cache = Arc::new(CachingVerifier::new(reg.verifier(), 64));
+            let verifier: Arc<dyn Verifier + Send + Sync> = cache.clone();
+            let inner = ByzcastNode::new(
+                NodeId(3),
+                ByzcastConfig::default(),
+                Box::new(reg.signer(SignerId(3))),
+                verifier,
+            );
+            let (_, timers) = deviation.injection().expect("an injecting deviation");
+            let mut node = ByzantineNode::new(inner, deviation.clone());
+            let before = cache.cache_stats();
+            let mut rng = SimRng::new(9);
+            let started = drive_at(&mut node, 3, SimTime::from_secs(1), &mut rng, |p, ctx| {
+                p.on_start(ctx)
+            });
+            let armed: Vec<TimerKey> = started
+                .iter()
+                .filter_map(|a| match a {
+                    Action::SetTimer { key, .. } => Some(*key),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(armed, timers, "{deviation:?} armed other timers");
+            // The ticks come well after the packets, so the replayer's
+            // capture is due.
+            for (k, packet) in packets.iter().enumerate() {
+                let at = SimTime::from_secs(2 + k as u64);
+                drive_at(&mut node, 3, at, &mut rng, |p, ctx| {
+                    p.on_packet(ctx, NodeId(0), packet)
+                });
+            }
+            for &timer in timers {
+                let at = SimTime::from_secs(10);
+                drive_at(&mut node, 3, at, &mut rng, |p, ctx| p.on_timer(ctx, timer));
+            }
+            let payload = AppPayload {
+                id: 7,
+                size_bytes: 10,
+            };
+            drive_at(&mut node, 3, SimTime::from_secs(11), &mut rng, |p, ctx| {
+                p.on_app_broadcast(ctx, payload)
+            });
+            let inner = node.inner();
+            assert_eq!(
+                *inner.counters(),
+                ProtocolCounters::default(),
+                "{deviation:?}"
+            );
+            assert_eq!(
+                inner.resource_stats(),
+                ResourceStats::default(),
+                "{deviation:?}"
+            );
+            assert!(inner.store().is_empty(), "{deviation:?}");
+            assert_eq!(inner.role(), OverlayRole::Passive, "{deviation:?}");
+            assert_eq!(
+                cache.cache_stats(),
+                before,
+                "{deviation:?} touched the verifier"
+            );
+            assert_eq!(rng, SimRng::new(9), "{deviation:?} drew from the node RNG");
+            // Dormant, yet counted as an overlay member.
+            assert!(node.claims_overlay(), "{deviation:?}");
+        }
     }
 }

@@ -12,7 +12,7 @@ use std::sync::Arc;
 use byzcast_adversary::MutePolicy;
 use byzcast_bench::{banner, default_scenario, default_workload, n_sweep, opts, runner};
 use byzcast_harness::{
-    byz_view, report::fnum, run_sweep, AdversaryKind, RunFn, RunOutcome, ScenarioConfig,
+    claims_overlay, report::fnum, run_sweep, AdversaryKind, RunFn, RunOutcome, ScenarioConfig,
     SweepPoint, Table, Workload,
 };
 use byzcast_overlay::analysis::{dominates, induced_connected};
@@ -42,15 +42,9 @@ fn measure(config: &ScenarioConfig, workload: &Workload) -> RunOutcome {
     let mut size = 0usize;
     for i in 0..n as u32 {
         let id = NodeId(i);
-        if let Some(node) = byz_view(&sim, id) {
-            if node.is_overlay() {
-                size += 1;
-                if correct[id.index()] {
-                    correct_overlay[id.index()] = true;
-                }
-            }
-        } else if adv.contains(&id) {
-            size += 1; // standalone adversaries claim membership
+        if claims_overlay(&sim, id) {
+            size += 1;
+            correct_overlay[id.index()] = correct[id.index()];
         }
     }
     let adj = config.adjacency(sim.positions());

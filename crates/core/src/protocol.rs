@@ -247,6 +247,11 @@ impl ByzcastNode {
         self.id
     }
 
+    /// The key this node signs with.
+    pub fn signer(&self) -> &dyn Signer {
+        self.signer.as_ref()
+    }
+
     /// The configuration in force.
     pub fn config(&self) -> &ByzcastConfig {
         &self.config

@@ -4,8 +4,7 @@ use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use byzcast_adversary::{
-    ByzantineNode, Deviation, FlapBehavior, FlooderNode, GossipLiarNode, ImpersonatorNode,
-    MutePolicy, ReplayerNode, SabotageKind, SigGrinderNode, SilentNode,
+    ByzantineNode, Deviation, FlapBehavior, MutePolicy, SabotageKind, SilentNode,
 };
 use byzcast_baselines::{plan_overlays, FloodingNode, MoMsg, MultiOverlayNode};
 use byzcast_core::message::WireMsg;
@@ -460,12 +459,10 @@ impl ScenarioConfig {
         let mut recovery = byzcast_core::RecoveryStats::default();
         for i in 0..self.n as u32 {
             let id = NodeId(i);
+            overlay_mask[id.index()] = claims_overlay(sim, id);
             let Some(node) = byz_view(sim, id) else {
-                // Standalone adversaries still claim overlay membership.
-                overlay_mask[id.index()] = adv.contains(&id);
                 continue;
             };
-            overlay_mask[id.index()] = node.is_overlay();
             if correct[id.index()] {
                 totals.merge(node.counters());
                 // The verifier cache is one shared instance per run, so
@@ -534,87 +531,50 @@ impl WireNodeFactory {
         )
     }
 
-    fn make_deviant(&self, id: NodeId, deviation: Deviation) -> BoxedProtocol<WireMsg> {
-        Box::new(ByzantineNode::new(self.make_byz(id), deviation))
-    }
-
-    fn make_silent_flooder(&self, id: NodeId) -> BoxedProtocol<WireMsg> {
-        Box::new(SilentNode::new(FloodingNode::new(
+    fn make_flooder(&self, id: NodeId) -> FloodingNode {
+        FloodingNode::new(
             id,
             Box::new(self.keys.signer(SignerId(id.0))),
             Arc::clone(&self.verifier),
-        )))
+        )
     }
 
     fn make(&self, id: NodeId) -> BoxedProtocol<WireMsg> {
-        let Some(kind) = &self.kinds[id.index()] else {
-            if let Some((sab_id, sab_kind)) = self.sabotage {
-                if sab_id == id {
-                    return self.make_deviant(id, Deviation::Sabotage(sab_kind));
-                }
+        let deviation = match self.kinds[id.index()].as_ref() {
+            None => match self.sabotage {
+                Some((sab_id, kind)) if sab_id == id => Deviation::Sabotage(kind),
+                _ if self.flooding => return Box::new(self.make_flooder(id)),
+                _ => return Box::new(self.make_byz(id)),
+            },
+            // Against flooding every adversary degrades to silence.
+            Some(_) if self.flooding => return Box::new(SilentNode::new(self.make_flooder(id))),
+            Some(AdversaryKind::Flapping(behavior)) => {
+                return Box::new(ByzantineNode::flapping(self.make_byz(id), *behavior))
             }
-            return if self.flooding {
-                Box::new(FloodingNode::new(
-                    id,
-                    Box::new(self.keys.signer(SignerId(id.0))),
-                    Arc::clone(&self.verifier),
-                ))
-            } else {
-                Box::new(self.make_byz(id))
-            };
-        };
-        match kind {
-            AdversaryKind::Silent => {
-                if self.flooding {
-                    self.make_silent_flooder(id)
-                } else {
-                    Box::new(SilentNode::new(self.make_byz(id)))
-                }
+            Some(AdversaryKind::Silent) => Deviation::Silent,
+            Some(AdversaryKind::Mute(policy)) => Deviation::Mute(*policy),
+            Some(AdversaryKind::Forger) => Deviation::Forger,
+            Some(&AdversaryKind::Verbose { period, per_tick }) => {
+                Deviation::Verbose { period, per_tick }
             }
-            // The remaining adversaries are byzcast-protocol-aware; against
-            // flooding they degrade to silence.
-            _ if self.flooding => self.make_silent_flooder(id),
-            AdversaryKind::Mute(policy) => self.make_deviant(id, Deviation::Mute(*policy)),
-            AdversaryKind::Forger => self.make_deviant(id, Deviation::Forger),
-            AdversaryKind::Verbose { period, per_tick } => self.make_deviant(
-                id,
-                Deviation::Verbose {
-                    period: *period,
-                    per_tick: *per_tick,
-                },
-            ),
-            AdversaryKind::GossipLiar => Box::new(GossipLiarNode::new(
-                Box::new(self.keys.signer(SignerId(id.0))),
-                SimDuration::from_millis(500),
-            )),
-            AdversaryKind::SelectiveForwarder(victims) => {
-                self.make_deviant(id, Deviation::Censor(victims.clone()))
-            }
-            AdversaryKind::Impersonator { victim } => Box::new(ImpersonatorNode::new(
-                id,
-                *victim,
-                SimDuration::from_secs(1),
-            )),
-            AdversaryKind::Flooder {
+            Some(AdversaryKind::GossipLiar) => Deviation::GossipLiar,
+            Some(AdversaryKind::SelectiveForwarder(victims)) => Deviation::Censor(victims.clone()),
+            Some(&AdversaryKind::Impersonator { victim }) => Deviation::Impersonator { victim },
+            Some(&AdversaryKind::Flooder {
                 period,
                 per_tick,
                 payload_bytes,
-            } => Box::new(FlooderNode::new(
-                Box::new(self.keys.signer(SignerId(id.0))),
-                *period,
-                *per_tick,
-                *payload_bytes,
-            )),
-            AdversaryKind::Replayer { delay } => {
-                Box::new(ReplayerNode::new(*delay, SimDuration::from_millis(500)))
+            }) => Deviation::Flooder {
+                period,
+                per_tick,
+                payload_bytes,
+            },
+            Some(&AdversaryKind::Replayer { delay }) => Deviation::Replayer { delay },
+            Some(&AdversaryKind::SigGrinder { period, per_tick }) => {
+                Deviation::SigGrinder { period, per_tick }
             }
-            AdversaryKind::SigGrinder { period, per_tick } => {
-                Box::new(SigGrinderNode::new(id, *period, *per_tick))
-            }
-            AdversaryKind::Flapping(behavior) => {
-                Box::new(ByzantineNode::flapping(self.make_byz(id), *behavior))
-            }
-        }
+        };
+        Box::new(ByzantineNode::new(self.make_byz(id), deviation))
     }
 }
 
@@ -656,17 +616,23 @@ pub fn figure5_worst_case(c: usize, seed: u64) -> ScenarioConfig {
     }
 }
 
-/// Looks through adversary wrappers to the underlying [`ByzcastNode`], when
-/// there is one (standalone adversaries have none).
+/// Looks through a [`ByzantineNode`] to its inner [`ByzcastNode`]; `None`
+/// only for a baseline's nodes. An injecting adversary's inner node never
+/// started, so it reads as a fresh node.
 pub fn byz_view(sim: &Simulator<WireMsg>, id: NodeId) -> Option<&ByzcastNode> {
-    if let Some(n) = sim.protocol::<ByzcastNode>(id) {
-        return Some(n);
+    sim.protocol::<ByzcastNode>(id)
+        .or_else(|| sim.protocol::<ByzantineNode>(id).map(ByzantineNode::inner))
+}
+
+/// Whether node `id` counts as an overlay member: a correct node's role, or
+/// a [`ByzantineNode`]'s own claim ([`ByzantineNode::claims_overlay`]).
+pub fn claims_overlay(sim: &Simulator<WireMsg>, id: NodeId) -> bool {
+    match sim.protocol::<ByzantineNode>(id) {
+        Some(w) => w.claims_overlay(),
+        None => sim
+            .protocol::<ByzcastNode>(id)
+            .is_some_and(ByzcastNode::is_overlay),
     }
-    if let Some(w) = sim.protocol::<ByzantineNode>(id) {
-        return Some(w.inner());
-    }
-    sim.protocol::<SilentNode<ByzcastNode>>(id)
-        .map(|w| w.inner())
 }
 
 #[cfg(test)]

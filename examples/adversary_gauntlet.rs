@@ -40,6 +40,19 @@ fn main() {
             "impersonator (frames node 0)",
             AdversaryKind::Impersonator { victim: NodeId(0) },
         ),
+        (
+            "replayer (6 s delay)",
+            AdversaryKind::Replayer {
+                delay: SimDuration::from_secs(6),
+            },
+        ),
+        (
+            "sig grinder (4 per 200 ms)",
+            AdversaryKind::SigGrinder {
+                period: SimDuration::from_millis(200),
+                per_tick: 4,
+            },
+        ),
     ];
 
     let workload = Workload {

@@ -1,4 +1,4 @@
-//! End-to-end runs against the standalone adversaries: a gossip liar (lies
+//! End-to-end runs against single adversary deviations: a gossip liar (lies
 //! about holding messages, ignores the resulting requests), an impersonator
 //! (injects frames forged in a victim's name), a selective forwarder, a
 //! verbose spammer, and a replayer (re-injects captured frames after their
