@@ -78,7 +78,6 @@ pub fn emit<M: Message>(ctx: &mut Context<'_, M>, action: Action<M>) {
         Action::SetTimer { at, key } => ctx.set_timer_at(at, key),
         Action::CancelTimer(key) => ctx.cancel_timer(key),
         Action::Deliver { origin, payload_id } => ctx.deliver(origin, payload_id),
-        Action::Note(text) => ctx.note(text),
     }
 }
 

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use byzcast_bench::{banner, opts, runner, ExpOpts};
 use byzcast_core::ResourceConfig;
-use byzcast_harness::scenario::AdversaryKind;
+use byzcast_harness::scenario::{highest_ids, AdversaryKind};
 use byzcast_harness::{
     check_run, report::fnum, run_sweep, standard_oracles, RunOutcome, ScenarioConfig, SweepPoint,
     Table, Workload,
@@ -85,8 +85,7 @@ fn main() {
                         field: Field::new(700.0, 700.0),
                         ..SimConfig::default()
                     },
-                    adversary: Some(kind),
-                    adversary_count: attackers,
+                    adversary_assignments: highest_ids(n, attackers, kind),
                     ..ScenarioConfig::default()
                 };
                 let arm = if governed { "governed" } else { "ungoverned" };

@@ -11,7 +11,9 @@
 
 use byzcast_adversary::MutePolicy;
 use byzcast_bench::{banner, default_scenario, default_workload, opts, runner};
-use byzcast_harness::{report::fnum, run_sweep, AdversaryKind, ProtocolChoice, SweepPoint, Table};
+use byzcast_harness::{
+    highest_ids, report::fnum, run_sweep, AdversaryKind, ProtocolChoice, SweepPoint, Table,
+};
 use byzcast_overlay::OverlayKind;
 
 fn main() {
@@ -44,10 +46,8 @@ fn main() {
             let mut config = base.clone();
             config.protocol = protocol.clone();
             config.byzcast.overlay = *overlay;
-            if count > 0 {
-                config.adversary = Some(AdversaryKind::Mute(MutePolicy::DropData));
-                config.adversary_count = count;
-            }
+            config.adversary_assignments =
+                highest_ids(n, count, AdversaryKind::Mute(MutePolicy::DropData));
             let label = config.protocol_label();
             fracs.push(frac);
             points.push(SweepPoint::new(

@@ -12,8 +12,8 @@ use std::sync::Arc;
 use byzcast_adversary::MutePolicy;
 use byzcast_bench::{banner, default_scenario, default_workload, n_sweep, opts, runner};
 use byzcast_harness::{
-    claims_overlay, report::fnum, run_sweep, AdversaryKind, RunFn, RunOutcome, ScenarioConfig,
-    SweepPoint, Table, Workload,
+    claims_overlay, highest_ids, report::fnum, run_sweep, AdversaryKind, RunFn, RunOutcome,
+    ScenarioConfig, SweepPoint, Table, Workload,
 };
 use byzcast_overlay::analysis::{dominates, induced_connected};
 use byzcast_overlay::OverlayKind;
@@ -81,10 +81,8 @@ fn main() {
             for mutes in [0usize, n / 10] {
                 let mut config = default_scenario(n, 1);
                 config.byzcast.overlay = overlay;
-                if mutes > 0 {
-                    config.adversary = Some(AdversaryKind::Mute(MutePolicy::DropData));
-                    config.adversary_count = mutes;
-                }
+                config.adversary_assignments =
+                    highest_ids(n, mutes, AdversaryKind::Mute(MutePolicy::DropData));
                 metas.push((n, overlay, mutes));
                 points.push(
                     SweepPoint::new(

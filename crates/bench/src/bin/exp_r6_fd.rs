@@ -13,8 +13,8 @@ use std::sync::Arc;
 use byzcast_adversary::MutePolicy;
 use byzcast_bench::{banner, opts, runner};
 use byzcast_harness::{
-    byz_view, report::fnum, run_sweep, AdversaryKind, RunOutcome, ScenarioConfig, SweepPoint,
-    Table, Workload,
+    byz_view, highest_ids, report::fnum, run_sweep, AdversaryKind, RunOutcome, ScenarioConfig,
+    SweepPoint, Table, Workload,
 };
 use byzcast_sim::{Field, NodeId, SimConfig, SimDuration, SimTime};
 
@@ -96,8 +96,7 @@ fn main() {
             field: Field::new(800.0, 800.0),
             ..SimConfig::default()
         },
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-        adversary_count: MUTES,
+        adversary_assignments: highest_ids(60, MUTES, AdversaryKind::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let point = SweepPoint::new(

@@ -81,6 +81,7 @@ fn parse_opts(mut args: impl Iterator<Item = String>) -> ExpOpts {
             }
             "--results-dir" => opts.results_dir = Some(PathBuf::from(value("--results-dir"))),
             "--no-progress" => opts.progress = false,
+            flag if flag.starts_with('-') => panic!("{flag}: unknown flag"),
             _ => {} // positional args are parsed by the binaries themselves
         }
     }
@@ -178,7 +179,8 @@ mod tests {
 
     #[test]
     fn flag_parsing() {
-        let o = opts_of(&["--quick", "--threads", "3", "--seeds", "8"]);
+        // A leading non-flag argument is left to the binary (`exp_probe`'s n).
+        let o = opts_of(&["320", "--quick", "--threads", "3", "--seeds", "8"]);
         assert!(o.quick);
         assert_eq!(o.threads, 3);
         assert_eq!(seeds(&o), (1..=8).collect::<Vec<u64>>());
@@ -186,6 +188,18 @@ mod tests {
         assert_eq!(o.results_dir, Some(PathBuf::from("/tmp/results")));
         assert!(!o.progress);
         assert!(o.threads >= 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "--seed: unknown flag")]
+    fn misspelled_flag_is_rejected() {
+        opts_of(&["--seed", "3"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "--result-dir: unknown flag")]
+    fn misspelled_results_dir_is_rejected() {
+        opts_of(&["--quick", "--result-dir", "x"]);
     }
 
     #[test]

@@ -718,12 +718,15 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
         expect: Vec::new(),
     };
     let mut saw_n = false;
+    // The node ids each line names, checked once `n` is surely known.
+    let mut named: Vec<(usize, &str, Vec<NodeId>)> = Vec::new();
     for (lineno, raw) in lines.enumerate() {
         let line = raw.trim();
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
         let err = |msg: &str| format!("line {}: {msg}: {line:?}", lineno + 2);
+        let mut name = |ids: &[NodeId]| named.push((lineno + 2, line, ids.to_vec()));
         let mut it = line.split_whitespace();
         let key = it.next().expect("non-empty line has a first token");
         let rest: Vec<&str> = it.collect();
@@ -784,10 +787,17 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
             "adversary" => {
                 let id = NodeId(parse_num(rest.first(), &err)?);
                 let kind = parse_kind(&rest[1..]).ok_or_else(|| err("bad adversary kind"))?;
+                name(&[id]);
+                match &kind {
+                    AdversaryKind::SelectiveForwarder(victims) => name(victims),
+                    AdversaryKind::Impersonator { victim } => name(&[*victim]),
+                    _ => {}
+                }
                 case.scenario.adversary_assignments.push((id, kind));
             }
             "flap" => {
                 let id = NodeId(parse_num(rest.first(), &err)?);
+                name(&[id]);
                 let b = rest
                     .get(1)
                     .and_then(|s| parse_flap(s))
@@ -798,6 +808,7 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
             }
             "sabotage" => {
                 let id = NodeId(parse_num(rest.first(), &err)?);
+                name(&[id]);
                 let kind = rest
                     .get(1)
                     .and_then(|s| SabotageKind::parse(s))
@@ -807,9 +818,18 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
             "fault" => {
                 let at = SimDuration::from_millis(parse_num(rest.first(), &err)?);
                 let kind = parse_fault(&rest[1..]).ok_or_else(|| err("bad fault"))?;
+                match kind {
+                    FaultKind::Crash { node, .. }
+                    | FaultKind::Restart { node }
+                    | FaultKind::SetByzantine { node, .. } => name(&[node]),
+                    FaultKind::JamStart { .. } | FaultKind::JamEnd { .. } => {}
+                }
                 case.scenario.fault_plan.push(at, kind);
             }
-            "workload" => parse_workload(&rest, &mut case.workload).map_err(|m| err(&m))?,
+            "workload" => {
+                parse_workload(&rest, &mut case.workload).map_err(|m| err(&m))?;
+                name(&case.workload.senders);
+            }
             "expect" => {
                 let oracle = rest.first().ok_or_else(|| err("missing oracle"))?;
                 let count: u64 = parse_num(rest.get(1), &err)?;
@@ -820,6 +840,15 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
     }
     if !saw_n || case.scenario.n == 0 {
         return Err("corpus file never declared n".to_owned());
+    }
+    let n = case.scenario.n;
+    for (lineno, line, ids) in named {
+        if let Some(id) = ids.iter().find(|id| id.index() >= n) {
+            return Err(format!(
+                "line {lineno}: node {} does not exist (n = {n}): {line:?}",
+                id.0
+            ));
+        }
     }
     Ok(case)
 }
@@ -1034,6 +1063,40 @@ mod tests {
         assert!(parse_case("nonsense").is_err());
         assert!(parse_case(&format!("{CORPUS_HEADER}\nfrobnicate 7\n")).is_err());
         assert!(parse_case(&format!("{CORPUS_HEADER}\nname x\n")).is_err());
+    }
+
+    #[test]
+    fn parse_rejects_nodes_beyond_n() {
+        let head = format!("{CORPUS_HEADER}\nn 7\n");
+        for bad in [
+            "adversary 99 silent",
+            "flap 7 mute-drop-data",
+            "sabotage 9 double-deliver",
+            "fault 1000 crash 8 retain",
+            "fault 1000 restart 8",
+            "fault 1000 byz 8 on",
+            "workload senders 0,42 count 1",
+            "adversary 2 selective-forwarder 1,7",
+            "adversary 2 impersonator 12",
+        ] {
+            let e = parse_case(&format!("{head}{bad}\n")).expect_err(bad);
+            assert!(
+                e.starts_with("line 3: node ") && e.contains("does not exist (n = 7)"),
+                "{bad}: {e}"
+            );
+        }
+        // n may come after the lines that name nodes; ids below it parse.
+        let late_n = format!(
+            "{CORPUS_HEADER}\nadversary 6 impersonator 0\nflap 5 mute-drop-data\n\
+             workload senders 0,6\nfault 1000 crash 4 lose\nsabotage 3 double-deliver\nn 7\n"
+        );
+        assert!(parse_case(&late_n).is_ok());
+        let at_n = format!("{CORPUS_HEADER}\nname x\nsabotage 3 double-deliver\nn 3\n");
+        let e = parse_case(&at_n).expect_err("sabotage 3 with n = 3");
+        assert!(
+            e.starts_with("line 3: node 3 does not exist (n = 3)"),
+            "{e}"
+        );
     }
 
     #[test]

@@ -674,15 +674,15 @@ mod tests {
 
     #[test]
     fn governed_flooded_run_stays_inside_the_envelope() {
-        use crate::scenario::AdversaryKind;
+        use crate::scenario::{highest_ids, AdversaryKind};
         let mut s = scenario(20);
         s.byzcast.resources = paper_envelope();
-        s.adversary = Some(AdversaryKind::Flooder {
+        let flooder = AdversaryKind::Flooder {
             period: SimDuration::from_millis(200),
             per_tick: 4,
             payload_bytes: 256,
-        });
-        s.adversary_count = 2;
+        };
+        s.adversary_assignments = highest_ids(s.n, 2, flooder);
         let checked = check_run(&s, &workload(), &standard_oracles());
         assert!(
             checked.violations.is_empty(),

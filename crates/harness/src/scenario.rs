@@ -175,14 +175,8 @@ pub struct ScenarioConfig {
     pub protocol: ProtocolChoice,
     /// Byzcast configuration (used when `protocol` is `Byzcast`).
     pub byzcast: ByzcastConfig,
-    /// Behaviour of the adversarial nodes (none if `None`).
-    pub adversary: Option<AdversaryKind>,
-    /// How many adversaries (ignored when `adversary_ids` is set).
-    pub adversary_count: usize,
-    /// Explicit adversary ids (overrides `adversary_count` selection).
-    pub adversary_ids: Option<Vec<NodeId>>,
-    /// Per-node adversary assignments for mixed-adversary runs, unioned
-    /// with the single-kind selection above (assignments win on overlap).
+    /// The adversarial nodes and the behaviour of each (empty: all nodes
+    /// are correct). [`highest_ids`] builds the usual worst-case placement.
     pub adversary_assignments: Vec<(NodeId, AdversaryKind)>,
     /// Timed fault events (crashes, restarts, Byzantine windows, jamming)
     /// executed through the deterministic event queue. Empty by default; an
@@ -203,9 +197,6 @@ impl Default for ScenarioConfig {
             mobility: MobilityChoice::Static,
             protocol: ProtocolChoice::Byzcast,
             byzcast: ByzcastConfig::default(),
-            adversary: None,
-            adversary_count: 0,
-            adversary_ids: None,
             adversary_assignments: Vec::new(),
             fault_plan: FaultPlan::new(),
             sabotage: None,
@@ -213,46 +204,31 @@ impl Default for ScenarioConfig {
     }
 }
 
+/// Assigns `kind` to the `count` highest ids of an `n`-node scenario (all
+/// of them if `count >= n`). These ids win the id-based overlay election,
+/// so adversaries there are the worst case for the protocol.
+pub fn highest_ids(n: usize, count: usize, kind: AdversaryKind) -> Vec<(NodeId, AdversaryKind)> {
+    (n.saturating_sub(count)..n)
+        .map(|i| (NodeId(i as u32), kind.clone()))
+        .collect()
+}
+
 impl ScenarioConfig {
-    /// The ids covered by the legacy single-kind selection. When not given
-    /// explicitly, the *highest* ids are chosen — these win the id-based
-    /// overlay election, which is the worst case for the protocol.
-    fn single_kind_set(&self) -> BTreeSet<NodeId> {
-        if self.adversary.is_none() {
-            return BTreeSet::new();
-        }
-        match &self.adversary_ids {
-            Some(ids) => ids.iter().copied().collect(),
-            None => (0..self.n as u32)
-                .rev()
-                .take(self.adversary_count)
-                .map(NodeId)
-                .collect(),
-        }
-    }
-
-    /// The adversarial node ids for this scenario: the single-kind selection
-    /// unioned with the per-node assignments.
+    /// The adversarial node ids for this scenario.
     pub fn adversary_set(&self) -> BTreeSet<NodeId> {
-        let mut set = self.single_kind_set();
-        set.extend(self.adversary_assignments.iter().map(|&(id, _)| id));
-        set
+        self.adversary_assignments
+            .iter()
+            .map(|&(id, _)| id)
+            .collect()
     }
 
-    /// The behaviour assigned to `id`, if it is adversarial. Per-node
-    /// assignments take precedence over the single-kind selection.
+    /// The behaviour assigned to `id`, if it is adversarial (the first
+    /// assignment naming `id`).
     pub fn adversary_kind_of(&self, id: NodeId) -> Option<&AdversaryKind> {
         self.adversary_assignments
             .iter()
             .find(|&&(a, _)| a == id)
             .map(|(_, k)| k)
-            .or_else(|| {
-                if self.single_kind_set().contains(&id) {
-                    self.adversary.as_ref()
-                } else {
-                    None
-                }
-            })
     }
 
     /// The correctness mask: `mask[i]` iff node `i` is correct.
@@ -610,8 +586,11 @@ pub fn figure5_worst_case(c: usize, seed: u64) -> ScenarioConfig {
             ..SimConfig::default()
         },
         mobility: MobilityChoice::Explicit(positions),
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropDataAndGossip)),
-        adversary_ids: Some((c as u32..n as u32).map(NodeId).collect()),
+        adversary_assignments: highest_ids(
+            n,
+            mutes,
+            AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
+        ),
         ..ScenarioConfig::default()
     }
 }
@@ -712,10 +691,9 @@ mod tests {
     }
 
     #[test]
-    fn adversary_selection_prefers_high_ids() {
+    fn highest_ids_picks_the_top_of_the_id_range() {
         let s = ScenarioConfig {
-            adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-            adversary_count: 3,
+            adversary_assignments: highest_ids(25, 3, AdversaryKind::Silent),
             ..small_scenario()
         };
         let adv = s.adversary_set();
@@ -723,19 +701,15 @@ mod tests {
             adv.into_iter().collect::<Vec<_>>(),
             vec![NodeId(22), NodeId(23), NodeId(24)]
         );
+        assert!(matches!(
+            s.adversary_kind_of(NodeId(23)),
+            Some(AdversaryKind::Silent)
+        ));
+        assert!(s.adversary_kind_of(NodeId(21)).is_none());
         let mask = s.correct_mask();
         assert!(mask[0] && !mask[24]);
-    }
-
-    #[test]
-    fn explicit_adversary_ids_override_count() {
-        let s = ScenarioConfig {
-            adversary: Some(AdversaryKind::Silent),
-            adversary_count: 3,
-            adversary_ids: Some(vec![NodeId(1)]),
-            ..small_scenario()
-        };
-        assert_eq!(s.adversary_set().len(), 1);
+        assert!(highest_ids(4, 0, AdversaryKind::Silent).is_empty());
+        assert_eq!(highest_ids(4, 9, AdversaryKind::Silent).len(), 4);
     }
 
     #[test]
@@ -751,8 +725,7 @@ mod tests {
     fn mute_adversaries_reduce_nothing_fatal() {
         let s = ScenarioConfig {
             n: 30,
-            adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-            adversary_count: 3,
+            adversary_assignments: highest_ids(30, 3, AdversaryKind::Mute(MutePolicy::DropData)),
             ..small_scenario()
         }
         .run(&small_workload());

@@ -184,7 +184,7 @@ mod tests {
     use byzcast_sim::SimTime;
 
     fn metrics_with_one_broadcast() -> Metrics {
-        let mut m = Metrics::new(4);
+        let mut m = Metrics::default();
         m.broadcasts.push(BroadcastRecord {
             origin: NodeId(0),
             payload_id: 1,
@@ -244,7 +244,7 @@ mod tests {
 
     #[test]
     fn empty_run_is_well_defined() {
-        let m = Metrics::new(2);
+        let m = Metrics::default();
         let s = RunSummary::from_metrics("x", &m, &[true, true]);
         assert_eq!(s.messages, 0);
         assert_eq!(s.delivery_ratio, 0.0);

@@ -19,6 +19,10 @@
 //!   no RTS/CTS and no link-level ACKs, as for IEEE 802.11 broadcast frames.
 //! * **Mobility** ([`mobility`]) — static placement, random waypoint and
 //!   random walk.
+//! * **Metrics** ([`metrics`]) — what a run reports: run totals of frames
+//!   and bytes by kind and of losses by cause, plus every broadcast and
+//!   delivery with its time. The engine keeps nothing per node beyond the
+//!   state that decides the run.
 //! * **Sans-io protocol interface** ([`node`]) — protocols are state machines
 //!   driven by `on_start` / `on_packet` / `on_timer` / `on_app_broadcast`
 //!   callbacks and emit actions through a [`Context`], so they are unit
@@ -79,13 +83,12 @@ pub mod radio;
 pub mod rng;
 pub mod spatial;
 pub mod time;
-pub mod trace;
 
 pub use counters::CounterSet;
 pub use engine::{BoxedProtocol, DynProtocol, SimBuilder, SimConfig, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use geometry::{Field, Position};
-pub use metrics::{DeliveryRecord, FaultStats, Metrics, NodeMetrics};
+pub use metrics::{DeliveryRecord, FaultStats, Metrics};
 pub use mobility::{MobilityModel, RandomWalk, RandomWaypoint, StaticPlacement};
 pub use node::{AppPayload, Context, Message, NodeId, Protocol, TimerKey};
 pub use radio::{RadioConfig, RadioModel};

@@ -1,10 +1,12 @@
 //! Simulation metrics: everything the experiment harness reports comes from
 //! here.
 //!
-//! The engine counts frames and bytes by message kind, radio-level losses by
-//! cause, and records every application-level broadcast and delivery with
-//! timestamps so the harness can compute delivery ratios and latency
-//! distributions per payload.
+//! The engine counts frames and bytes by message kind and radio-level losses
+//! by cause, as run totals, and records every application-level broadcast and
+//! delivery with timestamps so the harness can compute delivery ratios and
+//! latency distributions per payload. Nothing here is kept per node: a test
+//! that needs one node's share counts it in its own protocol, or builds a
+//! scenario in which only that node can contribute to the total.
 
 use std::collections::BTreeMap;
 
@@ -38,21 +40,6 @@ pub struct BroadcastRecord {
     pub size_bytes: usize,
 }
 
-/// Per-node counters.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct NodeMetrics {
-    /// Frames this node put on the air.
-    pub frames_sent: u64,
-    /// Bytes this node put on the air.
-    pub bytes_sent: u64,
-    /// Frames this node received successfully.
-    pub frames_received: u64,
-    /// Frames lost at this node to collisions.
-    pub collision_losses: u64,
-    /// Frames dropped because this node's interface queue overflowed.
-    pub queue_drops: u64,
-}
-
 counter_set! {
     /// Counters for executed fault-plan events and their radio-level effects.
     ///
@@ -79,7 +66,8 @@ counter_set! {
     }
 }
 
-/// All metrics for a run.
+/// All metrics for a run: totals over every node, plus the broadcast and
+/// delivery records.
 ///
 /// Compares with `==` so differential tests can assert that two runs (e.g.
 /// spatial index on vs. off) produced bit-identical observable behaviour.
@@ -107,42 +95,27 @@ pub struct Metrics {
     pub broadcasts: Vec<BroadcastRecord>,
     /// Every application-level delivery.
     pub deliveries: Vec<DeliveryRecord>,
-    /// Per-node counters, indexed by `NodeId::index`.
-    pub per_node: Vec<NodeMetrics>,
     /// Fault-injection counters (all zero when the run had no fault plan).
     pub faults: FaultStats,
 }
 
 impl Metrics {
-    /// Creates metrics for `n` nodes.
-    pub fn new(n: usize) -> Self {
-        Metrics {
-            per_node: vec![NodeMetrics::default(); n],
-            ..Metrics::default()
-        }
-    }
-
     /// Records a frame transmission.
-    pub fn record_send(&mut self, node: NodeId, kind: &'static str, bytes: usize) {
+    pub fn record_send(&mut self, kind: &'static str, bytes: usize) {
         *self.frames_by_kind.entry(kind).or_insert(0) += 1;
         *self.bytes_by_kind.entry(kind).or_insert(0) += bytes as u64;
         self.frames_sent += 1;
         self.bytes_sent += bytes as u64;
-        let pm = &mut self.per_node[node.index()];
-        pm.frames_sent += 1;
-        pm.bytes_sent += bytes as u64;
     }
 
-    /// Records a successful reception at `node`.
-    pub fn record_reception(&mut self, node: NodeId) {
+    /// Records a successful reception.
+    pub fn record_reception(&mut self) {
         self.frames_received += 1;
-        self.per_node[node.index()].frames_received += 1;
     }
 
-    /// Records a reception lost to collision at `node`.
-    pub fn record_collision(&mut self, node: NodeId) {
+    /// Records a reception lost to collision.
+    pub fn record_collision(&mut self) {
         self.collision_losses += 1;
-        self.per_node[node.index()].collision_losses += 1;
     }
 
     /// Records a reception lost to fading or background noise.
@@ -155,10 +128,9 @@ impl Metrics {
         self.half_duplex_losses += 1;
     }
 
-    /// Records a sender-side interface-queue drop at `node`.
-    pub fn record_queue_drop(&mut self, node: NodeId) {
+    /// Records a sender-side interface-queue drop.
+    pub fn record_queue_drop(&mut self) {
         self.queue_drops += 1;
-        self.per_node[node.index()].queue_drops += 1;
     }
 
     /// Deliveries of a particular payload.
@@ -192,43 +164,37 @@ mod tests {
     use super::*;
 
     #[test]
-    fn send_accounting_by_kind_and_node() {
-        let mut m = Metrics::new(3);
-        m.record_send(NodeId(0), "data", 100);
-        m.record_send(NodeId(0), "data", 50);
-        m.record_send(NodeId(2), "gossip", 20);
+    fn send_accounting_by_kind() {
+        let mut m = Metrics::default();
+        m.record_send("data", 100);
+        m.record_send("data", 50);
+        m.record_send("gossip", 20);
         assert_eq!(m.frames_sent, 3);
         assert_eq!(m.bytes_sent, 170);
         assert_eq!(m.frames_of_kind("data"), 2);
         assert_eq!(m.bytes_of_kind("data"), 150);
         assert_eq!(m.frames_of_kind("gossip"), 1);
         assert_eq!(m.frames_of_kind("nope"), 0);
-        assert_eq!(m.per_node[0].frames_sent, 2);
-        assert_eq!(m.per_node[2].bytes_sent, 20);
-        assert_eq!(m.per_node[1], NodeMetrics::default());
     }
 
     #[test]
     fn loss_counters() {
-        let mut m = Metrics::new(2);
-        m.record_collision(NodeId(1));
+        let mut m = Metrics::default();
+        m.record_collision();
         m.record_noise_loss();
         m.record_half_duplex_loss();
-        m.record_queue_drop(NodeId(0));
-        m.record_reception(NodeId(1));
+        m.record_queue_drop();
+        m.record_reception();
         assert_eq!(m.collision_losses, 1);
         assert_eq!(m.noise_losses, 1);
         assert_eq!(m.half_duplex_losses, 1);
         assert_eq!(m.queue_drops, 1);
         assert_eq!(m.frames_received, 1);
-        assert_eq!(m.per_node[1].collision_losses, 1);
-        assert_eq!(m.per_node[1].frames_received, 1);
-        assert_eq!(m.per_node[0].queue_drops, 1);
     }
 
     #[test]
     fn deliveries_of_filters_by_payload() {
-        let mut m = Metrics::new(2);
+        let mut m = Metrics::default();
         m.deliveries.push(DeliveryRecord {
             node: NodeId(0),
             origin: NodeId(1),

@@ -5,8 +5,7 @@
 //! it back on startup, packet reception, timer expiry, and application-level
 //! broadcast requests. During a callback the protocol interacts with the
 //! world exclusively through the [`Context`] — sending packets, arming
-//! timers, delivering messages to the application, recording trace notes, and
-//! drawing randomness. This keeps protocol logic unit-testable with a
+//! timers, delivering messages to the application, and drawing randomness. This keeps protocol logic unit-testable with a
 //! hand-built `Context` and makes Byzantine wrappers (which intercept a
 //! correct protocol's actions) straightforward.
 
@@ -97,8 +96,6 @@ pub enum Action<M> {
         /// The workload-assigned payload identifier.
         payload_id: u64,
     },
-    /// Record a free-form note in the simulation trace.
-    Note(String),
 }
 
 /// The protocol's window onto the simulated world during a callback.
@@ -169,11 +166,6 @@ impl<'a, M> Context<'a, M> {
     pub fn deliver(&mut self, origin: NodeId, payload_id: u64) {
         self.actions.push(Action::Deliver { origin, payload_id });
     }
-
-    /// Records a free-form trace note (cheap no-op unless tracing is enabled).
-    pub fn note(&mut self, text: impl Into<String>) {
-        self.actions.push(Action::Note(text.into()));
-    }
 }
 
 /// A node's protocol logic.
@@ -229,7 +221,7 @@ mod tests {
             ctx.send(Ping(msg.0 + 1));
         }
         fn on_timer(&mut self, ctx: &mut Context<'_, Ping>, timer: TimerKey) {
-            ctx.note(format!("timer {timer:?}"));
+            ctx.cancel_timer(timer);
         }
         fn on_app_broadcast(&mut self, ctx: &mut Context<'_, Ping>, payload: AppPayload) {
             ctx.deliver(ctx.node_id(), payload.id);

@@ -9,7 +9,7 @@
 //! ```
 
 use byzcast::adversary::MutePolicy;
-use byzcast::harness::{AdversaryKind, ScenarioConfig, Table, Workload};
+use byzcast::harness::{highest_ids, AdversaryKind, ScenarioConfig, Table, Workload};
 use byzcast::sim::{Field, NodeId, SimConfig, SimDuration};
 
 fn main() {
@@ -96,8 +96,7 @@ fn main() {
 
     for (label, adversary) in gauntlet {
         let config = ScenarioConfig {
-            adversary: Some(adversary),
-            adversary_count: 5,
+            adversary_assignments: highest_ids(base.n, 5, adversary),
             ..base.clone()
         };
         let s = config.run(&workload);

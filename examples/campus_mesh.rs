@@ -10,7 +10,7 @@
 
 use byzcast::adversary::MutePolicy;
 use byzcast::fd::TrustLevel;
-use byzcast::harness::{byz_view, AdversaryKind, ScenarioConfig, Workload};
+use byzcast::harness::{byz_view, highest_ids, AdversaryKind, ScenarioConfig, Workload};
 use byzcast::sim::{Field, NodeId, SimConfig, SimDuration, SimTime};
 
 fn main() {
@@ -23,8 +23,7 @@ fn main() {
             field: Field::new(700.0, 700.0),
             ..SimConfig::default()
         },
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-        adversary_count: mutes,
+        adversary_assignments: highest_ids(n, mutes, AdversaryKind::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let saboteurs = config.adversary_set();

@@ -12,7 +12,9 @@
 use std::collections::BTreeSet;
 
 use byzcast::adversary::MutePolicy;
-use byzcast::harness::{AdversaryKind, MobilityChoice, ProtocolChoice, ScenarioConfig, Workload};
+use byzcast::harness::{
+    highest_ids, AdversaryKind, MobilityChoice, ProtocolChoice, ScenarioConfig, Workload,
+};
 use byzcast::overlay::OverlayKind;
 use byzcast::sim::{Field, NodeId, Position, RadioConfig, SimConfig, SimDuration};
 
@@ -133,8 +135,7 @@ fn mute_overlay_claimants_random_topology() {
             field: Field::new(700.0, 700.0),
             ..SimConfig::default()
         },
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-        adversary_count: 6,
+        adversary_assignments: highest_ids(60, 6, AdversaryKind::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let w = Workload {

@@ -9,7 +9,9 @@
 //!   overlay self-heals into a connected correct cover.
 
 use byzcast::adversary::MutePolicy;
-use byzcast::harness::{byz_view, AdversaryKind, MobilityChoice, ScenarioConfig, Workload};
+use byzcast::harness::{
+    byz_view, highest_ids, AdversaryKind, MobilityChoice, ScenarioConfig, Workload,
+};
 use byzcast::sim::{Field, NodeId, RadioConfig, SimConfig, SimDuration, SimTime};
 
 fn run(
@@ -97,8 +99,10 @@ fn star_cut() -> (ScenarioConfig, usize) {
             ..SimConfig::default()
         },
         mobility: MobilityChoice::Explicit(positions),
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropDataAndGossip)),
-        adversary_ids: Some(vec![NodeId(9)]),
+        adversary_assignments: vec![(
+            NodeId(9),
+            AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
+        )],
         ..ScenarioConfig::default()
     };
     (config, n)
@@ -144,8 +148,7 @@ fn overlay_self_heals_after_suspicion() {
             field: Field::new(600.0, 600.0),
             ..SimConfig::default()
         },
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-        adversary_count: 5,
+        adversary_assignments: highest_ids(50, 5, AdversaryKind::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let w = Workload {

@@ -16,7 +16,7 @@ use byzcast_core::RecoveryConfig;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{
-    aggregate, paper_envelope, replicate, AdversaryKind, MobilityChoice, RunSummary,
+    aggregate, highest_ids, paper_envelope, replicate, AdversaryKind, MobilityChoice, RunSummary,
     ScenarioConfig, Workload,
 };
 use byzcast_sim::fault::FaultPlan;
@@ -98,8 +98,7 @@ fn waypoint_mute_drop_data_record_is_pinned() {
             max_mps: 10.0,
             pause: SimDuration::from_secs(2),
         },
-        adversary: Some(AdversaryKind::Mute(MutePolicy::DropData)),
-        adversary_count: 6,
+        adversary_assignments: highest_ids(40, 6, AdversaryKind::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let summary = config.run(&workload());

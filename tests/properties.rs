@@ -142,13 +142,13 @@ proptest! {
         let n = 20usize;
         let positions = connected_positions(seed ^ 0xABCD, n, 550.0, 250.0);
         let mut config = scenario_on(positions, 550.0, seed);
-        config.adversary = Some(AdversaryKind::Mute(MutePolicy::DropData));
         // Random adversary ids, never the sender (node 0).
         let mut rng = SimRng::new(seed);
         let mut ids: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
         rng.shuffle(&mut ids);
         ids.truncate(adversaries);
-        config.adversary_ids = Some(ids);
+        let mute = AdversaryKind::Mute(MutePolicy::DropData);
+        config.adversary_assignments = ids.into_iter().map(|id| (id, mute.clone())).collect();
 
         let w = small_workload(4);
         let mut sim = config.build_wire_sim();

@@ -10,7 +10,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use byzcast::harness::{AdversaryKind, ScenarioConfig, Workload};
+use byzcast::harness::{highest_ids, AdversaryKind, ScenarioConfig, Workload};
 use byzcast::sim::{Field, Metrics, NodeId, SimConfig, SimDuration, SimTime};
 
 fn run_scenario(config: &ScenarioConfig, workload: &Workload) -> Metrics {
@@ -91,8 +91,7 @@ fn validity_failure_free() {
 #[test]
 fn validity_under_forgers() {
     let mut config = base(3);
-    config.adversary = Some(AdversaryKind::Forger);
-    config.adversary_count = 6;
+    config.adversary_assignments = highest_ids(config.n, 6, AdversaryKind::Forger);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
 }
@@ -100,8 +99,8 @@ fn validity_under_forgers() {
 #[test]
 fn validity_under_impersonators() {
     let mut config = base(4);
-    config.adversary = Some(AdversaryKind::Impersonator { victim: NodeId(0) });
-    config.adversary_count = 4;
+    let impersonator = AdversaryKind::Impersonator { victim: NodeId(0) };
+    config.adversary_assignments = highest_ids(config.n, 4, impersonator);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
     // In particular: the victim is never credited with the forged payloads
@@ -117,8 +116,7 @@ fn validity_under_impersonators() {
 #[test]
 fn validity_under_gossip_liars() {
     let mut config = base(5);
-    config.adversary = Some(AdversaryKind::GossipLiar);
-    config.adversary_count = 5;
+    config.adversary_assignments = highest_ids(config.n, 5, AdversaryKind::GossipLiar);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
 }
@@ -126,11 +124,11 @@ fn validity_under_gossip_liars() {
 #[test]
 fn validity_under_combined_noise_and_verbose_spam() {
     let mut config = base(6);
-    config.adversary = Some(AdversaryKind::Verbose {
+    let verbose = AdversaryKind::Verbose {
         period: SimDuration::from_millis(150),
         per_tick: 8,
-    });
-    config.adversary_count = 5;
+    };
+    config.adversary_assignments = highest_ids(config.n, 5, verbose);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
 }
