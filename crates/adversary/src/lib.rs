@@ -6,7 +6,8 @@
 //! impersonate another node", thanks to signatures.
 //!
 //! Every such behaviour is one [`Deviation`] of a single [`ByzantineNode`]
-//! built over a correct `ByzcastNode`. The *relaying* deviations run the
+//! built over a correct `ByzcastNode` by its one constructor,
+//! [`ByzantineNode::new`]. The *relaying* deviations run the
 //! inner node and perturb its outgoing actions (the strongest adversaries:
 //! they speak the protocol perfectly except for the deviation):
 //!
@@ -18,8 +19,8 @@
 //!   victim originators), verbose (floods duplicate `REQUEST_MSG`s for
 //!   messages it already has) and sabotage (a broken delivery layer —
 //!   duplicate, phantom or dropped deliveries — that proves the chaos
-//!   oracles catch real protocol bugs). Built with
-//!   [`ByzantineNode::flapping`], a node is correct until the fault plan's
+//!   oracles catch real protocol bugs). Built from the construction-only
+//!   [`Deviation::Flapping`], a node is correct until the fault plan's
 //!   `SetByzantine` windows switch a mute or forging [`FlapBehavior`] on and
 //!   off: the hardest case for the MUTE/TRUST detectors.
 //!

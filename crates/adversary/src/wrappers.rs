@@ -98,8 +98,9 @@ impl SabotageKind {
 }
 
 /// How a [`ByzantineNode`] deviates from the protocol its inner node runs.
-/// The first six variants relay the inner node's actions; the last five
+/// The first six variants relay the inner node's actions; the next five
 /// inject frames of their own over an inner node that never starts.
+/// [`Deviation::Flapping`] exists only to construct a node.
 #[derive(Clone, Debug)]
 pub enum Deviation {
     /// Drop every outgoing frame, claiming nothing: crash-like silence
@@ -172,15 +173,13 @@ pub enum Deviation {
         /// Ill-signed frames per tick.
         per_tick: u32,
     },
-}
-
-impl From<FlapBehavior> for Deviation {
-    fn from(behavior: FlapBehavior) -> Self {
-        match behavior {
-            FlapBehavior::Mute(policy) => Deviation::Mute(policy),
-            FlapBehavior::Forger => Deviation::Forger,
-        }
-    }
+    /// Construction only: [`ByzantineNode::new`] stores the behaviour as
+    /// its mute or forger deviation, applied only inside the fault plan's
+    /// `SetByzantine` windows. Outside them the node is byte-for-byte the
+    /// shipped protocol, and it never lies about overlay membership: the
+    /// worst case for the MUTE/TRUST detectors, since it builds up genuine
+    /// trust first.
+    Flapping(FlapBehavior),
 }
 
 /// Timer key reserved for the verbose deviation's spam tick (outside the
@@ -209,6 +208,19 @@ const LIES_PER_GOSSIP: usize = 40;
 const PHANTOM_MASK: u64 = 0x5AB0;
 
 impl Deviation {
+    /// Whether this deviation saturates the shared radio medium by brute
+    /// injection rate. Air-time congestion collapses beacon and data
+    /// reception for every node in range — resource governance sheds the
+    /// *processing* cost, but cannot reclaim the air the frames already
+    /// burned — so oracles that presume a usable medium (fd-accuracy) treat
+    /// such runs like jammed ones and skip their obligations.
+    pub fn congests_air(&self) -> bool {
+        matches!(
+            self,
+            Deviation::Flooder { .. } | Deviation::SigGrinder { .. }
+        )
+    }
+
     /// The period and timer keys (in the order `on_start` arms them) of an
     /// injecting deviation; `None` for a relaying one.
     fn injection(&self) -> Option<(SimDuration, &'static [TimerKey])> {
@@ -266,9 +278,8 @@ fn unsigned(origin: NodeId, seq: u64, payload_id: u64, payload_len: u32) -> Wire
 }
 
 /// A [`ByzcastNode`] that deviates from the protocol through one
-/// [`Deviation`]. Built by [`ByzantineNode::new`] it deviates from the
-/// start; built by [`ByzantineNode::flapping`] it deviates only inside the
-/// fault plan's `SetByzantine` windows.
+/// [`Deviation`], from the start or, built from [`Deviation::Flapping`],
+/// only inside the fault plan's `SetByzantine` windows.
 pub struct ByzantineNode {
     inner: ByzcastNode,
     deviation: Deviation,
@@ -286,26 +297,21 @@ pub struct ByzantineNode {
 }
 
 impl ByzantineNode {
-    /// Builds a node deviating from the start. Mute and censoring nodes
-    /// are forced to advertise dominator status, so correct neighbours
-    /// defer to them; an injecting deviation never starts `inner`.
-    /// Fault-plan windows do not affect the node.
+    /// Builds the node. Mute and censoring nodes are forced to advertise
+    /// dominator status, so correct neighbours defer to them; an injecting
+    /// deviation never starts `inner`. Fault-plan windows switch only a
+    /// [`Deviation::Flapping`] node, which starts out correct.
     pub fn new(mut inner: ByzcastNode, deviation: Deviation) -> Self {
-        if matches!(deviation, Deviation::Mute(_) | Deviation::Censor(_)) {
-            inner.set_overlay_protocol(Box::new(AlwaysDominator));
-        }
-        Self::build(inner, deviation, false)
-    }
-
-    /// Wraps `inner` as a flapper: byte-for-byte the shipped protocol —
-    /// it never lies about overlay membership — until the fault plan turns
-    /// `behavior` on, and again once it turns it off. The worst case for
-    /// the MUTE/TRUST detectors: the node builds up genuine trust first.
-    pub fn flapping(inner: ByzcastNode, behavior: FlapBehavior) -> Self {
-        Self::build(inner, behavior.into(), true)
-    }
-
-    fn build(inner: ByzcastNode, deviation: Deviation, flaps: bool) -> Self {
+        let flaps = matches!(deviation, Deviation::Flapping(_));
+        let deviation = match deviation {
+            Deviation::Flapping(FlapBehavior::Mute(policy)) => Deviation::Mute(policy),
+            Deviation::Flapping(FlapBehavior::Forger) => Deviation::Forger,
+            Deviation::Mute(_) | Deviation::Censor(_) => {
+                inner.set_overlay_protocol(Box::new(AlwaysDominator));
+                deviation
+            }
+            other => other,
+        };
         ByzantineNode {
             inner,
             deviation,
@@ -840,8 +846,10 @@ mod tests {
     #[test]
     fn inactive_flapper_passes_everything_through() {
         let reg = KeyRegistry::generate(1, 8);
-        let mut flap =
-            ByzantineNode::flapping(byz(1, &reg), FlapBehavior::Mute(MutePolicy::DropEverything));
+        let mut flap = ByzantineNode::new(
+            byz(1, &reg),
+            Deviation::Flapping(FlapBehavior::Mute(MutePolicy::DropEverything)),
+        );
         let mut correct = byz(1, &reg);
         // Gossip tick: everything the correct node emits goes out verbatim.
         let actions = gossip_tick(&mut flap);
@@ -853,8 +861,10 @@ mod tests {
     #[test]
     fn mute_window_suppresses_then_recovers() {
         let reg = KeyRegistry::generate(1, 8);
-        let mut flap =
-            ByzantineNode::flapping(byz(1, &reg), FlapBehavior::Mute(MutePolicy::DropEverything));
+        let mut flap = ByzantineNode::new(
+            byz(1, &reg),
+            Deviation::Flapping(FlapBehavior::Mute(MutePolicy::DropEverything)),
+        );
         drive(&mut flap, 1, |p, ctx| p.on_byzantine(ctx, true));
         assert!(sends(&gossip_tick(&mut flap)).is_empty());
         // Deactivate: the node speaks again. Hand it a message so the next
@@ -868,9 +878,9 @@ mod tests {
     #[test]
     fn gossip_mute_window_keeps_the_beacon_bearing_gossip() {
         let reg = KeyRegistry::generate(1, 8);
-        let mut flap = ByzantineNode::flapping(
+        let mut flap = ByzantineNode::new(
             byz(1, &reg),
-            FlapBehavior::Mute(MutePolicy::DropDataAndGossip),
+            Deviation::Flapping(FlapBehavior::Mute(MutePolicy::DropDataAndGossip)),
         );
         let msg = data(&reg, 0, 1, 5);
         drive(&mut flap, 1, |p, ctx| p.on_packet(ctx, NodeId(0), &msg));
@@ -883,7 +893,7 @@ mod tests {
         let reg = KeyRegistry::generate(1, 8);
         let mut inner = byz(1, &reg);
         inner.set_overlay_protocol(Box::new(AlwaysDominator));
-        let mut flap = ByzantineNode::flapping(inner, FlapBehavior::Forger);
+        let mut flap = ByzantineNode::new(inner, Deviation::Flapping(FlapBehavior::Forger));
         gossip_tick(&mut flap); // join overlay
         let v = reg.verifier();
 

@@ -15,13 +15,14 @@
 //! cap while correct-sender delivery holds, and sustained admission
 //! violations surface as VERBOSE quota suspicions of the flooders.
 //!
-//! [`Flooder`]: byzcast_harness::scenario::AdversaryKind::Flooder
+//! [`Flooder`]: byzcast_adversary::Deviation::Flooder
 
 use std::sync::Arc;
 
+use byzcast_adversary::Deviation;
 use byzcast_bench::{banner, opts, runner, ExpOpts};
 use byzcast_core::ResourceConfig;
-use byzcast_harness::scenario::{highest_ids, AdversaryKind};
+use byzcast_harness::scenario::highest_ids;
 use byzcast_harness::{
     check_run, report::fnum, run_sweep, standard_oracles, RunOutcome, ScenarioConfig, SweepPoint,
     Table, Workload,
@@ -74,7 +75,7 @@ fn main() {
             for &rate in rates {
                 combos.push((governed, attackers, rate));
                 // Flood ticks every 200 ms; per_tick scales to the rate.
-                let kind = AdversaryKind::Flooder {
+                let kind = Deviation::Flooder {
                     period: SimDuration::from_millis(200),
                     per_tick: rate.div_ceil(5),
                     payload_bytes: 256,

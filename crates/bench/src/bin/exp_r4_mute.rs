@@ -9,11 +9,9 @@
 //! dropping all data-plane traffic; against the baselines the same nodes
 //! simply go silent.
 
-use byzcast_adversary::MutePolicy;
+use byzcast_adversary::{Deviation, MutePolicy};
 use byzcast_bench::{banner, default_scenario, default_workload, opts, runner};
-use byzcast_harness::{
-    highest_ids, report::fnum, run_sweep, AdversaryKind, ProtocolChoice, SweepPoint, Table,
-};
+use byzcast_harness::{highest_ids, report::fnum, run_sweep, ProtocolChoice, SweepPoint, Table};
 use byzcast_overlay::OverlayKind;
 
 fn main() {
@@ -47,7 +45,7 @@ fn main() {
             config.protocol = protocol.clone();
             config.byzcast.overlay = *overlay;
             config.adversary_assignments =
-                highest_ids(n, count, AdversaryKind::Mute(MutePolicy::DropData));
+                highest_ids(n, count, Deviation::Mute(MutePolicy::DropData));
             let label = config.protocol_label();
             fracs.push(frac);
             points.push(SweepPoint::new(

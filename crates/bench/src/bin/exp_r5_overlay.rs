@@ -9,11 +9,11 @@
 
 use std::sync::Arc;
 
-use byzcast_adversary::MutePolicy;
+use byzcast_adversary::{Deviation, MutePolicy};
 use byzcast_bench::{banner, default_scenario, default_workload, n_sweep, opts, runner};
 use byzcast_harness::{
-    claims_overlay, highest_ids, report::fnum, run_sweep, AdversaryKind, RunFn, RunOutcome,
-    ScenarioConfig, SweepPoint, Table, Workload,
+    claims_overlay, highest_ids, report::fnum, run_sweep, RunFn, RunOutcome, ScenarioConfig,
+    SweepPoint, Table, Workload,
 };
 use byzcast_overlay::analysis::{dominates, induced_connected};
 use byzcast_overlay::OverlayKind;
@@ -82,7 +82,7 @@ fn main() {
                 let mut config = default_scenario(n, 1);
                 config.byzcast.overlay = overlay;
                 config.adversary_assignments =
-                    highest_ids(n, mutes, AdversaryKind::Mute(MutePolicy::DropData));
+                    highest_ids(n, mutes, Deviation::Mute(MutePolicy::DropData));
                 metas.push((n, overlay, mutes));
                 points.push(
                     SweepPoint::new(

@@ -10,11 +10,11 @@
 
 use std::sync::Arc;
 
-use byzcast_adversary::MutePolicy;
+use byzcast_adversary::{Deviation, MutePolicy};
 use byzcast_bench::{banner, opts, runner};
 use byzcast_harness::{
-    byz_view, highest_ids, report::fnum, run_sweep, AdversaryKind, RunOutcome, ScenarioConfig,
-    SweepPoint, Table, Workload,
+    byz_view, highest_ids, report::fnum, run_sweep, RunOutcome, ScenarioConfig, SweepPoint, Table,
+    Workload,
 };
 use byzcast_sim::{Field, NodeId, SimConfig, SimDuration, SimTime};
 
@@ -96,7 +96,7 @@ fn main() {
             field: Field::new(800.0, 800.0),
             ..SimConfig::default()
         },
-        adversary_assignments: highest_ids(60, MUTES, AdversaryKind::Mute(MutePolicy::DropData)),
+        adversary_assignments: highest_ids(60, MUTES, Deviation::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let point = SweepPoint::new(

@@ -35,8 +35,8 @@ pub use par::{default_threads, par_map};
 pub use report::Table;
 pub use runner::{run_sweep, PointResult, RunFn, RunOutcome, RunnerConfig, SweepPoint};
 pub use scenario::{
-    byz_view, claims_overlay, figure5_worst_case, highest_ids, AdversaryKind, MobilityChoice,
-    ProtocolChoice, ScenarioConfig,
+    byz_view, claims_overlay, figure5_worst_case, highest_ids, MobilityChoice, ProtocolChoice,
+    ScenarioConfig,
 };
 pub use summary::RunSummary;
 pub use sweep::{aggregate, replicate, replicate_par};

@@ -29,11 +29,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use byzcast_adversary::Deviation;
 use byzcast_core::{ResourceConfig, ResourceStats};
 use byzcast_fd::interval::SuspicionEpisode;
 use byzcast_sim::{FaultKind, Metrics, NodeId, Position, SimDuration, SimTime};
 
-use crate::scenario::{byz_view, AdversaryKind, MobilityChoice, ProtocolChoice, ScenarioConfig};
+use crate::scenario::{byz_view, MobilityChoice, ProtocolChoice, ScenarioConfig};
 use crate::summary::RunSummary;
 use crate::workload::Workload;
 
@@ -362,8 +363,8 @@ impl Oracle for FdAccuracy {
         }
         let congested = ctx.scenario.adversary_set().iter().any(|&id| {
             ctx.scenario
-                .adversary_kind_of(id)
-                .is_some_and(AdversaryKind::congests_air)
+                .deviation_of(id)
+                .is_some_and(Deviation::congests_air)
         });
         if congested {
             return Vec::new();
@@ -674,10 +675,10 @@ mod tests {
 
     #[test]
     fn governed_flooded_run_stays_inside_the_envelope() {
-        use crate::scenario::{highest_ids, AdversaryKind};
+        use crate::scenario::highest_ids;
         let mut s = scenario(20);
         s.byzcast.resources = paper_envelope();
-        let flooder = AdversaryKind::Flooder {
+        let flooder = Deviation::Flooder {
             period: SimDuration::from_millis(200),
             per_tick: 4,
             payload_bytes: 256,

@@ -3,9 +3,7 @@
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
-use byzcast_adversary::{
-    ByzantineNode, Deviation, FlapBehavior, MutePolicy, SabotageKind, SilentNode,
-};
+use byzcast_adversary::{ByzantineNode, Deviation, MutePolicy, SabotageKind, SilentNode};
 use byzcast_baselines::{plan_overlays, FloodingNode, MoMsg, MultiOverlayNode};
 use byzcast_core::message::WireMsg;
 use byzcast_core::{ByzcastConfig, ByzcastNode};
@@ -90,75 +88,6 @@ pub enum ProtocolChoice {
     },
 }
 
-/// The Byzantine behaviour assigned to adversarial nodes.
-#[derive(Clone, Debug)]
-pub enum AdversaryKind {
-    /// Mute byzcast node claiming overlay membership.
-    Mute(MutePolicy),
-    /// Crash-like silence (works for every protocol).
-    Silent,
-    /// Tamper with forwarded payloads.
-    Forger,
-    /// Spam pointless requests.
-    Verbose {
-        /// Spam period.
-        period: SimDuration,
-        /// Requests per spam tick.
-        per_tick: usize,
-    },
-    /// Gossip about messages it will not supply.
-    GossipLiar,
-    /// Censor the given originators, forward everything else.
-    SelectiveForwarder(Vec<NodeId>),
-    /// Inject forged frames naming `victim`.
-    Impersonator {
-        /// The framed node.
-        victim: NodeId,
-    },
-    /// Inject unique *validly signed* garbage at a configurable rate
-    /// (memory/bandwidth exhaustion).
-    Flooder {
-        /// Injection period.
-        period: SimDuration,
-        /// Garbage messages per tick.
-        per_tick: u32,
-        /// Payload size of each garbage message.
-        payload_bytes: u32,
-    },
-    /// Capture valid frames and re-inject them unchanged after `delay`
-    /// (probes the receiver's seen-id memory horizon).
-    Replayer {
-        /// How long after capture each frame is replayed.
-        delay: SimDuration,
-    },
-    /// Inject unique valid-looking frames with garbage signatures at a
-    /// configurable rate (verifier-CPU exhaustion).
-    SigGrinder {
-        /// Injection period.
-        period: SimDuration,
-        /// Ill-signed frames per tick.
-        per_tick: u32,
-    },
-    /// Correct until the fault plan's `SetByzantine` windows flip it (the
-    /// worst case for the MUTE/TRUST detectors).
-    Flapping(FlapBehavior),
-}
-
-impl AdversaryKind {
-    /// Whether this adversary saturates the shared radio medium by brute
-    /// injection rate. Air-time congestion collapses beacon and data
-    /// reception for every node in range — resource governance sheds the
-    /// *processing* cost, but cannot reclaim the air the frames already
-    /// burned — so oracles that presume a usable medium (fd-accuracy) treat
-    /// such runs like jammed ones and skip their obligations.
-    pub fn congests_air(&self) -> bool {
-        matches!(
-            self,
-            AdversaryKind::Flooder { .. } | AdversaryKind::SigGrinder { .. }
-        )
-    }
-}
-
 /// A full experiment scenario.
 #[derive(Clone, Debug)]
 pub struct ScenarioConfig {
@@ -175,9 +104,9 @@ pub struct ScenarioConfig {
     pub protocol: ProtocolChoice,
     /// Byzcast configuration (used when `protocol` is `Byzcast`).
     pub byzcast: ByzcastConfig,
-    /// The adversarial nodes and the behaviour of each (empty: all nodes
+    /// The adversarial nodes and the deviation of each (empty: all nodes
     /// are correct). [`highest_ids`] builds the usual worst-case placement.
-    pub adversary_assignments: Vec<(NodeId, AdversaryKind)>,
+    pub adversary_assignments: Vec<(NodeId, Deviation)>,
     /// Timed fault events (crashes, restarts, Byzantine windows, jamming)
     /// executed through the deterministic event queue. Empty by default; an
     /// empty plan changes nothing, bit for bit.
@@ -204,12 +133,12 @@ impl Default for ScenarioConfig {
     }
 }
 
-/// Assigns `kind` to the `count` highest ids of an `n`-node scenario (all
-/// of them if `count >= n`). These ids win the id-based overlay election,
-/// so adversaries there are the worst case for the protocol.
-pub fn highest_ids(n: usize, count: usize, kind: AdversaryKind) -> Vec<(NodeId, AdversaryKind)> {
+/// Assigns `deviation` to the `count` highest ids of an `n`-node scenario
+/// (all of them if `count >= n`). These ids win the id-based overlay
+/// election, so adversaries there are the worst case for the protocol.
+pub fn highest_ids(n: usize, count: usize, deviation: Deviation) -> Vec<(NodeId, Deviation)> {
     (n.saturating_sub(count)..n)
-        .map(|i| (NodeId(i as u32), kind.clone()))
+        .map(|i| (NodeId(i as u32), deviation.clone()))
         .collect()
 }
 
@@ -222,9 +151,9 @@ impl ScenarioConfig {
             .collect()
     }
 
-    /// The behaviour assigned to `id`, if it is adversarial (the first
+    /// The deviation assigned to `id`, if it is adversarial (the first
     /// assignment naming `id`).
-    pub fn adversary_kind_of(&self, id: NodeId) -> Option<&AdversaryKind> {
+    pub fn deviation_of(&self, id: NodeId) -> Option<&Deviation> {
         self.adversary_assignments
             .iter()
             .find(|&&(a, _)| a == id)
@@ -329,8 +258,8 @@ impl ScenarioConfig {
             byzcast: self.byzcast.clone(),
             keys,
             verifier,
-            kinds: (0..self.n as u32)
-                .map(|i| self.adversary_kind_of(NodeId(i)).cloned())
+            deviations: (0..self.n as u32)
+                .map(|i| self.deviation_of(NodeId(i)).cloned())
                 .collect(),
             sabotage: self.sabotage,
         };
@@ -493,7 +422,7 @@ struct WireNodeFactory {
     byzcast: ByzcastConfig,
     keys: KeyRegistry<SimScheme>,
     verifier: Arc<dyn Verifier + Send + Sync>,
-    kinds: Vec<Option<AdversaryKind>>,
+    deviations: Vec<Option<Deviation>>,
     sabotage: Option<(NodeId, SabotageKind)>,
 }
 
@@ -516,7 +445,7 @@ impl WireNodeFactory {
     }
 
     fn make(&self, id: NodeId) -> BoxedProtocol<WireMsg> {
-        let deviation = match self.kinds[id.index()].as_ref() {
+        let deviation = match &self.deviations[id.index()] {
             None => match self.sabotage {
                 Some((sab_id, kind)) if sab_id == id => Deviation::Sabotage(kind),
                 _ if self.flooding => return Box::new(self.make_flooder(id)),
@@ -524,31 +453,7 @@ impl WireNodeFactory {
             },
             // Against flooding every adversary degrades to silence.
             Some(_) if self.flooding => return Box::new(SilentNode::new(self.make_flooder(id))),
-            Some(AdversaryKind::Flapping(behavior)) => {
-                return Box::new(ByzantineNode::flapping(self.make_byz(id), *behavior))
-            }
-            Some(AdversaryKind::Silent) => Deviation::Silent,
-            Some(AdversaryKind::Mute(policy)) => Deviation::Mute(*policy),
-            Some(AdversaryKind::Forger) => Deviation::Forger,
-            Some(&AdversaryKind::Verbose { period, per_tick }) => {
-                Deviation::Verbose { period, per_tick }
-            }
-            Some(AdversaryKind::GossipLiar) => Deviation::GossipLiar,
-            Some(AdversaryKind::SelectiveForwarder(victims)) => Deviation::Censor(victims.clone()),
-            Some(&AdversaryKind::Impersonator { victim }) => Deviation::Impersonator { victim },
-            Some(&AdversaryKind::Flooder {
-                period,
-                per_tick,
-                payload_bytes,
-            }) => Deviation::Flooder {
-                period,
-                per_tick,
-                payload_bytes,
-            },
-            Some(&AdversaryKind::Replayer { delay }) => Deviation::Replayer { delay },
-            Some(&AdversaryKind::SigGrinder { period, per_tick }) => {
-                Deviation::SigGrinder { period, per_tick }
-            }
+            Some(deviation) => deviation.clone(),
         };
         Box::new(ByzantineNode::new(self.make_byz(id), deviation))
     }
@@ -589,7 +494,7 @@ pub fn figure5_worst_case(c: usize, seed: u64) -> ScenarioConfig {
         adversary_assignments: highest_ids(
             n,
             mutes,
-            AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
+            Deviation::Mute(MutePolicy::DropDataAndGossip),
         ),
         ..ScenarioConfig::default()
     }
@@ -693,7 +598,7 @@ mod tests {
     #[test]
     fn highest_ids_picks_the_top_of_the_id_range() {
         let s = ScenarioConfig {
-            adversary_assignments: highest_ids(25, 3, AdversaryKind::Silent),
+            adversary_assignments: highest_ids(25, 3, Deviation::Silent),
             ..small_scenario()
         };
         let adv = s.adversary_set();
@@ -702,14 +607,14 @@ mod tests {
             vec![NodeId(22), NodeId(23), NodeId(24)]
         );
         assert!(matches!(
-            s.adversary_kind_of(NodeId(23)),
-            Some(AdversaryKind::Silent)
+            s.deviation_of(NodeId(23)),
+            Some(Deviation::Silent)
         ));
-        assert!(s.adversary_kind_of(NodeId(21)).is_none());
+        assert!(s.deviation_of(NodeId(21)).is_none());
         let mask = s.correct_mask();
         assert!(mask[0] && !mask[24]);
-        assert!(highest_ids(4, 0, AdversaryKind::Silent).is_empty());
-        assert_eq!(highest_ids(4, 9, AdversaryKind::Silent).len(), 4);
+        assert!(highest_ids(4, 0, Deviation::Silent).is_empty());
+        assert_eq!(highest_ids(4, 9, Deviation::Silent).len(), 4);
     }
 
     #[test]
@@ -725,7 +630,7 @@ mod tests {
     fn mute_adversaries_reduce_nothing_fatal() {
         let s = ScenarioConfig {
             n: 30,
-            adversary_assignments: highest_ids(30, 3, AdversaryKind::Mute(MutePolicy::DropData)),
+            adversary_assignments: highest_ids(30, 3, Deviation::Mute(MutePolicy::DropData)),
             ..small_scenario()
         }
         .run(&small_workload());

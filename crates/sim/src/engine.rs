@@ -813,7 +813,6 @@ impl<M: Message + 'static> Simulator<M> {
             end,
             msg: Arc::new(msg),
         });
-        self.mac[node.index()].set_transmitting(true);
         self.metrics.record_send(kind, bytes);
         self.queue.push(end, EventKind::TxEnd { tx_id: id });
         end
@@ -830,9 +829,6 @@ impl<M: Message + 'static> Simulator<M> {
         };
         // One Arc bump per transmission; every receiver borrows through it.
         let msg = Arc::clone(&self.active_tx[tx_idx].msg);
-        // The sender's radio is free again (unless it has another overlapping
-        // transmission, which the MAC never produces).
-        self.mac[src.index()].set_transmitting(false);
 
         // Receivers: the nodes audible from where the frame started, in
         // ascending id order, so per-node RNG streams are consumed in the

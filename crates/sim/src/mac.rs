@@ -65,10 +65,6 @@ pub struct MacState<M> {
     /// Whether a `MacAttempt` event is already pending for this node, so we
     /// never schedule two concurrent attempt chains.
     attempt_pending: bool,
-    /// Whether this node is currently transmitting.
-    transmitting: bool,
-    /// Frames dropped because the queue was full.
-    overflow_drops: u64,
 }
 
 impl<M> Default for MacState<M> {
@@ -76,18 +72,15 @@ impl<M> Default for MacState<M> {
         MacState {
             queue: std::collections::VecDeque::new(),
             attempt_pending: false,
-            transmitting: false,
-            overflow_drops: 0,
         }
     }
 }
 
 impl<M> MacState<M> {
-    /// Enqueues an outgoing frame. Returns `false` (and counts a drop) if the
-    /// queue is full.
+    /// Enqueues an outgoing frame. Returns `false` if the queue is full (the
+    /// engine counts the drop in `Metrics::queue_drops`).
     pub fn enqueue(&mut self, msg: M, capacity: usize) -> bool {
         if self.queue.len() >= capacity {
-            self.overflow_drops += 1;
             false
         } else {
             self.queue.push_back(msg);
@@ -119,21 +112,6 @@ impl<M> MacState<M> {
     pub fn set_attempt_pending(&mut self, v: bool) {
         self.attempt_pending = v;
     }
-
-    /// Whether this node is mid-transmission (half-duplex: cannot receive).
-    pub fn transmitting(&self) -> bool {
-        self.transmitting
-    }
-
-    /// Marks the radio busy/idle.
-    pub fn set_transmitting(&mut self, v: bool) {
-        self.transmitting = v;
-    }
-
-    /// Frames dropped to interface-queue overflow so far.
-    pub fn overflow_drops(&self) -> u64 {
-        self.overflow_drops
-    }
 }
 
 #[cfg(test)]
@@ -146,7 +124,6 @@ mod tests {
         assert!(m.enqueue(1, 2));
         assert!(m.enqueue(2, 2));
         assert!(!m.enqueue(3, 2));
-        assert_eq!(m.overflow_drops(), 1);
         assert_eq!(m.queue_len(), 2);
         assert_eq!(m.dequeue(), Some(1));
         assert_eq!(m.dequeue(), Some(2));
@@ -189,8 +166,5 @@ mod tests {
         assert!(!m.attempt_pending());
         m.set_attempt_pending(true);
         assert!(m.attempt_pending());
-        assert!(!m.transmitting());
-        m.set_transmitting(true);
-        assert!(m.transmitting());
     }
 }

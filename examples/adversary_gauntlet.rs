@@ -8,47 +8,44 @@
 //! cargo run --example adversary_gauntlet
 //! ```
 
-use byzcast::adversary::MutePolicy;
-use byzcast::harness::{highest_ids, AdversaryKind, ScenarioConfig, Table, Workload};
+use byzcast::adversary::{Deviation, MutePolicy};
+use byzcast::harness::{highest_ids, ScenarioConfig, Table, Workload};
 use byzcast::sim::{Field, NodeId, SimConfig, SimDuration};
 
 fn main() {
-    let gauntlet: Vec<(&str, AdversaryKind)> = vec![
-        (
-            "mute (drop data)",
-            AdversaryKind::Mute(MutePolicy::DropData),
-        ),
+    let gauntlet: Vec<(&str, Deviation)> = vec![
+        ("mute (drop data)", Deviation::Mute(MutePolicy::DropData)),
         (
             "mute (drop data+gossip)",
-            AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
+            Deviation::Mute(MutePolicy::DropDataAndGossip),
         ),
-        ("silent (crash-like)", AdversaryKind::Silent),
-        ("forger (tampers payloads)", AdversaryKind::Forger),
+        ("silent (crash-like)", Deviation::Silent),
+        ("forger (tampers payloads)", Deviation::Forger),
         (
             "verbose (request spam)",
-            AdversaryKind::Verbose {
+            Deviation::Verbose {
                 period: SimDuration::from_millis(200),
                 per_tick: 5,
             },
         ),
-        ("gossip liar", AdversaryKind::GossipLiar),
+        ("gossip liar", Deviation::GossipLiar),
         (
             "selective forwarder (censors node 0)",
-            AdversaryKind::SelectiveForwarder(vec![NodeId(0)]),
+            Deviation::Censor(vec![NodeId(0)]),
         ),
         (
             "impersonator (frames node 0)",
-            AdversaryKind::Impersonator { victim: NodeId(0) },
+            Deviation::Impersonator { victim: NodeId(0) },
         ),
         (
             "replayer (6 s delay)",
-            AdversaryKind::Replayer {
+            Deviation::Replayer {
                 delay: SimDuration::from_secs(6),
             },
         ),
         (
             "sig grinder (4 per 200 ms)",
-            AdversaryKind::SigGrinder {
+            Deviation::SigGrinder {
                 period: SimDuration::from_millis(200),
                 per_tick: 4,
             },

@@ -8,9 +8,9 @@
 //! cargo run --example campus_mesh
 //! ```
 
-use byzcast::adversary::MutePolicy;
+use byzcast::adversary::{Deviation, MutePolicy};
 use byzcast::fd::TrustLevel;
-use byzcast::harness::{byz_view, highest_ids, AdversaryKind, ScenarioConfig, Workload};
+use byzcast::harness::{byz_view, highest_ids, ScenarioConfig, Workload};
 use byzcast::sim::{Field, NodeId, SimConfig, SimDuration, SimTime};
 
 fn main() {
@@ -23,7 +23,7 @@ fn main() {
             field: Field::new(700.0, 700.0),
             ..SimConfig::default()
         },
-        adversary_assignments: highest_ids(n, mutes, AdversaryKind::Mute(MutePolicy::DropData)),
+        adversary_assignments: highest_ids(n, mutes, Deviation::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let saboteurs = config.adversary_set();

@@ -6,10 +6,9 @@
 //! correct node delivers everything exactly once — and the failure
 //! detectors must end up suspecting the adversary, not a correct node.
 
+use byzcast_adversary::Deviation;
 use byzcast_core::RecoveryConfig;
-use byzcast_harness::{
-    check_run, standard_oracles, AdversaryKind, MobilityChoice, ScenarioConfig, Workload,
-};
+use byzcast_harness::{check_run, standard_oracles, MobilityChoice, ScenarioConfig, Workload};
 use byzcast_sim::{FaultKind, Field, NodeId, Position, RadioConfig, SimConfig, SimDuration};
 
 fn dense_scenario(seed: u64) -> ScenarioConfig {
@@ -40,7 +39,7 @@ fn gossip_liar_is_suspected_and_harmless() {
     let mut scenario = dense_scenario(2);
     scenario
         .adversary_assignments
-        .push((NodeId(24), AdversaryKind::GossipLiar));
+        .push((NodeId(24), Deviation::GossipLiar));
     let summary = scenario.run(&workload());
     assert_eq!(
         summary.min_delivery_ratio, 1.0,
@@ -59,10 +58,9 @@ fn gossip_liar_is_suspected_and_harmless() {
 #[test]
 fn impersonator_is_suspected_and_its_victim_is_not() {
     let mut scenario = dense_scenario(3);
-    scenario.adversary_assignments.push((
-        NodeId(24),
-        AdversaryKind::Impersonator { victim: NodeId(1) },
-    ));
+    scenario
+        .adversary_assignments
+        .push((NodeId(24), Deviation::Impersonator { victim: NodeId(1) }));
     let summary = scenario.run(&workload());
     assert_eq!(
         summary.min_delivery_ratio, 1.0,
@@ -89,10 +87,9 @@ fn impersonator_is_suspected_and_its_victim_is_not() {
 #[test]
 fn selective_forwarder_cannot_starve_its_victim() {
     let mut scenario = dense_scenario(5);
-    scenario.adversary_assignments.push((
-        NodeId(24),
-        AdversaryKind::SelectiveForwarder(vec![NodeId(0)]),
-    ));
+    scenario
+        .adversary_assignments
+        .push((NodeId(24), Deviation::Censor(vec![NodeId(0)])));
     let summary = scenario.run(&workload());
     assert_eq!(
         summary.min_delivery_ratio, 1.0,
@@ -109,7 +106,7 @@ fn verbose_spammer_is_suspected_and_harmless() {
     let mut scenario = dense_scenario(6);
     scenario.adversary_assignments.push((
         NodeId(24),
-        AdversaryKind::Verbose {
+        Deviation::Verbose {
             period: SimDuration::from_millis(500),
             per_tick: 3,
         },
@@ -142,7 +139,7 @@ fn replayed_frames_after_body_purge_are_still_duplicates() {
     scenario.byzcast.purge_after = SimDuration::from_secs(2);
     scenario.adversary_assignments.push((
         NodeId(24),
-        AdversaryKind::Replayer {
+        Deviation::Replayer {
             delay: SimDuration::from_secs(10),
         },
     ));
@@ -266,11 +263,10 @@ fn mixed_adversary_assignments_compose() {
     let mut scenario = dense_scenario(4);
     scenario
         .adversary_assignments
-        .push((NodeId(24), AdversaryKind::GossipLiar));
-    scenario.adversary_assignments.push((
-        NodeId(23),
-        AdversaryKind::Impersonator { victim: NodeId(2) },
-    ));
+        .push((NodeId(24), Deviation::GossipLiar));
+    scenario
+        .adversary_assignments
+        .push((NodeId(23), Deviation::Impersonator { victim: NodeId(2) }));
     let summary = scenario.run(&workload());
     assert_eq!(summary.correct, 23);
     assert_eq!(

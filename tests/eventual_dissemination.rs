@@ -11,10 +11,8 @@
 
 use std::collections::BTreeSet;
 
-use byzcast::adversary::MutePolicy;
-use byzcast::harness::{
-    highest_ids, AdversaryKind, MobilityChoice, ProtocolChoice, ScenarioConfig, Workload,
-};
+use byzcast::adversary::{Deviation, MutePolicy};
+use byzcast::harness::{highest_ids, MobilityChoice, ProtocolChoice, ScenarioConfig, Workload};
 use byzcast::overlay::OverlayKind;
 use byzcast::sim::{Field, NodeId, Position, RadioConfig, SimConfig, SimDuration};
 
@@ -135,7 +133,7 @@ fn mute_overlay_claimants_random_topology() {
             field: Field::new(700.0, 700.0),
             ..SimConfig::default()
         },
-        adversary_assignments: highest_ids(60, 6, AdversaryKind::Mute(MutePolicy::DropData)),
+        adversary_assignments: highest_ids(60, 6, Deviation::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let w = Workload {

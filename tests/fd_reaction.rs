@@ -8,10 +8,8 @@
 //!   suspected by their neighbours within a bounded interval, and the
 //!   overlay self-heals into a connected correct cover.
 
-use byzcast::adversary::MutePolicy;
-use byzcast::harness::{
-    byz_view, highest_ids, AdversaryKind, MobilityChoice, ScenarioConfig, Workload,
-};
+use byzcast::adversary::{Deviation, MutePolicy};
+use byzcast::harness::{byz_view, highest_ids, MobilityChoice, ScenarioConfig, Workload};
 use byzcast::sim::{Field, NodeId, RadioConfig, SimConfig, SimDuration, SimTime};
 
 fn run(
@@ -99,10 +97,7 @@ fn star_cut() -> (ScenarioConfig, usize) {
             ..SimConfig::default()
         },
         mobility: MobilityChoice::Explicit(positions),
-        adversary_assignments: vec![(
-            NodeId(9),
-            AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
-        )],
+        adversary_assignments: vec![(NodeId(9), Deviation::Mute(MutePolicy::DropDataAndGossip))],
         ..ScenarioConfig::default()
     };
     (config, n)
@@ -148,7 +143,7 @@ fn overlay_self_heals_after_suspicion() {
             field: Field::new(600.0, 600.0),
             ..SimConfig::default()
         },
-        adversary_assignments: highest_ids(50, 5, AdversaryKind::Mute(MutePolicy::DropData)),
+        adversary_assignments: highest_ids(50, 5, Deviation::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let w = Workload {

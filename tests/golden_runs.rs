@@ -11,13 +11,13 @@
 //! A deliberate behaviour change re-pins a digest: the failure message
 //! prints the new digest and the record it hashes.
 
-use byzcast_adversary::{FlapBehavior, MutePolicy, SabotageKind};
+use byzcast_adversary::{Deviation, FlapBehavior, MutePolicy, SabotageKind};
 use byzcast_core::RecoveryConfig;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{
-    aggregate, highest_ids, paper_envelope, replicate, AdversaryKind, MobilityChoice, RunSummary,
-    ScenarioConfig, Workload,
+    aggregate, highest_ids, paper_envelope, replicate, MobilityChoice, RunSummary, ScenarioConfig,
+    Workload,
 };
 use byzcast_sim::fault::FaultPlan;
 use byzcast_sim::{Field, NodeId, SimConfig, SimDuration};
@@ -98,7 +98,7 @@ fn waypoint_mute_drop_data_record_is_pinned() {
             max_mps: 10.0,
             pause: SimDuration::from_secs(2),
         },
-        adversary_assignments: highest_ids(40, 6, AdversaryKind::Mute(MutePolicy::DropData)),
+        adversary_assignments: highest_ids(40, 6, Deviation::Mute(MutePolicy::DropData)),
         ..ScenarioConfig::default()
     };
     let summary = config.run(&workload());
@@ -188,13 +188,10 @@ fn mixed_byzantine_beacon_and_fd_record_is_pinned() {
             ..byzcast_core::ByzcastConfig::default()
         },
         adversary_assignments: vec![
-            (
-                NodeId(39),
-                AdversaryKind::Impersonator { victim: NodeId(2) },
-            ),
-            (NodeId(38), AdversaryKind::Forger),
-            (NodeId(37), AdversaryKind::Forger),
-            (NodeId(36), AdversaryKind::GossipLiar),
+            (NodeId(39), Deviation::Impersonator { victim: NodeId(2) }),
+            (NodeId(38), Deviation::Forger),
+            (NodeId(37), Deviation::Forger),
+            (NodeId(36), Deviation::GossipLiar),
         ],
         ..ScenarioConfig::default()
     };
@@ -238,28 +235,22 @@ fn wrapped_deviations_record_is_pinned() {
             ..SimConfig::default()
         },
         adversary_assignments: vec![
-            (
-                NodeId(49),
-                AdversaryKind::Mute(MutePolicy::DropDataAndGossip),
-            ),
-            (NodeId(48), AdversaryKind::Mute(MutePolicy::DropEverything)),
-            (NodeId(47), AdversaryKind::Silent),
+            (NodeId(49), Deviation::Mute(MutePolicy::DropDataAndGossip)),
+            (NodeId(48), Deviation::Mute(MutePolicy::DropEverything)),
+            (NodeId(47), Deviation::Silent),
             (
                 NodeId(46),
-                AdversaryKind::Verbose {
+                Deviation::Verbose {
                     period: SimDuration::from_millis(250),
                     per_tick: 4,
                 },
             ),
-            (
-                NodeId(45),
-                AdversaryKind::SelectiveForwarder(vec![NodeId(0)]),
-            ),
+            (NodeId(45), Deviation::Censor(vec![NodeId(0)])),
             (
                 NodeId(44),
-                AdversaryKind::Flapping(FlapBehavior::Mute(MutePolicy::DropData)),
+                Deviation::Flapping(FlapBehavior::Mute(MutePolicy::DropData)),
             ),
-            (NodeId(43), AdversaryKind::Flapping(FlapBehavior::Forger)),
+            (NodeId(43), Deviation::Flapping(FlapBehavior::Forger)),
         ],
         fault_plan: FaultPlan::new()
             .set_byzantine(SimDuration::from_secs(5), NodeId(44), true)
@@ -305,14 +296,11 @@ fn injecting_adversaries_record_is_pinned() {
             ..byzcast_core::ByzcastConfig::default()
         },
         adversary_assignments: vec![
-            (
-                NodeId(49),
-                AdversaryKind::Impersonator { victim: NodeId(2) },
-            ),
-            (NodeId(48), AdversaryKind::GossipLiar),
+            (NodeId(49), Deviation::Impersonator { victim: NodeId(2) }),
+            (NodeId(48), Deviation::GossipLiar),
             (
                 NodeId(47),
-                AdversaryKind::Flooder {
+                Deviation::Flooder {
                     period: SimDuration::from_millis(500),
                     per_tick: 2,
                     payload_bytes: 128,
@@ -320,13 +308,13 @@ fn injecting_adversaries_record_is_pinned() {
             ),
             (
                 NodeId(46),
-                AdversaryKind::Replayer {
+                Deviation::Replayer {
                     delay: SimDuration::from_secs(6),
                 },
             ),
             (
                 NodeId(45),
-                AdversaryKind::SigGrinder {
+                Deviation::SigGrinder {
                     period: SimDuration::from_millis(200),
                     per_tick: 4,
                 },

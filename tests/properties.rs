@@ -7,10 +7,10 @@
 
 use proptest::prelude::*;
 
-use byzcast::adversary::MutePolicy;
+use byzcast::adversary::{Deviation, MutePolicy};
 use byzcast::core::message::DataMsg;
 use byzcast::crypto::{KeyRegistry, SchnorrScheme, Signer, SignerId, SimScheme, Verifier};
-use byzcast::harness::{AdversaryKind, MobilityChoice, ScenarioConfig, Workload};
+use byzcast::harness::{MobilityChoice, ScenarioConfig, Workload};
 use byzcast::overlay::analysis::{bfs_distances, connected_correct_cover, induced_connected};
 use byzcast::sim::{Field, NodeId, Position, RadioConfig, SimConfig, SimDuration, SimRng};
 
@@ -147,7 +147,7 @@ proptest! {
         let mut ids: Vec<NodeId> = (1..n as u32).map(NodeId).collect();
         rng.shuffle(&mut ids);
         ids.truncate(adversaries);
-        let mute = AdversaryKind::Mute(MutePolicy::DropData);
+        let mute = Deviation::Mute(MutePolicy::DropData);
         config.adversary_assignments = ids.into_iter().map(|id| (id, mute.clone())).collect();
 
         let w = small_workload(4);

@@ -10,7 +10,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use byzcast::harness::{highest_ids, AdversaryKind, ScenarioConfig, Workload};
+use byzcast::adversary::Deviation;
+use byzcast::harness::{highest_ids, ScenarioConfig, Workload};
 use byzcast::sim::{Field, Metrics, NodeId, SimConfig, SimDuration, SimTime};
 
 fn run_scenario(config: &ScenarioConfig, workload: &Workload) -> Metrics {
@@ -91,7 +92,7 @@ fn validity_failure_free() {
 #[test]
 fn validity_under_forgers() {
     let mut config = base(3);
-    config.adversary_assignments = highest_ids(config.n, 6, AdversaryKind::Forger);
+    config.adversary_assignments = highest_ids(config.n, 6, Deviation::Forger);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
 }
@@ -99,7 +100,7 @@ fn validity_under_forgers() {
 #[test]
 fn validity_under_impersonators() {
     let mut config = base(4);
-    let impersonator = AdversaryKind::Impersonator { victim: NodeId(0) };
+    let impersonator = Deviation::Impersonator { victim: NodeId(0) };
     config.adversary_assignments = highest_ids(config.n, 4, impersonator);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
@@ -116,7 +117,7 @@ fn validity_under_impersonators() {
 #[test]
 fn validity_under_gossip_liars() {
     let mut config = base(5);
-    config.adversary_assignments = highest_ids(config.n, 5, AdversaryKind::GossipLiar);
+    config.adversary_assignments = highest_ids(config.n, 5, Deviation::GossipLiar);
     let metrics = run_scenario(&config, &workload());
     assert_validity(&metrics, &config.correct_mask());
 }
@@ -124,7 +125,7 @@ fn validity_under_gossip_liars() {
 #[test]
 fn validity_under_combined_noise_and_verbose_spam() {
     let mut config = base(6);
-    let verbose = AdversaryKind::Verbose {
+    let verbose = Deviation::Verbose {
         period: SimDuration::from_millis(150),
         per_tick: 8,
     };
