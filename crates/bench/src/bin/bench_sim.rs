@@ -16,7 +16,7 @@
 //!
 //! Usage: `bench_sim [--quick] [--label TEXT] [--parent PATH] [--out PATH]`
 //! (default `BENCH_scale.json`). `--quick` runs n ∈ {320, 640} and 2
-//! islands, for CI. `--parent PATH` embeds the JSON that this binary wrote
+//! islands, for CI, and its verdict reads `unresolved`. `--parent PATH` embeds the JSON that this binary wrote
 //! for another build (the parent commit, built from a separate checkout
 //! with this file), so one file records both.
 
@@ -247,7 +247,11 @@ fn scale_curve(quick: bool, label: &str, parent: Option<&str>, out: &str) {
     let (base, full) = (at_n(ISLAND_N), at_n(islands * ISLAND_N));
     let position = (control.us_per_copy() - base) / (full - base);
     points.push(control);
-    let verdict = if position >= 0.5 {
+    // One run per point at n ≤ 640 puts the position within host noise,
+    // so a quick run draws no verdict.
+    let verdict = if quick {
+        "unresolved"
+    } else if position >= 0.5 {
         "locality"
     } else {
         "algorithm"

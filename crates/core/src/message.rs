@@ -23,7 +23,7 @@
 use std::sync::Arc;
 
 use byzcast_crypto::{Signature, Signer, SignerId, Verifier};
-use byzcast_fd::{MsgHeader, MsgKind};
+use byzcast_fd::MsgKind;
 use byzcast_overlay::OverlayRole;
 use byzcast_sim::{Message, NodeId};
 
@@ -103,11 +103,6 @@ impl DataMsg {
         )
     }
 
-    /// The FD-visible header.
-    pub fn header(&self) -> MsgHeader {
-        MsgHeader::new(MsgKind::Data, self.id.origin, self.id.seq)
-    }
-
     /// The gossip entry announcing this message.
     pub fn gossip_entry(&self) -> GossipEntry {
         GossipEntry {
@@ -168,17 +163,6 @@ impl GossipEntry {
             &self.id_sig,
         )
     }
-
-    /// The FD-visible header of the gossip itself.
-    pub fn header(&self) -> MsgHeader {
-        MsgHeader::new(MsgKind::Gossip, self.id.origin, self.id.seq)
-    }
-
-    /// The FD-visible header of the *data message* this entry announces —
-    /// what the MUTE detector is told to expect after hearing the gossip.
-    pub fn data_header(&self) -> MsgHeader {
-        MsgHeader::new(MsgKind::Data, self.id.origin, self.id.seq)
-    }
 }
 
 /// An aggregated gossip packet (`GOSSIP`). "As gossips are sent
@@ -226,11 +210,6 @@ pub struct RequestMsg {
 impl RequestMsg {
     /// Serialized size in bytes.
     pub const WIRE_SIZE: usize = 1 + GossipEntry::WIRE_SIZE + 4;
-
-    /// The FD-visible header.
-    pub fn header(&self) -> MsgHeader {
-        MsgHeader::new(MsgKind::RequestMsg, self.entry.id.origin, self.entry.id.seq)
-    }
 }
 
 /// An overlay-level search for a missing message (`FIND_MISSING_MSG`),
@@ -249,15 +228,6 @@ pub struct FindMissingMsg {
 impl FindMissingMsg {
     /// Serialized size in bytes.
     pub const WIRE_SIZE: usize = 1 + GossipEntry::WIRE_SIZE + 4 + 1;
-
-    /// The FD-visible header.
-    pub fn header(&self) -> MsgHeader {
-        MsgHeader::new(
-            MsgKind::FindMissingMsg,
-            self.entry.id.origin,
-            self.entry.id.seq,
-        )
-    }
 }
 
 /// An overlay-maintenance beacon, signed by its sender ("we assume that
@@ -425,11 +395,6 @@ impl BeaconMsg {
         verifier.verify(SignerId(self.sender.0), &self.signed, &self.sig)
     }
 
-    /// The FD-visible header.
-    pub fn header(&self) -> MsgHeader {
-        MsgHeader::new(MsgKind::Beacon, self.sender, 0)
-    }
-
     /// Serialized size in bytes.
     pub fn wire_size(&self) -> usize {
         1 + 4
@@ -460,22 +425,6 @@ impl WireMsg {
     /// A DATA frame carrying a newly allocated body.
     pub fn data(m: DataMsg) -> Self {
         WireMsg::Data(Arc::new(m))
-    }
-
-    /// The FD-visible header of the message (for gossip packets: of the
-    /// first entry, as the observe path walks entries individually).
-    pub fn header(&self) -> Option<MsgHeader> {
-        match self {
-            WireMsg::Data(m) => Some(m.header()),
-            WireMsg::Gossip(g) => g
-                .entries
-                .first()
-                .map(|e| e.header())
-                .or_else(|| g.beacon.as_ref().map(|b| b.header())),
-            WireMsg::Request(r) => Some(r.header()),
-            WireMsg::FindMissing(f) => Some(f.header()),
-            WireMsg::Beacon(b) => Some(b.header()),
-        }
     }
 }
 
@@ -630,48 +579,23 @@ mod tests {
     }
 
     #[test]
-    fn headers_expose_the_anticipatable_fields() {
+    fn wire_kinds_use_the_fd_labels() {
         let reg = keys();
         let m = DataMsg::sign(&reg.signer(SignerId(3)), 9, 5, 10);
-        let h = m.header();
-        assert_eq!(h.kind, MsgKind::Data);
-        assert_eq!(h.origin, NodeId(3));
-        assert_eq!(h.seq, 9);
-        let e = m.gossip_entry();
-        assert_eq!(e.header().kind, MsgKind::Gossip);
-        assert_eq!(e.data_header().kind, MsgKind::Data);
-        let r = RequestMsg {
-            entry: e,
-            target: NodeId(1),
-        };
-        assert_eq!(r.header().kind, MsgKind::RequestMsg);
-        let f = FindMissingMsg {
-            entry: e,
-            target: NodeId(1),
+        let entry = m.gossip_entry();
+        let gossip = GossipMsg::of_entries(vec![entry]);
+        let target = NodeId(1);
+        assert_eq!(WireMsg::Gossip(gossip).kind(), "gossip");
+        assert_eq!(
+            WireMsg::Request(RequestMsg { entry, target }).kind(),
+            "request"
+        );
+        let find = FindMissingMsg {
+            entry,
+            target,
             ttl: 2,
         };
-        assert_eq!(f.header().kind, MsgKind::FindMissingMsg);
+        assert_eq!(WireMsg::FindMissing(find).kind(), "find_missing");
         assert_eq!(WireMsg::data(m).kind(), "data");
-        assert_eq!(WireMsg::Request(r).kind(), "request");
-    }
-
-    #[test]
-    fn empty_gossip_has_no_header() {
-        let g = WireMsg::Gossip(GossipMsg::of_entries(vec![]));
-        assert!(g.header().is_none());
-        // A beacon-only gossip takes its header from the beacon.
-        let reg = keys();
-        let b = BeaconMsg::sign(
-            &reg.signer(SignerId(2)),
-            OverlayRole::Passive,
-            vec![],
-            vec![],
-            vec![],
-        );
-        let g = WireMsg::Gossip(GossipMsg {
-            entries: vec![],
-            beacon: Some(b),
-        });
-        assert_eq!(g.header().unwrap().kind, MsgKind::Beacon);
     }
 }

@@ -23,9 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use byzcast_crypto::{CacheStats, Signer, Verifier};
-use byzcast_fd::{
-    ExpectMode, FailureDetectors, HeaderPattern, MsgKind, SuspicionLog, SuspicionReason, TrustLevel,
-};
+use byzcast_fd::{FailureDetectors, MsgKind, SuspicionLog, SuspicionReason, TrustLevel};
 use byzcast_overlay::{NeighborTable, OverlayProtocol, OverlayRole, TrustView};
 use byzcast_sim::{
     counter_set, AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey,
@@ -429,7 +427,7 @@ impl ByzcastNode {
         // Feed the MUTE detector on *every* reception, duplicates included:
         // the overlay copy satisfying an earlier expectation typically
         // arrives after the copy that triggered it.
-        self.fds.mute.observe(&m.header(), from);
+        self.fds.mute.observe((m.id.origin, m.id.seq), from);
         // Another node rebroadcast this message: cancel our own scheduled
         // recovery response for it (implosion suppression).
         self.pending_responses.remove(&m.id);
@@ -459,7 +457,7 @@ impl ByzcastNode {
         // Obtaining the message discharges every pending expectation for it
         // (e.g. the request-path expectation on the targeted gossiper, whom
         // another holder may have answered for).
-        self.fds.mute.satisfy(&m.header());
+        self.fds.mute.satisfy((m.id.origin, m.id.seq));
         if let Some(ms) = self.missing.remove(&m.id) {
             if ms.requests_sent > 0 {
                 self.counters.recovered_via_request += 1;
@@ -477,12 +475,7 @@ impl ByzcastNode {
         let from_is_originator = from == m.id.origin;
         if !from_is_originator && !self.neighbor_is_overlay(from) {
             let ol = self.overlay_neighbors(now);
-            self.fds.mute.expect(
-                now,
-                HeaderPattern::data_msg(m.id.origin, m.id.seq),
-                &ol,
-                ExpectMode::One,
-            );
+            self.fds.mute.expect(now, (m.id.origin, m.id.seq), &ol);
         }
 
         // Lines 12–18: overlay nodes forward; non-overlay nodes forward only
@@ -565,12 +558,7 @@ impl ByzcastNode {
         // request may be suppressed by a neighbour's duplicate, and then the
         // gossiper owes nothing).
         if from == e.id.origin {
-            self.fds.mute.expect(
-                now,
-                HeaderPattern::data_msg(e.id.origin, e.id.seq),
-                &[from],
-                ExpectMode::One,
-            );
+            self.fds.mute.expect(now, (e.id.origin, e.id.seq), &[from]);
         }
         // Lines 29–32: a non-originator gossiper is requested after
         // `request_timeout`. When the gossiper *is* the originator the paper
@@ -690,12 +678,9 @@ impl ByzcastNode {
                 self.recovery_stats.requests_originated += 1;
                 // Line 28: the targeted gossiper advertised the message, so
                 // it must supply it now; anyone's rebroadcast satisfies this.
-                self.fds.mute.expect(
-                    now,
-                    HeaderPattern::data_msg(entry.id.origin, entry.id.seq),
-                    &[target],
-                    ExpectMode::One,
-                );
+                self.fds
+                    .mute
+                    .expect(now, (entry.id.origin, entry.id.seq), &[target]);
             }
         }
         for ms in self.missing.values() {
@@ -776,9 +761,6 @@ impl ByzcastNode {
             self.suspect(now, from, SuspicionReason::BadSignature);
             return;
         }
-        self.fds
-            .verbose
-            .observe_arrival(now, from, MsgKind::RequestMsg);
         // Someone else is already requesting this message: *defer* our own
         // pending request past a retry window — the broadcast answer will
         // reach us too, and if it does not (lost to a hidden-terminal
@@ -833,9 +815,6 @@ impl ByzcastNode {
             self.suspect(now, from, SuspicionReason::BadSignature);
             return;
         }
-        self.fds
-            .verbose
-            .observe_arrival(now, from, MsgKind::FindMissingMsg);
         // An escalated search (TTL above the paper's fixed 2) only exists
         // when the recovery envelope is on; its searcher is known to be
         // stranded, so holders of *any* role answer and nobody indicts it.

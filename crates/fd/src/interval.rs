@@ -17,7 +17,7 @@
 //! history of a run so tests and experiment R6 can check both properties
 //! against ground truth.
 
-use std::collections::HashMap;
+use std::collections::{hash_map::Entry, HashMap};
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
@@ -92,17 +92,15 @@ impl SuspicionLog {
     /// Records that `observer` began suspecting `suspect` at `now` (no-op if
     /// the pair's episode is already open).
     pub fn begin(&mut self, now: SimTime, observer: NodeId, suspect: NodeId) {
-        let key = (observer, suspect);
-        if self.open.contains_key(&key) {
-            return;
+        if let Entry::Vacant(slot) = self.open.entry((observer, suspect)) {
+            slot.insert(self.episodes.len());
+            self.episodes.push(SuspicionEpisode {
+                observer,
+                suspect,
+                start: now,
+                end: SimTime::MAX,
+            });
         }
-        self.open.insert(key, self.episodes.len());
-        self.episodes.push(SuspicionEpisode {
-            observer,
-            suspect,
-            start: now,
-            end: SimTime::MAX,
-        });
     }
 
     /// Records that `observer` stopped suspecting `suspect` at `now`.
@@ -164,10 +162,7 @@ impl SuspicionLog {
         let mut misses = Vec::new();
         for &obs in observers {
             for &m in mute_nodes {
-                if obs == m {
-                    continue;
-                }
-                if !self.suspected_within(obs, m, mute_start, to) {
+                if obs != m && !self.suspected_within(obs, m, mute_start, to) {
                     misses.push((obs, m));
                 }
             }

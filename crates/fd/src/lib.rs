@@ -3,14 +3,14 @@
 //! The broadcast protocol of the paper "overcomes Byzantine failures by
 //! combining digital signatures, gossiping of message signatures, and failure
 //! detectors". This crate implements the three failure detectors of the
-//! paper's node architecture (Figure 1) with the interface of its Figure 2:
+//! paper's node architecture (Figure 1) with the interface of its Figure 2,
+//! narrowed to what the protocol calls:
 //!
-//! * [`MuteDetector`] (`expect(header, nodes, one|all)`) — detects *mute*
+//! * [`MuteDetector`] (`expect(now, (origin, seq), nodes)`) — detects *mute*
 //!   failures: "failure to send a message with an expected header w.r.t. the
-//!   protocol". Implemented, as the paper suggests, by "setting a timeout for
-//!   each message reported to the failure detector with the expect method";
-//!   nodes that miss the deadline are "suspected for a certain period of
-//!   time" (the suspicion interval).
+//!   protocol". Nodes that miss an expectation's deadline are "suspected for
+//!   a certain period of time"; [`mute`] says how the paper's
+//!   `expect(header, nodes, one|all)` narrows to one data message id.
 //! * [`VerboseDetector`] (`indict(node)`) — detects *verbose* failures:
 //!   "sending messages too often w.r.t. the protocol". It keeps a counter per
 //!   indicted node, suspects past a threshold, supports minimum-spacing rules
@@ -20,6 +20,9 @@
 //!   bad-signature reports and second-hand suspicions from trusted
 //!   neighbours into a per-node [`TrustLevel`] (`Trusted`, `Unknown`,
 //!   `Untrusted`) that feeds the overlay maintenance protocol.
+//!
+//! The three share one suspicion table (node → suspected until); MUTE and
+//! VERBOSE also share the aged offence counter that feeds it.
 //!
 //! An important property stressed by the paper: these detectors observe only
 //! *locally detectable, benign* misbehaviour, so they work in an eventually
@@ -37,22 +40,22 @@
 pub mod header;
 pub mod interval;
 pub mod mute;
+mod suspicion;
 pub mod trust;
 pub mod verbose;
 
-pub use header::{HeaderPattern, MsgHeader, MsgKind};
+pub use header::MsgKind;
 pub use interval::{IntervalSpec, SuspicionLog};
-pub use mute::{ExpectMode, MuteConfig, MuteDetector};
+pub use mute::{DataId, MuteConfig, MuteDetector};
 pub use trust::{SuspicionReason, TrustConfig, TrustDetector, TrustLevel};
 pub use verbose::{VerboseConfig, VerboseDetector};
 
 use byzcast_sim::{NodeId, SimTime};
 
-/// The three detectors of the paper's node architecture, bundled with the
-/// exact interface of its Figure 2.
+/// The three detectors of the paper's node architecture, bundled.
 ///
-/// Protocol code owns one `FailureDetectors` per node, feeds every observed
-/// header into it, and reads back trust levels for the overlay.
+/// Protocol code owns one `FailureDetectors` per node, feeds it what it
+/// observes, and reads back trust levels for the overlay.
 #[derive(Debug)]
 pub struct FailureDetectors {
     /// The MUTE detector (class ◇P_mute / I_mute).
@@ -121,25 +124,12 @@ mod tests {
         // Miss `threshold` expectations in a row: each message from origin 9
         // that node 5 fails to forward counts against it.
         for seq in 0..u64::from(threshold) {
-            fd.mute.expect(
-                t,
-                byzcast_fd_test_pattern(seq),
-                &[NodeId(5)],
-                ExpectMode::All,
-            );
+            fd.mute.expect(t, (NodeId(9), seq), &[NodeId(5)]);
             t = t + timeout + SimDuration::from_millis(1);
             fd.tick(t);
         }
         assert_eq!(fd.level(NodeId(5), t), TrustLevel::Untrusted);
         assert_eq!(fd.level(NodeId(6), t), TrustLevel::Trusted);
-    }
-
-    fn byzcast_fd_test_pattern(seq: u64) -> HeaderPattern {
-        HeaderPattern {
-            kind: Some(MsgKind::Data),
-            origin: Some(NodeId(9)),
-            seq: Some(seq),
-        }
     }
 
     #[test]

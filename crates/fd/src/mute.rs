@@ -1,38 +1,35 @@
 //! The MUTE failure detector (classes ◇P_mute and I_mute).
 //!
 //! "The goal of the MUTE failure detector is to detect when a process fails
-//! to send a message with a header it is supposed to." Its single interface
-//! method is `expect(message header, set of nodes, one or all)`; the
-//! suggested implementation — which this module follows — "consists of
-//! setting a timeout for each message reported to the failure detector with
-//! the expect method. When the timer times out, the corresponding nodes that
+//! to send a message with a header it is supposed to." Its interface method
+//! is `expect(message header, set of nodes, one or all)`; the suggested
+//! implementation — which this module follows — "consists of setting a
+//! timeout for each message reported to the failure detector with the
+//! expect method. When the timer times out, the corresponding nodes that
 //! failed to send anticipated messages are suspected for a certain period of
 //! time."
 //!
-//! The protocol feeds every received header into [`MuteDetector::observe`];
-//! [`MuteDetector::tick`] fires deadlines and expires old suspicions (the
-//! aging mechanism that lets the detector "recover from mistakes").
-
-use std::collections::HashMap;
+//! The dissemination protocol only ever expects one thing: that one of a
+//! set of nodes sends the data message `(origin, seq)`. So an expectation
+//! here names a [`DataId`] and is met by any one listed sender (the paper's
+//! `one` mode); the header wildcards and the `all` mode go unused.
+//!
+//! The protocol feeds every received data message into
+//! [`MuteDetector::observe`]; [`MuteDetector::tick`] fires deadlines and
+//! expires old suspicions (the aging mechanism that lets the detector
+//! "recover from mistakes").
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
-use crate::header::{HeaderPattern, MsgHeader};
+use crate::suspicion::Offences;
 
-/// Whether all listed nodes must send the expected message, or any one of
-/// them suffices.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum ExpectMode {
-    /// One sender from the set satisfies the expectation (`ANY`/`ONE`).
-    One,
-    /// Every node in the set must send the message (`ALL`).
-    All,
-}
+/// A data message as MUTE expects it: `(origin, seq)`.
+pub type DataId = (NodeId, u64);
 
 /// MUTE detector parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct MuteConfig {
-    /// How long after `expect` a matching message must arrive.
+    /// How long after `expect` the expected message must arrive.
     pub expect_timeout: SimDuration,
     /// Deadline misses at which a node becomes suspected. Values above one
     /// keep single collision-induced losses from suspecting honest
@@ -64,10 +61,9 @@ impl Default for MuteConfig {
 
 #[derive(Clone, Debug)]
 struct Expectation {
-    pattern: HeaderPattern,
-    mode: ExpectMode,
+    id: DataId,
     deadline: SimTime,
-    /// Nodes that have not yet satisfied the expectation.
+    /// The nodes any one of which may send the message.
     waiting_on: Vec<NodeId>,
     satisfied: bool,
 }
@@ -75,7 +71,7 @@ struct Expectation {
 /// The MUTE failure detector of one node.
 ///
 /// ```
-/// use byzcast_fd::{ExpectMode, HeaderPattern, MuteConfig, MuteDetector};
+/// use byzcast_fd::{MuteConfig, MuteDetector};
 /// use byzcast_sim::{NodeId, SimDuration, SimTime};
 ///
 /// let mut fd = MuteDetector::new(MuteConfig {
@@ -84,8 +80,9 @@ struct Expectation {
 ///     ..MuteConfig::default()
 /// });
 /// let t = SimTime::from_secs(1);
-/// fd.expect(t, HeaderPattern::data_msg(NodeId(9), 1), &[NodeId(5)], ExpectMode::All);
-/// // Node 5 never sends the expected message:
+/// // Node 5 should forward message 1 of origin 9…
+/// fd.expect(t, (NodeId(9), 1), &[NodeId(5)]);
+/// // …but never does:
 /// let late = t + SimDuration::from_millis(200);
 /// fd.tick(late);
 /// assert!(fd.is_suspected(NodeId(5), late));
@@ -94,13 +91,8 @@ struct Expectation {
 pub struct MuteDetector {
     config: MuteConfig,
     expectations: Vec<Expectation>,
-    /// Node → instant until which it is suspected.
-    suspicions: HashMap<NodeId, SimTime>,
-    /// Aged per-node miss counters compared against the threshold.
-    counters: HashMap<NodeId, u32>,
-    last_decay: SimTime,
-    /// Total deadline misses per node (diagnostic; not aged).
-    miss_counts: HashMap<NodeId, u64>,
+    /// Deadline misses per node.
+    misses: Offences,
 }
 
 impl MuteDetector {
@@ -109,10 +101,11 @@ impl MuteDetector {
         MuteDetector {
             config,
             expectations: Vec::new(),
-            suspicions: HashMap::new(),
-            counters: HashMap::new(),
-            last_decay: SimTime::ZERO,
-            miss_counts: HashMap::new(),
+            misses: Offences::new(
+                config.threshold,
+                config.decay_interval,
+                config.suspicion_duration,
+            ),
         }
     }
 
@@ -121,27 +114,21 @@ impl MuteDetector {
         &self.config
     }
 
-    /// Registers an expectation: a message matching `pattern` should be sent
-    /// by `nodes` (per `mode`) within the expect timeout.
+    /// Registers an expectation: one of `nodes` should send the data
+    /// message `id` within the expect timeout.
     ///
-    /// Duplicate registrations of an identical live `(pattern, mode)` are
-    /// merged, keeping the earlier deadline.
-    pub fn expect(
-        &mut self,
-        now: SimTime,
-        pattern: HeaderPattern,
-        nodes: &[NodeId],
-        mode: ExpectMode,
-    ) {
+    /// A registration for a message that already has an unsatisfied
+    /// expectation merges into it: new nodes join its waiting set, and the
+    /// earlier deadline stays.
+    pub fn expect(&mut self, now: SimTime, id: DataId, nodes: &[NodeId]) {
         if nodes.is_empty() {
             return;
         }
         if let Some(existing) = self
             .expectations
             .iter_mut()
-            .find(|e| !e.satisfied && e.pattern == pattern && e.mode == mode)
+            .find(|e| !e.satisfied && e.id == id)
         {
-            // Merge: add any new nodes to the waiting set.
             for &n in nodes {
                 if !existing.waiting_on.contains(&n) {
                     existing.waiting_on.push(n);
@@ -153,112 +140,68 @@ impl MuteDetector {
             self.expectations.remove(0);
         }
         self.expectations.push(Expectation {
-            pattern,
-            mode,
+            id,
             deadline: now + self.config.expect_timeout,
             waiting_on: nodes.to_vec(),
             satisfied: false,
         });
     }
 
-    /// Feeds an observed message header sent by `from`. Satisfies matching
-    /// expectations.
-    pub fn observe(&mut self, header: &MsgHeader, from: NodeId) {
+    /// Feeds a data message `id` sent by `from`: satisfies the expectations
+    /// on `id` that list `from`.
+    pub fn observe(&mut self, id: DataId, from: NodeId) {
         for e in &mut self.expectations {
-            if e.satisfied || !e.pattern.matches(header) {
-                continue;
-            }
-            match e.mode {
-                ExpectMode::One => {
-                    if e.waiting_on.contains(&from) {
-                        e.satisfied = true;
-                    }
-                }
-                ExpectMode::All => {
-                    e.waiting_on.retain(|&n| n != from);
-                    if e.waiting_on.is_empty() {
-                        e.satisfied = true;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Marks every expectation matching `header` satisfied regardless of
-    /// sender — used when the awaited message was *obtained* through some
-    /// other channel (e.g. a different holder answered the recovery request
-    /// first), which discharges the original sender's obligation.
-    pub fn satisfy(&mut self, header: &MsgHeader) {
-        for e in &mut self.expectations {
-            if !e.satisfied && e.pattern.matches(header) {
+            if !e.satisfied && e.id == id && e.waiting_on.contains(&from) {
                 e.satisfied = true;
             }
         }
     }
 
-    /// Fires expired deadlines (counting misses against the nodes that
-    /// missed them, suspecting those past the threshold), ages counters, and
-    /// expires old suspicions.
+    /// Marks every expectation on `id` satisfied regardless of sender —
+    /// used when the awaited message was *obtained* through some other
+    /// channel (e.g. a different holder answered the recovery request
+    /// first), which discharges the original sender's obligation.
+    pub fn satisfy(&mut self, id: DataId) {
+        for e in &mut self.expectations {
+            if e.id == id {
+                e.satisfied = true;
+            }
+        }
+    }
+
+    /// Fires expired deadlines (counting a miss against every node listed
+    /// by a missed expectation), ages counters, and expires old suspicions.
     pub fn tick(&mut self, now: SimTime) {
-        let mut missers: Vec<NodeId> = Vec::new();
+        let misses = &mut self.misses;
         self.expectations.retain(|e| {
-            if e.satisfied {
-                return false;
+            if !e.satisfied && e.deadline <= now {
+                for &n in &e.waiting_on {
+                    misses.count(now, n);
+                }
             }
-            if e.deadline > now {
-                return true;
-            }
-            // Deadline missed: every node still waited-on takes a miss.
-            missers.extend(e.waiting_on.iter().copied());
-            false
+            !e.satisfied && e.deadline > now
         });
-        for n in missers {
-            *self.miss_counts.entry(n).or_insert(0) += 1;
-            let c = self.counters.entry(n).or_insert(0);
-            *c += 1;
-            if *c >= self.config.threshold {
-                let until = now + self.config.suspicion_duration;
-                let entry = self.suspicions.entry(n).or_insert(until);
-                *entry = (*entry).max(until);
-            }
-        }
-        // Aging: decrement counters periodically so sporadic collision
-        // losses never accumulate to the threshold.
-        while now.saturating_since(self.last_decay) >= self.config.decay_interval {
-            self.last_decay += self.config.decay_interval;
-            self.counters.retain(|_, c| {
-                *c = c.saturating_sub(1);
-                *c > 0
-            });
-        }
-        self.suspicions.retain(|_, until| *until > now);
+        self.misses.tick(now);
     }
 
     /// Whether `node` is currently suspected.
     pub fn is_suspected(&self, node: NodeId, now: SimTime) -> bool {
-        self.suspicions.get(&node).is_some_and(|&until| until > now)
+        self.misses.suspected().contains(node, now)
     }
 
     /// The nodes currently suspected, in id order.
     pub fn suspects(&self, now: SimTime) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .suspicions
-            .iter()
-            .filter(|(_, &until)| until > now)
-            .map(|(&n, _)| n)
-            .collect();
-        out.sort_unstable();
-        out
+        self.misses.suspected().at(now)
     }
 
     /// Total deadline misses attributed to `node` over the run (diagnostic).
     pub fn miss_count(&self, node: NodeId) -> u64 {
-        self.miss_counts.get(&node).copied().unwrap_or(0)
+        self.misses.total(node)
     }
 
     /// The current (aged) miss counter for `node`.
     pub fn counter(&self, node: NodeId) -> u32 {
-        self.counters.get(&node).copied().unwrap_or(0)
+        self.misses.counter(node)
     }
 
     /// Number of live (unsatisfied, unexpired) expectations.
@@ -279,7 +222,6 @@ impl MuteDetector {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::header::MsgKind;
 
     fn config() -> MuteConfig {
         // Threshold 1 keeps most tests one-shot; threshold behaviour has
@@ -293,36 +235,24 @@ mod tests {
         }
     }
 
-    fn hdr(origin: u32, seq: u64) -> MsgHeader {
-        MsgHeader::new(MsgKind::Data, NodeId(origin), seq)
-    }
+    const MSG: DataId = (NodeId(9), 1);
 
     #[test]
-    fn satisfied_one_expectation_never_suspects() {
+    fn satisfied_expectation_never_suspects() {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1), NodeId(2)],
-            ExpectMode::One,
-        );
-        fd.observe(&hdr(9, 1), NodeId(2));
+        fd.expect(t0, MSG, &[NodeId(1), NodeId(2)]);
+        fd.observe(MSG, NodeId(2));
         fd.tick(t0 + SimDuration::from_secs(10));
         assert!(fd.suspects(t0 + SimDuration::from_secs(10)).is_empty());
         assert_eq!(fd.miss_count(NodeId(1)), 0);
     }
 
     #[test]
-    fn missed_one_expectation_suspects_all_listed() {
+    fn missed_expectation_suspects_all_listed() {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1), NodeId(2)],
-            ExpectMode::One,
-        );
+        fd.expect(t0, MSG, &[NodeId(1), NodeId(2)]);
         let late = t0 + SimDuration::from_millis(101);
         fd.tick(late);
         assert_eq!(fd.suspects(late), vec![NodeId(1), NodeId(2)]);
@@ -330,32 +260,11 @@ mod tests {
     }
 
     #[test]
-    fn all_mode_suspects_only_the_silent() {
+    fn observation_from_unlisted_node_does_not_satisfy() {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1), NodeId(2)],
-            ExpectMode::All,
-        );
-        fd.observe(&hdr(9, 1), NodeId(1));
-        let late = t0 + SimDuration::from_millis(101);
-        fd.tick(late);
-        assert_eq!(fd.suspects(late), vec![NodeId(2)]);
-    }
-
-    #[test]
-    fn observation_from_unlisted_node_does_not_satisfy_one_mode() {
-        let mut fd = MuteDetector::new(config());
-        let t0 = SimTime::from_secs(1);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1)],
-            ExpectMode::One,
-        );
-        fd.observe(&hdr(9, 1), NodeId(7)); // not in the set
+        fd.expect(t0, MSG, &[NodeId(1)]);
+        fd.observe(MSG, NodeId(7)); // not in the set
         let late = t0 + SimDuration::from_millis(101);
         fd.tick(late);
         assert_eq!(fd.suspects(late), vec![NodeId(1)]);
@@ -365,12 +274,7 @@ mod tests {
     fn suspicion_ages_out() {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1)],
-            ExpectMode::All,
-        );
+        fd.expect(t0, MSG, &[NodeId(1)]);
         let late = t0 + SimDuration::from_millis(101);
         fd.tick(late);
         assert!(fd.is_suspected(NodeId(1), late));
@@ -385,14 +289,33 @@ mod tests {
     fn duplicate_expectations_merge() {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
-        let p = HeaderPattern::data_msg(NodeId(9), 1);
-        fd.expect(t0, p, &[NodeId(1)], ExpectMode::One);
-        fd.expect(t0, p, &[NodeId(2)], ExpectMode::One);
+        fd.expect(t0, MSG, &[NodeId(1)]);
+        fd.expect(t0, MSG, &[NodeId(2)]);
         assert_eq!(fd.pending_expectations(), 1);
         // Either node satisfies the merged expectation.
-        fd.observe(&hdr(9, 1), NodeId(2));
+        fd.observe(MSG, NodeId(2));
         fd.tick(t0 + SimDuration::from_secs(1));
         assert!(fd.suspects(t0 + SimDuration::from_secs(1)).is_empty());
+    }
+
+    #[test]
+    fn satisfied_entries_take_no_merges_and_hold_their_slot_until_the_tick() {
+        let mut fd = MuteDetector::new(MuteConfig {
+            max_expectations: 2,
+            ..config()
+        });
+        let t0 = SimTime::from_secs(1);
+        fd.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
+        fd.expect(t0, (NodeId(9), 2), &[NodeId(2)]);
+        fd.observe((NodeId(9), 2), NodeId(2));
+        // The satisfied entry still fills the cap, so this registration
+        // evicts the oldest entry (node 1's), and it opens an entry of its
+        // own rather than merging into the satisfied one.
+        fd.expect(t0, (NodeId(9), 2), &[NodeId(3)]);
+        let late = t0 + SimDuration::from_millis(101);
+        fd.tick(late);
+        assert_eq!(fd.suspects(late), vec![NodeId(3)]);
+        assert_eq!(fd.miss_count(NodeId(1)), 0);
     }
 
     #[test]
@@ -403,12 +326,7 @@ mod tests {
         });
         let t0 = SimTime::from_secs(1);
         for seq in 0..3 {
-            fd.expect(
-                t0,
-                HeaderPattern::data_msg(NodeId(9), seq),
-                &[NodeId(1)],
-                ExpectMode::All,
-            );
+            fd.expect(t0, (NodeId(9), seq), &[NodeId(1)]);
         }
         assert_eq!(fd.pending_expectations(), 2);
     }
@@ -416,7 +334,7 @@ mod tests {
     #[test]
     fn empty_node_set_is_ignored() {
         let mut fd = MuteDetector::new(config());
-        fd.expect(SimTime::ZERO, HeaderPattern::any(), &[], ExpectMode::All);
+        fd.expect(SimTime::ZERO, MSG, &[]);
         assert_eq!(fd.pending_expectations(), 0);
     }
 
@@ -425,12 +343,7 @@ mod tests {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
         assert_eq!(fd.next_deadline(), None);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1)],
-            ExpectMode::All,
-        );
+        fd.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
         assert_eq!(fd.next_deadline(), Some(t0 + SimDuration::from_millis(100)));
     }
 
@@ -438,20 +351,10 @@ mod tests {
     fn repeated_misses_extend_suspicion() {
         let mut fd = MuteDetector::new(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(
-            t0,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1)],
-            ExpectMode::All,
-        );
+        fd.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
         let t1 = t0 + SimDuration::from_millis(101);
         fd.tick(t1);
-        fd.expect(
-            t1,
-            HeaderPattern::data_msg(NodeId(9), 2),
-            &[NodeId(1)],
-            ExpectMode::All,
-        );
+        fd.expect(t1, (NodeId(9), 2), &[NodeId(1)]);
         let t2 = t1 + SimDuration::from_millis(101);
         fd.tick(t2);
         assert_eq!(fd.miss_count(NodeId(1)), 2);
@@ -464,7 +367,6 @@ mod tests {
 #[cfg(test)]
 mod threshold_tests {
     use super::*;
-    use crate::header::{HeaderPattern, MsgHeader, MsgKind};
 
     fn config() -> MuteConfig {
         MuteConfig {
@@ -477,12 +379,7 @@ mod threshold_tests {
     }
 
     fn miss(fd: &mut MuteDetector, at: SimTime, seq: u64) -> SimTime {
-        fd.expect(
-            at,
-            HeaderPattern::data_msg(NodeId(9), seq),
-            &[NodeId(1)],
-            ExpectMode::All,
-        );
+        fd.expect(at, (NodeId(9), seq), &[NodeId(1)]);
         let deadline = at + SimDuration::from_millis(101);
         fd.tick(deadline);
         deadline
@@ -532,13 +429,8 @@ mod threshold_tests {
     fn satisfied_expectations_do_not_count() {
         let mut fd = MuteDetector::new(config());
         let t = SimTime::from_secs(1);
-        fd.expect(
-            t,
-            HeaderPattern::data_msg(NodeId(9), 1),
-            &[NodeId(1)],
-            ExpectMode::All,
-        );
-        fd.observe(&MsgHeader::new(MsgKind::Data, NodeId(9), 1), NodeId(1));
+        fd.expect(t, (NodeId(9), 1), &[NodeId(1)]);
+        fd.observe((NodeId(9), 1), NodeId(1));
         fd.tick(t + SimDuration::from_secs(1));
         assert_eq!(fd.counter(NodeId(1)), 0);
     }

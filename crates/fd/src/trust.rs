@@ -23,7 +23,9 @@ use std::collections::HashMap;
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
-/// Why a node was suspected (fed to `suspect`, kept for diagnostics).
+use crate::suspicion::Suspected;
+
+/// Why a node was suspected (fed to `suspect`, counted for diagnostics).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum SuspicionReason {
     /// Reported by the MUTE failure detector.
@@ -82,8 +84,8 @@ impl Default for TrustConfig {
 #[derive(Debug)]
 pub struct TrustDetector {
     config: TrustConfig,
-    /// Node → (instant until suspected, latest reason).
-    suspicions: HashMap<NodeId, (SimTime, SuspicionReason)>,
+    /// Direct suspicions.
+    suspected: Suspected,
     /// Second-hand reports as `(suspected, reporter, until)`, sorted by
     /// `(suspected, reporter)`, one per pair: a node's reports are one
     /// contiguous run, and one `retain` ages them all.
@@ -100,7 +102,7 @@ impl TrustDetector {
     pub fn new(config: TrustConfig) -> Self {
         TrustDetector {
             config,
-            suspicions: HashMap::new(),
+            suspected: Suspected::default(),
             reports: Vec::new(),
             history: HashMap::new(),
             generation: 0,
@@ -114,10 +116,8 @@ impl TrustDetector {
 
     /// Directly suspects `node` for `reason` (Figure 2's `suspect` method).
     pub fn suspect(&mut self, now: SimTime, node: NodeId, reason: SuspicionReason) {
-        let until = now + self.config.suspicion_duration;
-        let entry = self.suspicions.entry(node).or_insert((until, reason));
-        entry.0 = entry.0.max(until);
-        entry.1 = reason;
+        self.suspected
+            .raise(node, now + self.config.suspicion_duration);
         *self.history.entry((node, reason)).or_insert(0) += 1;
         self.generation += 1;
     }
@@ -144,9 +144,7 @@ impl TrustDetector {
 
     /// Ages out stale suspicions and second-hand reports.
     pub fn tick(&mut self, now: SimTime) {
-        let before = self.suspicions.len();
-        self.suspicions.retain(|_, (until, _)| *until > now);
-        if self.suspicions.len() != before {
+        if self.suspected.expire(now) {
             self.generation += 1;
         }
         self.reports.retain(|&(_, _, until)| until > now);
@@ -163,9 +161,7 @@ impl TrustDetector {
 
     /// Whether `node` is directly suspected at `now`.
     pub fn is_suspected(&self, node: NodeId, now: SimTime) -> bool {
-        self.suspicions
-            .get(&node)
-            .is_some_and(|&(until, _)| until > now)
+        self.suspected.contains(node, now)
     }
 
     /// The trust level of `node` at `now`.
@@ -189,14 +185,7 @@ impl TrustDetector {
 
     /// Nodes currently `Untrusted`, in id order.
     pub fn untrusted(&self, now: SimTime) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .suspicions
-            .iter()
-            .filter(|(_, &(until, _))| until > now)
-            .map(|(&n, _)| n)
-            .collect();
-        out.sort_unstable();
-        out
+        self.suspected.at(now)
     }
 
     /// Total suspicions raised against `node` for `reason` (diagnostic).

@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
 use crate::header::MsgKind;
+use crate::suspicion::Offences;
 
 /// VERBOSE detector parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -54,8 +55,8 @@ type ArrivalRow = [Option<SimTime>; MsgKind::COUNT];
 #[derive(Debug)]
 pub struct VerboseDetector {
     config: VerboseConfig,
-    counters: HashMap<NodeId, u32>,
-    suspicions: HashMap<NodeId, SimTime>,
+    /// Indictments per node.
+    indictments: Offences,
     /// Spacing rule per message kind, indexed by `kind as usize`.
     min_spacing: [Option<SimDuration>; MsgKind::COUNT],
     /// Senders with a tracked arrival, ascending; `arrivals[i]` is the row of
@@ -66,9 +67,6 @@ pub struct VerboseDetector {
     /// Beacon arrivals share one lookup. A row goes once all its arrivals
     /// have aged out.
     arrivals: Vec<ArrivalRow>,
-    last_decay: SimTime,
-    /// Total indictments per node over the whole run (diagnostic; not aged).
-    indict_counts: HashMap<NodeId, u64>,
     /// Accumulated resource-quota violations per node, reset each time they
     /// convert into an indictment.
     quota_violations: HashMap<NodeId, u32>,
@@ -79,13 +77,14 @@ impl VerboseDetector {
     pub fn new(config: VerboseConfig) -> Self {
         VerboseDetector {
             config,
-            counters: HashMap::new(),
-            suspicions: HashMap::new(),
+            indictments: Offences::new(
+                config.threshold,
+                config.decay_interval,
+                config.suspicion_duration,
+            ),
             min_spacing: [None; MsgKind::COUNT],
             arrival_from: Vec::new(),
             arrivals: Vec::new(),
-            last_decay: SimTime::ZERO,
-            indict_counts: HashMap::new(),
             quota_violations: HashMap::new(),
         }
     }
@@ -104,14 +103,7 @@ impl VerboseDetector {
 
     /// Indicts `node` for sending too many messages of some type.
     pub fn indict(&mut self, now: SimTime, node: NodeId) {
-        let c = self.counters.entry(node).or_insert(0);
-        *c += 1;
-        *self.indict_counts.entry(node).or_insert(0) += 1;
-        if *c >= self.config.threshold {
-            let until = now + self.config.suspicion_duration;
-            let entry = self.suspicions.entry(node).or_insert(until);
-            *entry = (*entry).max(until);
-        }
+        self.indictments.count(now, node);
     }
 
     /// Feeds one resource-governance violation by `node` (an admission
@@ -128,13 +120,12 @@ impl VerboseDetector {
         }
         let c = self.quota_violations.entry(node).or_insert(0);
         *c += 1;
-        if *c >= self.config.quota_violation_threshold {
+        let converts = *c >= self.config.quota_violation_threshold;
+        if converts {
             *c = 0;
             self.indict(now, node);
-            true
-        } else {
-            false
         }
+        converts
     }
 
     /// Feeds a message arrival; auto-indicts if it violates the minimum
@@ -168,16 +159,7 @@ impl VerboseDetector {
     /// them, so dropping them changes no verdict and bounds the table by the
     /// senders heard within one decay interval.
     pub fn tick(&mut self, now: SimTime) {
-        let aged = now.saturating_since(self.last_decay) >= self.config.decay_interval;
-        while now.saturating_since(self.last_decay) >= self.config.decay_interval {
-            self.last_decay += self.config.decay_interval;
-            self.counters.retain(|_, c| {
-                *c = c.saturating_sub(1);
-                *c > 0
-            });
-        }
-        self.suspicions.retain(|_, until| *until > now);
-        if aged {
+        if self.indictments.tick(now) {
             let spacing = &self.min_spacing;
             for row in &mut self.arrivals {
                 for (slot, rule) in row.iter_mut().zip(spacing) {
@@ -195,29 +177,22 @@ impl VerboseDetector {
 
     /// Whether `node` is currently suspected.
     pub fn is_suspected(&self, node: NodeId, now: SimTime) -> bool {
-        self.suspicions.get(&node).is_some_and(|&until| until > now)
+        self.indictments.suspected().contains(node, now)
     }
 
     /// The nodes currently suspected, in id order.
     pub fn suspects(&self, now: SimTime) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .suspicions
-            .iter()
-            .filter(|(_, &until)| until > now)
-            .map(|(&n, _)| n)
-            .collect();
-        out.sort_unstable();
-        out
+        self.indictments.suspected().at(now)
     }
 
     /// The current (aged) counter for `node`.
     pub fn counter(&self, node: NodeId) -> u32 {
-        self.counters.get(&node).copied().unwrap_or(0)
+        self.indictments.counter(node)
     }
 
     /// Total indictments of `node` over the run (diagnostic).
     pub fn indict_count(&self, node: NodeId) -> u64 {
-        self.indict_counts.get(&node).copied().unwrap_or(0)
+        self.indictments.total(node)
     }
 }
 

@@ -1,72 +1,120 @@
-//! Property-based tests for header-pattern matching and detector invariants.
+//! Property-based tests for the detectors' expectations, counters and
+//! suspicion tables.
 
 use proptest::prelude::*;
 
 use byzcast_fd::{
-    ExpectMode, HeaderPattern, MsgHeader, MsgKind, MuteConfig, MuteDetector, SuspicionReason,
-    TrustConfig, TrustDetector, VerboseConfig, VerboseDetector,
+    DataId, MuteConfig, MuteDetector, SuspicionReason, TrustConfig, TrustDetector, VerboseConfig,
+    VerboseDetector,
 };
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
-fn kind_of(k: u8) -> MsgKind {
-    match k % 5 {
-        0 => MsgKind::Data,
-        1 => MsgKind::Gossip,
-        2 => MsgKind::RequestMsg,
-        3 => MsgKind::FindMissingMsg,
-        _ => MsgKind::Beacon,
-    }
+/// Expects `id` from nodes 1 and 2, runs `discharge`, ticks at the
+/// deadline, and returns node 1's misses.
+fn misses_after(id: DataId, discharge: impl FnOnce(&mut MuteDetector)) -> u64 {
+    let timeout = SimDuration::from_millis(100);
+    let mut fd = MuteDetector::new(MuteConfig {
+        expect_timeout: timeout,
+        threshold: 1,
+        ..MuteConfig::default()
+    });
+    let t = SimTime::from_secs(1);
+    fd.expect(t, id, &[NodeId(1), NodeId(2)]);
+    discharge(&mut fd);
+    fd.tick(t + timeout);
+    fd.miss_count(NodeId(1))
 }
 
-fn exact_patterns_bind_all_fields_case(k: u8, origin: u32, seq: u64) -> Result<(), TestCaseError> {
-    let h = MsgHeader::new(kind_of(k), NodeId(origin), seq);
-    let p = HeaderPattern::exact(h);
-    prop_assert!(p.matches(&h));
-    prop_assert!(HeaderPattern::any().matches(&h));
-    // `k % 5 + 1` is always a *different* kind (no mod-wrap collision).
-    let other_kind = MsgHeader::new(kind_of(k % 5 + 1), NodeId(origin), seq);
-    prop_assert!(!p.matches(&other_kind));
-    let other_origin = MsgHeader::new(kind_of(k), NodeId(origin.wrapping_add(1)), seq);
-    prop_assert!(!p.matches(&other_origin));
-    let other_seq = MsgHeader::new(kind_of(k), NodeId(origin), seq.wrapping_add(1));
-    prop_assert!(!p.matches(&other_seq));
+fn mute_expectation_binds_its_id_case(origin: u32, seq: u64) -> Result<(), TestCaseError> {
+    let id = (NodeId(origin), seq);
+    for listed in [NodeId(1), NodeId(2)] {
+        prop_assert_eq!(misses_after(id, |fd| fd.observe(id, listed)), 0);
+    }
+    prop_assert_eq!(misses_after(id, |fd| fd.satisfy(id)), 0);
+    prop_assert_eq!(misses_after(id, |fd| fd.observe(id, NodeId(7))), 1);
+    let others = [
+        (NodeId(origin.wrapping_add(1)), seq),
+        (NodeId(origin), seq.wrapping_add(1)),
+    ];
+    for other in others {
+        prop_assert_eq!(misses_after(id, |fd| fd.observe(other, NodeId(1))), 1);
+        prop_assert_eq!(misses_after(id, |fd| fd.satisfy(other)), 1);
+    }
     Ok(())
 }
 
-/// The shrunk case recorded in `properties.proptest-regressions`
-/// (`k = 255, origin = 0, seq = 0`), pinned so it replays on every run.
+/// The wrap-around boundaries of both id fields, pinned so they replay on
+/// every run.
 #[test]
-fn regression_exact_pattern_at_type_boundaries() {
-    exact_patterns_bind_all_fields_case(255, 0, 0).unwrap();
-    // The same boundary on the other wrap-sensitive fields.
-    exact_patterns_bind_all_fields_case(255, u32::MAX, u64::MAX).unwrap();
+fn regression_mute_ids_at_type_boundaries() {
+    mute_expectation_binds_its_id_case(0, 0).unwrap();
+    mute_expectation_binds_its_id_case(u32::MAX, u64::MAX).unwrap();
 }
 
 proptest! {
-    /// The exact pattern of a header matches it; changing any field breaks
-    /// the match; the full wildcard matches everything.
+    /// MUTE: an expectation on `(origin, seq)` is discharged by that message
+    /// from a listed node, or by `satisfy` on it; the message from an
+    /// unlisted node, or a message one origin or one sequence number off,
+    /// leaves a miss.
     #[test]
-    fn exact_patterns_bind_all_fields(k in any::<u8>(), origin in any::<u32>(), seq in any::<u64>()) {
-        exact_patterns_bind_all_fields_case(k, origin, seq)?;
+    fn mute_expectation_binds_its_id(origin in any::<u32>(), seq in any::<u64>()) {
+        mute_expectation_binds_its_id_case(origin, seq)?;
     }
 
-    /// Widening a pattern (dropping a field) can only grow its match set.
+    /// MUTE and VERBOSE count offences in one shared table: the same
+    /// schedule of missed deadlines and indictments, under equal threshold,
+    /// decay and suspicion duration, leaves equal counters, totals and
+    /// suspects after every step.
     #[test]
-    fn wildcarding_is_monotone(k in any::<u8>(), origin in any::<u32>(), seq in any::<u64>(),
-                               hk in any::<u8>(), ho in any::<u32>(), hs in any::<u64>()) {
-        let narrow = HeaderPattern {
-            kind: Some(kind_of(k)),
-            origin: Some(NodeId(origin)),
-            seq: Some(seq),
-        };
-        let wide = HeaderPattern { seq: None, ..narrow };
-        let wider = HeaderPattern { origin: None, seq: None, ..narrow };
-        let h = MsgHeader::new(kind_of(hk), NodeId(ho), hs);
-        if narrow.matches(&h) {
-            prop_assert!(wide.matches(&h));
-        }
-        if wide.matches(&h) {
-            prop_assert!(wider.matches(&h));
+    fn mute_misses_and_verbose_indictments_count_alike(
+        threshold in 1u32..5,
+        decay_ms in 1u64..4000,
+        duration_ms in 1u64..5000,
+        steps in proptest::collection::vec(
+            (0u64..2500, proptest::collection::vec(0u32..4, 0..4)),
+            1..40,
+        ),
+    ) {
+        let ms = SimDuration::from_millis;
+        let timeout = ms(100);
+        let mut mute = MuteDetector::new(MuteConfig {
+            expect_timeout: timeout,
+            threshold,
+            decay_interval: ms(decay_ms),
+            suspicion_duration: ms(duration_ms),
+            max_expectations: 1024,
+        });
+        let mut verbose = VerboseDetector::new(VerboseConfig {
+            threshold,
+            decay_interval: ms(decay_ms),
+            suspicion_duration: ms(duration_ms),
+            ..VerboseConfig::default()
+        });
+        let mut at = SimTime::from_secs(1);
+        let mut seq = 0u64;
+        let mut totals = [0u64; 4];
+        for (gap, offenders) in steps {
+            at += ms(gap);
+            // Each offence lands at the deadline `at + timeout`: a missed
+            // expectation for MUTE, an indictment for VERBOSE.
+            let now = at + timeout;
+            for &n in &offenders {
+                seq += 1;
+                mute.expect(at, (NodeId(9), seq), &[NodeId(n)]);
+                verbose.indict(now, NodeId(n));
+                totals[n as usize] += 1;
+            }
+            mute.tick(now);
+            verbose.tick(now);
+            for n in 0..4u32 {
+                let node = NodeId(n);
+                prop_assert_eq!(mute.counter(node), verbose.counter(node));
+                prop_assert_eq!(mute.miss_count(node), totals[n as usize]);
+                prop_assert_eq!(verbose.indict_count(node), totals[n as usize]);
+            }
+            prop_assert_eq!(mute.suspects(now), verbose.suspects(now));
+            let probe = now + ms(duration_ms / 2);
+            prop_assert_eq!(mute.suspects(probe), verbose.suspects(probe));
         }
     }
 
@@ -88,14 +136,14 @@ proptest! {
         let mut seq = 0u64;
         for _ in 0..misses {
             seq += 1;
-            fd.expect(t, HeaderPattern::data_msg(NodeId(9), seq), &[NodeId(1)], ExpectMode::All);
+            fd.expect(t, (NodeId(9), seq), &[NodeId(1)]);
             t += SimDuration::from_millis(150);
             fd.tick(t);
         }
         for _ in 0..satisfied {
             seq += 1;
-            fd.expect(t, HeaderPattern::data_msg(NodeId(9), seq), &[NodeId(1)], ExpectMode::All);
-            fd.observe(&MsgHeader::new(MsgKind::Data, NodeId(9), seq), NodeId(1));
+            fd.expect(t, (NodeId(9), seq), &[NodeId(1)]);
+            fd.observe((NodeId(9), seq), NodeId(1));
             t += SimDuration::from_millis(150);
             fd.tick(t);
         }

@@ -39,5 +39,5 @@ pub use scenario::{
     ScenarioConfig,
 };
 pub use summary::RunSummary;
-pub use sweep::{aggregate, replicate, replicate_par};
+pub use sweep::{aggregate, replicate};
 pub use workload::Workload;

@@ -2,34 +2,22 @@
 
 use byzcast_sim::CounterSet;
 
-use crate::par::par_map;
 use crate::scenario::ScenarioConfig;
 use crate::summary::{mean, percentile, RunSummary};
 use crate::workload::Workload;
 
 /// Runs the scenario once per seed, returning all summaries.
 pub fn replicate(config: &ScenarioConfig, workload: &Workload, seeds: &[u64]) -> Vec<RunSummary> {
-    replicate_par(config, workload, seeds, 1)
-}
-
-/// Like [`replicate`], fanned out over up to `threads` worker threads.
-///
-/// Each seed gets its own scenario clone and simulator and results come
-/// back in seed order, so the output is identical to [`replicate`] for any
-/// thread count.
-pub fn replicate_par(
-    config: &ScenarioConfig,
-    workload: &Workload,
-    seeds: &[u64],
-    threads: usize,
-) -> Vec<RunSummary> {
-    par_map(seeds, threads, |_, &seed| {
-        ScenarioConfig {
-            seed,
-            ..config.clone()
-        }
-        .run(workload)
-    })
+    seeds
+        .iter()
+        .map(|&seed| {
+            ScenarioConfig {
+                seed,
+                ..config.clone()
+            }
+            .run(workload)
+        })
+        .collect()
 }
 
 /// Averages a set of summaries (same scenario, different seeds) field-wise.
@@ -314,20 +302,5 @@ mod replicate_tests {
         let again = replicate(&config, &w, &[4]);
         assert_eq!(again[0].frames_sent, summaries[0].frames_sent);
         assert_eq!(again[0].delivery_ratio, summaries[0].delivery_ratio);
-    }
-
-    #[test]
-    fn parallel_replication_matches_serial() {
-        let config = config();
-        let w = Workload {
-            count: 2,
-            ..Workload::default()
-        };
-        let seeds = [4u64, 5, 6, 7];
-        let serial = replicate(&config, &w, &seeds);
-        for threads in [2, 4] {
-            let parallel = replicate_par(&config, &w, &seeds, threads);
-            assert_eq!(serial, parallel);
-        }
     }
 }
