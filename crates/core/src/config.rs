@@ -1,11 +1,56 @@
 //! Protocol configuration, including the paper's §3.5 timing quantities.
+//!
+//! The knobs some experiment or test varies are fields of
+//! [`ByzcastConfig`]; the protocol's other timings and sizes are the
+//! constants below.
 
-use byzcast_fd::{MuteConfig, TrustConfig, VerboseConfig};
+use byzcast_fd::MuteConfig;
 use byzcast_overlay::OverlayKind;
 use byzcast_sim::SimDuration;
 
 use crate::recovery::RecoveryConfig;
 use crate::resources::ResourceConfig;
+
+/// `rebroadcast_timeout` — "the time between getting a request message and
+/// sending the message that fits the requested message". Responders draw a
+/// uniform delay in `[0, REBROADCAST_TIMEOUT)` and suppress their response
+/// if another holder's rebroadcast is overheard first.
+pub const REBROADCAST_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
+/// How often overlay beacons are sent (and the overlay role recomputed).
+pub const BEACON_PERIOD: SimDuration = SimDuration::from_millis(1000);
+
+/// How often the failure detectors are ticked (deadline resolution).
+pub const FD_TICK: SimDuration = SimDuration::from_millis(100);
+
+/// Maximum gossip entries per packet when aggregating.
+pub const MAX_GOSSIP_ENTRIES: usize = 40;
+
+/// How many gossip rounds each received message is advertised for. The
+/// recovery window per message is roughly `GOSSIP_ADVERTISE_ROUNDS ×
+/// gossip_period`; a node re-hearing a gossip for a message it holds echoes
+/// it for one extra round (pseudo-code lines 34–37), so entries keep
+/// circulating where neighbours still miss them.
+pub const GOSSIP_ADVERTISE_ROUNDS: u32 = 3;
+
+/// Minimum spacing between retries for the same missing message.
+pub const REQUEST_RETRY_SPACING: SimDuration = SimDuration::from_millis(1000);
+
+/// A holder answers a given message id at most once per this window
+/// (response-implosion suppression). Historically this aliased
+/// [`REQUEST_RETRY_SPACING`], which silently swallowed legitimate retries:
+/// the responder's window starts at its (jittered) *serve* time, so a retry
+/// spaced exactly `REQUEST_RETRY_SPACING` after the original request landed
+/// inside the window and was dropped. It leaves at least one
+/// [`REBROADCAST_TIMEOUT`] of slack below `REQUEST_RETRY_SPACING` so a
+/// properly spaced retry always clears the window.
+pub const RESPONSE_SERVE_WINDOW: SimDuration = SimDuration::from_millis(500);
+
+// A properly spaced retry must clear the responder's serve window.
+const _: () = assert!(
+    RESPONSE_SERVE_WINDOW.as_micros() + REBROADCAST_TIMEOUT.as_micros()
+        <= REQUEST_RETRY_SPACING.as_micros()
+);
 
 /// Configuration of a byzcast protocol node.
 #[derive(Clone, Debug)]
@@ -16,49 +61,17 @@ pub struct ByzcastConfig {
     /// `request_timeout` — "the time between receiving a gossip message and
     /// sending a request message" (requests are batched on this delay).
     pub request_timeout: SimDuration,
-    /// `rebroadcast_timeout` — "the time between getting a request message
-    /// and sending the message that fits the requested message". Responders
-    /// draw a uniform delay in `[0, rebroadcast_timeout)` and suppress their
-    /// response if another holder's rebroadcast is overheard first.
-    pub rebroadcast_timeout: SimDuration,
-    /// How often overlay beacons are sent (and the overlay role recomputed).
-    pub beacon_period: SimDuration,
-    /// How often the failure detectors are ticked (deadline resolution).
-    pub fd_tick: SimDuration,
     /// How long received message bodies are buffered before purging.
     pub purge_after: SimDuration,
     /// Which overlay maintenance protocol to run.
     pub overlay: OverlayKind,
     /// MUTE failure detector parameters.
     pub mute: MuteConfig,
-    /// VERBOSE failure detector parameters.
-    pub verbose: VerboseConfig,
-    /// TRUST failure detector parameters.
-    pub trust: TrustConfig,
     /// Whether to aggregate gossip entries into one packet per period
     /// (`false` reproduces the unaggregated ablation of experiment R8).
     pub aggregate_gossip: bool,
-    /// Maximum gossip entries per packet when aggregating.
-    pub max_gossip_entries: usize,
-    /// How many gossip rounds each received message is advertised for. The
-    /// recovery window per message is roughly `gossip_advertise_rounds ×
-    /// gossip_period`; a node re-hearing a gossip for a message it holds
-    /// echoes it for one extra round (pseudo-code lines 34–37), so entries
-    /// keep circulating where neighbours still miss them.
-    pub gossip_advertise_rounds: u32,
     /// Maximum number of REQUEST_MSG retries per missing message.
     pub max_requests_per_msg: u32,
-    /// Minimum spacing between retries for the same missing message.
-    pub request_retry_spacing: SimDuration,
-    /// A holder answers a given message id at most once per this window
-    /// (response-implosion suppression). Historically this aliased
-    /// `request_retry_spacing`, which silently swallowed legitimate retries:
-    /// the responder's window starts at its (jittered) *serve* time, so a
-    /// retry spaced exactly `request_retry_spacing` after the original
-    /// request landed inside the window and was dropped. Must leave at least
-    /// one `rebroadcast_timeout` of slack below `request_retry_spacing` so a
-    /// properly spaced retry always clears the window.
-    pub response_serve_window: SimDuration,
     /// Capacity (entries per LRU generation) of each node's signature-
     /// verification cache; `0` disables caching so every reception
     /// re-verifies. Caching never changes verdicts — only how often the
@@ -83,20 +96,11 @@ impl Default for ByzcastConfig {
         ByzcastConfig {
             gossip_period: SimDuration::from_millis(1000),
             request_timeout: SimDuration::from_millis(500),
-            rebroadcast_timeout: SimDuration::from_millis(50),
-            beacon_period: SimDuration::from_millis(1000),
-            fd_tick: SimDuration::from_millis(100),
             purge_after: SimDuration::from_secs(12),
             overlay: OverlayKind::Cds,
             mute: MuteConfig::default(),
-            verbose: VerboseConfig::default(),
-            trust: TrustConfig::default(),
             aggregate_gossip: true,
-            max_gossip_entries: 40,
-            gossip_advertise_rounds: 3,
             max_requests_per_msg: 5,
-            request_retry_spacing: SimDuration::from_millis(1000),
-            response_serve_window: SimDuration::from_millis(500),
             sig_cache_capacity: 512,
             resources: ResourceConfig::unlimited(),
             recovery: RecoveryConfig::off(),
@@ -108,10 +112,7 @@ impl ByzcastConfig {
     /// The paper's `max_timeout = gossip_timeout + request_timeout +
     /// rebroadcast_timeout + 3β`, where β is the transmission latency.
     pub fn max_timeout(&self, beta: SimDuration) -> SimDuration {
-        self.gossip_period
-            + self.request_timeout
-            + self.rebroadcast_timeout
-            + beta.saturating_mul(3)
+        self.gossip_period + self.request_timeout + REBROADCAST_TIMEOUT + beta.saturating_mul(3)
     }
 
     /// Validates cross-field constraints.
@@ -119,31 +120,8 @@ impl ByzcastConfig {
         if self.gossip_period == SimDuration::ZERO {
             return Err("gossip_period must be positive".into());
         }
-        if self.beacon_period == SimDuration::ZERO {
-            return Err("beacon_period must be positive".into());
-        }
-        if self.fd_tick == SimDuration::ZERO {
-            return Err("fd_tick must be positive".into());
-        }
-        if self.max_gossip_entries == 0 {
-            return Err("max_gossip_entries must be positive".into());
-        }
-        if self.gossip_advertise_rounds == 0 {
-            return Err("gossip_advertise_rounds must be positive".into());
-        }
         if self.purge_after < self.gossip_period {
             return Err("purge_after must be at least one gossip period".into());
-        }
-        if self.response_serve_window == SimDuration::ZERO {
-            return Err("response_serve_window must be positive".into());
-        }
-        if self.response_serve_window + self.rebroadcast_timeout > self.request_retry_spacing {
-            return Err(
-                "response_serve_window + rebroadcast_timeout must not exceed \
-                 request_retry_spacing, or properly spaced retries are \
-                 swallowed by the responder's serve window"
-                    .into(),
-            );
         }
         if self.recovery.escalation_enabled() {
             if self.recovery.backoff_base == SimDuration::ZERO {
@@ -174,7 +152,6 @@ mod tests {
         let c = ByzcastConfig {
             gossip_period: SimDuration::from_millis(1000),
             request_timeout: SimDuration::from_millis(500),
-            rebroadcast_timeout: SimDuration::from_millis(50),
             ..ByzcastConfig::default()
         };
         let beta = SimDuration::from_millis(10);
@@ -190,44 +167,10 @@ mod tests {
         };
         assert!(bad.validate().is_err());
         let bad = ByzcastConfig {
-            max_gossip_entries: 0,
-            ..base.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ByzcastConfig {
             purge_after: SimDuration::from_millis(1),
-            ..base.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ByzcastConfig {
-            fd_tick: SimDuration::ZERO,
             ..base
         };
         assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn validation_keeps_serve_window_clear_of_retry_spacing() {
-        let base = ByzcastConfig::default();
-        let bad = ByzcastConfig {
-            response_serve_window: SimDuration::ZERO,
-            ..base.clone()
-        };
-        assert!(bad.validate().is_err());
-        // The historical aliasing — serve window == retry spacing — no
-        // longer validates: it leaves no slack for the responder's jitter.
-        let bad = ByzcastConfig {
-            response_serve_window: base.request_retry_spacing,
-            ..base.clone()
-        };
-        assert!(bad.validate().is_err());
-        let ok = ByzcastConfig {
-            response_serve_window: base.request_retry_spacing
-                - base.rebroadcast_timeout
-                - SimDuration::from_millis(1),
-            ..base
-        };
-        assert!(ok.validate().is_ok());
     }
 
     #[test]

@@ -29,7 +29,10 @@ use byzcast_sim::{
     counter_set, AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey,
 };
 
-use crate::config::ByzcastConfig;
+use crate::config::{
+    ByzcastConfig, BEACON_PERIOD, FD_TICK, GOSSIP_ADVERTISE_ROUNDS, MAX_GOSSIP_ENTRIES,
+    REBROADCAST_TIMEOUT, REQUEST_RETRY_SPACING, RESPONSE_SERVE_WINDOW,
+};
 use crate::message::{
     BeaconMsg, DataMsg, FindMissingMsg, GossipEntry, GossipMsg, MessageId, RequestMsg, WireMsg,
 };
@@ -186,7 +189,7 @@ impl ByzcastNode {
             panic!("invalid byzcast config: {e}");
         }
         assert_eq!(signer.id().0, id.0, "signer must sign as the node's own id");
-        let mut fds = FailureDetectors::new(config.mute, config.verbose, config.trust);
+        let mut fds = FailureDetectors::new(config.mute);
         // VERBOSE spacing rules, "invoked at initialization time" (paper
         // §2.2): consecutive gossips or beacons from one node arriving
         // closer together than 60% of the period are a verbose fault. MAC
@@ -197,9 +200,9 @@ impl ByzcastNode {
         fds.verbose
             .set_min_spacing(MsgKind::Gossip, spacing(config.gossip_period));
         fds.verbose
-            .set_min_spacing(MsgKind::Beacon, spacing(config.beacon_period));
+            .set_min_spacing(MsgKind::Beacon, spacing(BEACON_PERIOD));
         // Neighbour entries expire after three missed beacons.
-        let table = NeighborTable::new(config.beacon_period.saturating_mul(3));
+        let table = NeighborTable::new(BEACON_PERIOD.saturating_mul(3));
         let overlay_protocol = config.overlay.build();
         let store = MessageStore::with_limits(
             config.purge_after,
@@ -467,7 +470,7 @@ impl ByzcastNode {
         // caps is not gossiped (we could not answer the requests the gossip
         // would invite), and per-origin quotas bound a flooder's share of
         // the advertisement bookkeeping.
-        self.advertise(now, from, m.id, self.config.gossip_advertise_rounds);
+        self.advertise(now, from, m.id, GOSSIP_ADVERTISE_ROUNDS);
 
         // Lines 8–11: received the correct message, but not from an overlay
         // node and not from the originator → the overlay neighbours were
@@ -582,7 +585,7 @@ impl ByzcastNode {
         let cap = self.request_cap();
         let ms = self.missing.get_mut(&e.id).expect("just inserted");
         let may_request = ms.requests_sent < cap
-            && now.saturating_since(ms.last_request) >= self.config.request_retry_spacing;
+            && now.saturating_since(ms.last_request) >= REQUEST_RETRY_SPACING;
         if may_request && ms.request_due.is_none() {
             let due = now + self.config.request_timeout + originator_grace + jitter;
             ms.request_due = Some(due);
@@ -669,7 +672,7 @@ impl ByzcastNode {
                 // depend on hearing the gossip again (advertisement windows
                 // close).
                 if ms.requests_sent < cap {
-                    ms.request_due = Some(now + self.config.request_retry_spacing);
+                    ms.request_due = Some(now + REQUEST_RETRY_SPACING);
                 }
                 // Line 32: ask the gossiper and the overlay neighbours (one
                 // broadcast reaches both; handlers filter by role/target).
@@ -703,17 +706,17 @@ impl ByzcastNode {
         // Serve each id at most once per serve window: collisions can hide
         // other holders' answers from us, and without this cap a burst of
         // requests turns every holder into a responder. The window is
-        // deliberately shorter than `request_retry_spacing` (validated in
-        // config) — the two used to share one knob, and because this window
-        // starts at the jittered *serve* time, a retry spaced exactly one
-        // retry window after the original request landed inside it and was
-        // silently refused.
+        // deliberately shorter than `REQUEST_RETRY_SPACING` (asserted at
+        // compile time in config) — the two used to share one knob, and
+        // because this window starts at the jittered *serve* time, a retry
+        // spaced exactly one retry window after the original request landed
+        // inside it and was silently refused.
         if let Some(&last) = self.served_recently.get(&id) {
-            if now.saturating_since(last) < self.config.response_serve_window {
+            if now.saturating_since(last) < RESPONSE_SERVE_WINDOW {
                 return;
             }
         }
-        let span = self.config.rebroadcast_timeout.as_micros().max(1);
+        let span = REBROADCAST_TIMEOUT.as_micros();
         let jitter = SimDuration::from_micros(ctx.rng().gen_range_u64(span));
         let due = now + jitter;
         let entry = self
@@ -768,7 +771,7 @@ impl ByzcastNode {
         // deadlocks when all requesters suppress each other.
         if let Some(ms) = self.missing.get_mut(&r.entry.id) {
             if ms.request_due.is_some() {
-                let deferred = now + self.config.request_retry_spacing;
+                let deferred = now + REQUEST_RETRY_SPACING;
                 ms.request_due = Some(deferred);
                 ms.last_request = now;
                 ctx.set_timer_at(deferred, timers::REQUEST_FLUSH);
@@ -843,7 +846,7 @@ impl ByzcastNode {
             // message. Escalated searches decrement hop by hop the same way,
             // so a TTL-bumped flood travels `find_ttl` hops in total.
             let fresh = match self.finds_forwarded.get(&f.entry.id) {
-                Some(&last) => now.saturating_since(last) >= self.config.request_retry_spacing,
+                Some(&last) => now.saturating_since(last) >= REQUEST_RETRY_SPACING,
                 None => true,
             };
             if fresh {
@@ -955,7 +958,7 @@ impl ByzcastNode {
         let now = ctx.now();
         let beacon_due = self
             .last_beacon
-            .is_none_or(|t| now.saturating_since(t) >= self.config.beacon_period);
+            .is_none_or(|t| now.saturating_since(t) >= BEACON_PERIOD);
         let beacon = if beacon_due {
             self.last_beacon = Some(now);
             Some(self.make_beacon(now))
@@ -964,7 +967,7 @@ impl ByzcastNode {
         };
         // Only gossip messages we still hold (purging stops their gossip)
         // and whose advertisement window is open.
-        let entries = self.store.gossip_round(self.config.max_gossip_entries);
+        let entries = self.store.gossip_round(MAX_GOSSIP_ENTRIES);
         if self.config.aggregate_gossip {
             if !entries.is_empty() || beacon.is_some() {
                 self.counters.gossip_packets += 1;
@@ -1028,7 +1031,7 @@ impl ByzcastNode {
                 self.reelect(now);
             }
         }
-        ctx.set_timer_after(self.config.fd_tick, timers::FD);
+        ctx.set_timer_after(FD_TICK, timers::FD);
     }
 
     /// Re-runs the overlay decision outside the beacon cycle. On a role or
@@ -1076,7 +1079,7 @@ impl Protocol for ByzcastNode {
                 .gen_range_u64(self.config.gossip_period.as_micros().max(1)),
         );
         ctx.set_timer_after(gossip_phase, timers::GOSSIP);
-        ctx.set_timer_after(self.config.fd_tick, timers::FD);
+        ctx.set_timer_after(FD_TICK, timers::FD);
         ctx.set_timer_after(self.config.purge_after, timers::PURGE);
     }
 
@@ -1142,7 +1145,7 @@ impl Protocol for ByzcastNode {
         // … on the actual message") — `DataMsg` carries `id_sig`. Under a
         // store cap our own body may have been rejected; then it is not
         // advertised either (we could not serve the requests).
-        self.advertise(now, self.id, id, self.config.gossip_advertise_rounds);
+        self.advertise(now, self.id, id, GOSSIP_ADVERTISE_ROUNDS);
     }
 }
 
@@ -1462,7 +1465,7 @@ mod tests {
         });
         // The response waits out the rebroadcast jitter first.
         assert!(sends(&actions).is_empty());
-        let later = t + h.node.config().rebroadcast_timeout;
+        let later = t + REBROADCAST_TIMEOUT;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         let served: Vec<_> = sends(&actions)
             .into_iter()
@@ -1489,7 +1492,7 @@ mod tests {
         });
         // Another holder answers first: we overhear the duplicate.
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(8), &WireMsg::data(m)));
-        let later = t + h.node.config().rebroadcast_timeout;
+        let later = t + REBROADCAST_TIMEOUT;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         assert!(sends(&actions).is_empty(), "suppression failed");
         assert_eq!(h.node.counters().recoveries_served, 0);
@@ -1522,7 +1525,7 @@ mod tests {
         // …but if node 6's request went unanswered (e.g. the response was
         // lost to a hidden terminal), our deferred request still fires —
         // cancelling outright would deadlock the message.
-        let after_defer = t + h.node.config().request_retry_spacing + SimDuration::from_millis(1);
+        let after_defer = t + REQUEST_RETRY_SPACING + SimDuration::from_millis(1);
         let (_, actions) = h.drive(after_defer, |n, ctx| n.flush_requests(ctx));
         let s = sends(&actions);
         assert_eq!(s.len(), 1, "deferred request never fired");
@@ -1542,7 +1545,7 @@ mod tests {
         h.drive(t, |n, ctx| {
             n.on_packet(ctx, NodeId(5), &WireMsg::Request(req));
         });
-        let later = t + h.node.config().rebroadcast_timeout;
+        let later = t + REBROADCAST_TIMEOUT;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         assert_eq!(sends(&actions).len(), 1);
         assert_eq!(h.node.fds.verbose.indict_count(NodeId(5)), 0);
@@ -1646,7 +1649,7 @@ mod tests {
         h.drive(t, |n, ctx| {
             n.on_packet(ctx, NodeId(5), &WireMsg::FindMissing(f));
         });
-        let later = t + h.node.config().rebroadcast_timeout;
+        let later = t + REBROADCAST_TIMEOUT;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
@@ -1670,7 +1673,7 @@ mod tests {
         h.drive(t, |n, ctx| {
             n.on_packet(ctx, NodeId(5), &WireMsg::FindMissing(f));
         });
-        let later = t + h.node.config().rebroadcast_timeout;
+        let later = t + REBROADCAST_TIMEOUT;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         let s = sends(&actions);
         assert!(matches!(&s[0], WireMsg::Data(d) if d.ttl == 1));
@@ -1966,9 +1969,9 @@ mod tests {
     #[test]
     fn spaced_retry_clears_the_serve_window() {
         // Satellite regression: the responder's per-id serve window used to
-        // alias `request_retry_spacing`. Because the window starts at the
-        // *jittered serve time* (up to `rebroadcast_timeout` after the
-        // request), a retry spaced exactly `request_retry_spacing` after the
+        // alias `REQUEST_RETRY_SPACING`. Because the window starts at the
+        // *jittered serve time* (up to `REBROADCAST_TIMEOUT` after the
+        // request), a retry spaced exactly `REQUEST_RETRY_SPACING` after the
         // original request landed `jitter` short of the window and was
         // silently refused — the requester burned a retry for nothing.
         let mut h = Harness::new(1, ByzcastConfig::default());
@@ -2002,10 +2005,10 @@ mod tests {
             sends(&actions)
                 .iter()
                 .any(|m| matches!(m, WireMsg::Data(d) if d.id == id)),
-            "a retry spaced request_retry_spacing after the original must be served"
+            "a retry spaced REQUEST_RETRY_SPACING after the original must be served"
         );
         // The window still suppresses genuinely bursty duplicates: a second
-        // request inside `response_serve_window` of the serve is refused.
+        // request inside `RESPONSE_SERVE_WINDOW` of the serve is refused.
         let t_burst = t_retry + SimDuration::from_millis(200);
         h.drive(t_burst, |n, ctx| {
             n.on_packet(
@@ -2340,8 +2343,7 @@ mod tests {
         let t = SimTime::from_secs(1);
         let m = h.data_from(0, 1);
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
-        let rounds = h.node.config().gossip_advertise_rounds;
-        for _ in 0..rounds {
+        for _ in 0..GOSSIP_ADVERTISE_ROUNDS {
             assert_eq!(gossiped(&mut h, t), vec![m.id]);
         }
         assert!(gossiped(&mut h, t).is_empty(), "window should be closed");

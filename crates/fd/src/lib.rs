@@ -47,7 +47,7 @@ pub mod verbose;
 pub use header::MsgKind;
 pub use interval::{IntervalSpec, SuspicionLog};
 pub use mute::{DataId, MuteConfig, MuteDetector};
-pub use trust::{SuspicionReason, TrustConfig, TrustDetector, TrustLevel};
+pub use trust::{SuspicionReason, TrustDetector, TrustLevel};
 pub use verbose::{VerboseConfig, VerboseDetector};
 
 use byzcast_sim::{NodeId, SimTime};
@@ -67,12 +67,13 @@ pub struct FailureDetectors {
 }
 
 impl FailureDetectors {
-    /// Creates the bundle from per-detector configurations.
-    pub fn new(mute: MuteConfig, verbose: VerboseConfig, trust: TrustConfig) -> Self {
+    /// Creates the bundle from the MUTE configuration; VERBOSE runs with
+    /// [`VerboseConfig::default`] and TRUST with its fixed durations.
+    pub fn new(mute: MuteConfig) -> Self {
         FailureDetectors {
             mute: MuteDetector::new(mute),
-            verbose: VerboseDetector::new(verbose),
-            trust: TrustDetector::new(trust),
+            verbose: VerboseDetector::new(VerboseConfig::default()),
+            trust: TrustDetector::default(),
         }
     }
 
@@ -102,14 +103,6 @@ mod tests {
     use super::*;
     use byzcast_sim::SimDuration;
 
-    fn bundle() -> FailureDetectors {
-        FailureDetectors::new(
-            MuteConfig::default(),
-            VerboseConfig::default(),
-            TrustConfig::default(),
-        )
-    }
-
     #[test]
     fn mute_suspicion_flows_into_trust() {
         // Short expect timeout so all misses land within one decay interval.
@@ -117,7 +110,7 @@ mod tests {
             expect_timeout: SimDuration::from_millis(300),
             ..MuteConfig::default()
         };
-        let mut fd = FailureDetectors::new(mute, VerboseConfig::default(), TrustConfig::default());
+        let mut fd = FailureDetectors::new(mute);
         let threshold = fd.mute.config().threshold;
         let timeout = fd.mute.config().expect_timeout;
         let mut t = SimTime::from_secs(1);
@@ -134,7 +127,7 @@ mod tests {
 
     #[test]
     fn verbose_indictments_flow_into_trust() {
-        let mut fd = bundle();
+        let mut fd = FailureDetectors::new(MuteConfig::default());
         let t = SimTime::from_secs(1);
         for _ in 0..fd.verbose.config().threshold {
             fd.verbose.indict(t, NodeId(2));

@@ -208,15 +208,6 @@ impl MuteDetector {
     pub fn pending_expectations(&self) -> usize {
         self.expectations.iter().filter(|e| !e.satisfied).count()
     }
-
-    /// The earliest pending deadline, for arming a wake-up timer.
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.expectations
-            .iter()
-            .filter(|e| !e.satisfied)
-            .map(|e| e.deadline)
-            .min()
-    }
 }
 
 #[cfg(test)]
@@ -336,15 +327,6 @@ mod tests {
         let mut fd = MuteDetector::new(config());
         fd.expect(SimTime::ZERO, MSG, &[]);
         assert_eq!(fd.pending_expectations(), 0);
-    }
-
-    #[test]
-    fn next_deadline_tracks_earliest() {
-        let mut fd = MuteDetector::new(config());
-        let t0 = SimTime::from_secs(1);
-        assert_eq!(fd.next_deadline(), None);
-        fd.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
-        assert_eq!(fd.next_deadline(), Some(t0 + SimDuration::from_millis(100)));
     }
 
     #[test]

@@ -38,18 +38,6 @@ pub enum SuspicionReason {
     ProtocolViolation,
 }
 
-impl std::fmt::Display for SuspicionReason {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = match self {
-            SuspicionReason::Mute => "mute",
-            SuspicionReason::Verbose => "verbose",
-            SuspicionReason::BadSignature => "bad signature",
-            SuspicionReason::ProtocolViolation => "protocol violation",
-        };
-        f.write_str(s)
-    }
-}
-
 /// The trust level `p` assigns a neighbour, as used by the overlay.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
 pub enum TrustLevel {
@@ -62,28 +50,15 @@ pub enum TrustLevel {
     Untrusted,
 }
 
-/// TRUST detector parameters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TrustConfig {
-    /// How long a direct suspicion lasts before aging out.
-    pub suspicion_duration: SimDuration,
-    /// How long a second-hand ("unknown") report lasts before aging out.
-    pub report_duration: SimDuration,
-}
+/// How long a direct suspicion lasts before aging out.
+pub const SUSPICION_DURATION: SimDuration = SimDuration::from_secs(10);
 
-impl Default for TrustConfig {
-    fn default() -> Self {
-        TrustConfig {
-            suspicion_duration: SimDuration::from_secs(10),
-            report_duration: SimDuration::from_secs(10),
-        }
-    }
-}
+/// How long a second-hand ("unknown") report lasts before aging out.
+pub const REPORT_DURATION: SimDuration = SimDuration::from_secs(10);
 
 /// The TRUST failure detector of one node.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TrustDetector {
-    config: TrustConfig,
     /// Direct suspicions.
     suspected: Suspected,
     /// Second-hand reports as `(suspected, reporter, until)`, sorted by
@@ -98,26 +73,9 @@ pub struct TrustDetector {
 }
 
 impl TrustDetector {
-    /// Creates a detector.
-    pub fn new(config: TrustConfig) -> Self {
-        TrustDetector {
-            config,
-            suspected: Suspected::default(),
-            reports: Vec::new(),
-            history: HashMap::new(),
-            generation: 0,
-        }
-    }
-
-    /// The configuration in force.
-    pub fn config(&self) -> &TrustConfig {
-        &self.config
-    }
-
     /// Directly suspects `node` for `reason` (Figure 2's `suspect` method).
     pub fn suspect(&mut self, now: SimTime, node: NodeId, reason: SuspicionReason) {
-        self.suspected
-            .raise(node, now + self.config.suspicion_duration);
+        self.suspected.raise(node, now + SUSPICION_DURATION);
         *self.history.entry((node, reason)).or_insert(0) += 1;
         self.generation += 1;
     }
@@ -132,7 +90,7 @@ impl TrustDetector {
         if self.is_suspected(suspected, now) {
             return; // already untrusted; unknown would be a downgrade
         }
-        let until = now + self.config.report_duration;
+        let until = now + REPORT_DURATION;
         match self
             .reports
             .binary_search_by_key(&(suspected, reporter), |&(s, r, _)| (s, r))
@@ -198,22 +156,15 @@ impl TrustDetector {
 mod tests {
     use super::*;
 
-    fn det() -> TrustDetector {
-        TrustDetector::new(TrustConfig {
-            suspicion_duration: SimDuration::from_secs(10),
-            report_duration: SimDuration::from_secs(10),
-        })
-    }
-
     #[test]
     fn default_is_trusted() {
-        let d = det();
+        let d = TrustDetector::default();
         assert_eq!(d.level(NodeId(1), SimTime::ZERO), TrustLevel::Trusted);
     }
 
     #[test]
     fn direct_suspicion_is_untrusted_then_ages() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         d.suspect(t, NodeId(1), SuspicionReason::BadSignature);
         assert_eq!(d.level(NodeId(1), t), TrustLevel::Untrusted);
@@ -226,7 +177,7 @@ mod tests {
 
     #[test]
     fn second_hand_report_is_unknown() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         d.report_from_neighbor(t, NodeId(2), NodeId(3));
         assert_eq!(d.level(NodeId(3), t), TrustLevel::Unknown);
@@ -235,7 +186,7 @@ mod tests {
 
     #[test]
     fn report_from_suspected_reporter_is_ignored() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         d.suspect(t, NodeId(2), SuspicionReason::Verbose);
         d.report_from_neighbor(t, NodeId(2), NodeId(3));
@@ -244,7 +195,7 @@ mod tests {
 
     #[test]
     fn reporter_suspected_after_reporting_voids_the_report() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         d.report_from_neighbor(t, NodeId(2), NodeId(3));
         assert_eq!(d.level(NodeId(3), t), TrustLevel::Unknown);
@@ -254,7 +205,7 @@ mod tests {
 
     #[test]
     fn direct_suspicion_dominates_unknown() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         d.report_from_neighbor(t, NodeId(2), NodeId(3));
         d.suspect(t, NodeId(3), SuspicionReason::Mute);
@@ -263,7 +214,7 @@ mod tests {
 
     #[test]
     fn reports_age_out() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         d.report_from_neighbor(t, NodeId(2), NodeId(3));
         let later = t + SimDuration::from_secs(11);
@@ -273,7 +224,7 @@ mod tests {
 
     #[test]
     fn reports_on_many_nodes_void_and_age_independently() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         let secs = SimDuration::from_secs;
         // Two reporters on node 3, one on node 6, one on node 1.
@@ -308,7 +259,7 @@ mod tests {
 
     #[test]
     fn generation_moves_whenever_the_untrusted_set_may_change() {
-        let mut d = det();
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         let g0 = d.generation();
         d.report_from_neighbor(t, NodeId(2), NodeId(3));
@@ -323,11 +274,5 @@ mod tests {
         d.tick(later);
         assert_ne!(d.generation(), g1, "the suspicion expired");
         assert!(d.untrusted(later).is_empty());
-    }
-
-    #[test]
-    fn reasons_display() {
-        assert_eq!(SuspicionReason::Mute.to_string(), "mute");
-        assert_eq!(SuspicionReason::BadSignature.to_string(), "bad signature");
     }
 }

@@ -3,8 +3,9 @@
 
 use proptest::prelude::*;
 
+use byzcast_fd::trust::SUSPICION_DURATION;
 use byzcast_fd::{
-    DataId, MuteConfig, MuteDetector, SuspicionReason, TrustConfig, TrustDetector, VerboseConfig,
+    DataId, MuteConfig, MuteDetector, SuspicionReason, TrustDetector, VerboseConfig,
     VerboseDetector,
 };
 use byzcast_sim::{NodeId, SimDuration, SimTime};
@@ -171,7 +172,7 @@ proptest! {
     /// suspicion always outranks reports.
     #[test]
     fn trust_levels_are_ordered(reporters in proptest::collection::vec(1u32..50, 0..8)) {
-        let mut d = TrustDetector::new(TrustConfig::default());
+        let mut d = TrustDetector::default();
         let t = SimTime::from_secs(1);
         for &r in &reporters {
             d.report_from_neighbor(t, NodeId(r), NodeId(0));
@@ -180,7 +181,7 @@ proptest! {
         prop_assert_eq!(d.level(NodeId(0), t), byzcast_fd::TrustLevel::Untrusted);
         // After the suspicion ages out, reports (if any remain) demote to
         // Unknown at most.
-        let later = t + d.config().suspicion_duration + SimDuration::from_secs(1);
+        let later = t + SUSPICION_DURATION + SimDuration::from_secs(1);
         d.tick(later);
         let level = d.level(NodeId(0), later);
         prop_assert!(level != byzcast_fd::TrustLevel::Untrusted);

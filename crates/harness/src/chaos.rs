@@ -637,12 +637,6 @@ impl ChaosCase {
                     millis(*pause)
                 );
             }
-            MobilityChoice::Walk {
-                speed_mps,
-                mean_leg,
-            } => {
-                let _ = writeln!(out, "mobility walk {speed_mps} {}", millis(*mean_leg));
-            }
         }
         for (id, deviation) in &s.adversary_assignments {
             let _ = writeln!(out, "{}", role_to_text(*id, deviation));
@@ -889,10 +883,6 @@ fn parse_mobility(rest: &[&str]) -> Option<MobilityChoice> {
             max_mps: rest.get(2)?.parse().ok()?,
             pause: SimDuration::from_millis(rest.get(3)?.parse().ok()?),
         }),
-        "walk" => Some(MobilityChoice::Walk {
-            speed_mps: rest.get(1)?.parse().ok()?,
-            mean_leg: SimDuration::from_millis(rest.get(2)?.parse().ok()?),
-        }),
         _ => None,
     }
 }
@@ -1116,6 +1106,7 @@ workload senders 0,1 count 3 bytes 256 start_ms 5000 interval_ms 1000 drain_ms 1
         assert!(parse_case("nonsense").is_err());
         assert!(parse_case(&format!("{CORPUS_HEADER}\nfrobnicate 7\n")).is_err());
         assert!(parse_case(&format!("{CORPUS_HEADER}\nname x\n")).is_err());
+        assert!(parse_case(&format!("{CORPUS_HEADER}\nn 5\nmobility walk 1 1000\n")).is_err());
     }
 
     #[test]

@@ -32,9 +32,9 @@ use std::collections::{BTreeMap, BTreeSet};
 use byzcast_adversary::Deviation;
 use byzcast_core::{ResourceConfig, ResourceStats};
 use byzcast_fd::interval::SuspicionEpisode;
-use byzcast_sim::{FaultKind, Metrics, NodeId, Position, SimDuration, SimTime};
+use byzcast_sim::{FaultKind, Metrics, NodeId, SimDuration, SimTime};
 
-use crate::scenario::{byz_view, MobilityChoice, ProtocolChoice, ScenarioConfig};
+use crate::scenario::{adjacency_within, byz_view, MobilityChoice, ProtocolChoice, ScenarioConfig};
 use crate::summary::RunSummary;
 use crate::workload::Workload;
 
@@ -206,19 +206,6 @@ fn certain_radius(scenario: &ScenarioConfig) -> f64 {
     scenario.sim.radio.range_m * (1.0 - scenario.sim.radio.fading_fraction)
 }
 
-/// Adjacency restricted to certain links.
-fn certain_adjacency(scenario: &ScenarioConfig, positions: &[Position]) -> Vec<Vec<NodeId>> {
-    let r = certain_radius(scenario);
-    (0..positions.len())
-        .map(|i| {
-            (0..positions.len())
-                .filter(|&j| j != i && positions[i].distance(&positions[j]) <= r)
-                .map(|j| NodeId(j as u32))
-                .collect()
-        })
-        .collect()
-}
-
 /// Recovery time granted before an undelivered message counts as lost: the
 /// recovery path pays a gossip (1 s) + request cycle per hop, so allow the
 /// network diameter's worth with slack.
@@ -267,7 +254,7 @@ impl Oracle for SemiReliability {
         }
 
         let positions = ctx.scenario.initial_positions();
-        let adj = certain_adjacency(ctx.scenario, &positions);
+        let adj = adjacency_within(&positions, certain_radius(ctx.scenario));
         let mut out = Vec::new();
         for b in &ctx.metrics.broadcasts {
             if !ctx.eligible[b.origin.index()]

@@ -10,8 +10,8 @@ use byzcast_core::{ByzcastConfig, ByzcastNode};
 use byzcast_crypto::{CachingVerifier, KeyRegistry, SignerId, SimScheme, Verifier};
 use byzcast_overlay::analysis::connected_correct_cover;
 use byzcast_sim::{
-    BoxedProtocol, FaultPlan, MobilityModel, NodeId, Position, RandomWalk, RandomWaypoint,
-    SimBuilder, SimConfig, SimDuration, SimRng, Simulator, StaticPlacement,
+    BoxedProtocol, FaultPlan, Message, MobilityModel, NodeId, Position, RandomWaypoint, SimBuilder,
+    SimConfig, SimDuration, SimRng, Simulator, StaticPlacement,
 };
 
 use crate::summary::RunSummary;
@@ -41,13 +41,6 @@ pub enum MobilityChoice {
         /// Pause at each waypoint.
         pause: SimDuration,
     },
-    /// Random walk at constant speed with exponential leg times.
-    Walk {
-        /// Walking speed.
-        speed_mps: f64,
-        /// Mean leg duration.
-        mean_leg: SimDuration,
-    },
 }
 
 impl MobilityChoice {
@@ -65,10 +58,6 @@ impl MobilityChoice {
                 max_mps,
                 pause,
             } => Box::new(RandomWaypoint::new(*min_mps, *max_mps, *pause)),
-            MobilityChoice::Walk {
-                speed_mps,
-                mean_leg,
-            } => Box::new(RandomWalk::new(*speed_mps, *mean_leg)),
         }
     }
 }
@@ -133,6 +122,18 @@ impl Default for ScenarioConfig {
     }
 }
 
+/// Adjacency of the disk graph of radius `r` (metres) over `positions`.
+pub(crate) fn adjacency_within(positions: &[Position], r: f64) -> Vec<Vec<NodeId>> {
+    (0..positions.len())
+        .map(|i| {
+            (0..positions.len())
+                .filter(|&j| j != i && positions[i].distance(&positions[j]) <= r)
+                .map(|j| NodeId(j as u32))
+                .collect()
+        })
+        .collect()
+}
+
 /// Assigns `deviation` to the `count` highest ids of an `n`-node scenario
 /// (all of them if `count >= n`). These ids win the id-based overlay
 /// election, so adversaries there are the worst case for the protocol.
@@ -178,15 +179,7 @@ impl ScenarioConfig {
 
     /// Nominal-range adjacency for the given positions.
     pub fn adjacency(&self, positions: &[Position]) -> Vec<Vec<NodeId>> {
-        let r = self.sim.radio.range_m;
-        (0..positions.len())
-            .map(|i| {
-                (0..positions.len())
-                    .filter(|&j| j != i && positions[i].distance(&positions[j]) <= r)
-                    .map(|j| NodeId(j as u32))
-                    .collect()
-            })
-            .collect()
+        adjacency_within(positions, self.sim.radio.range_m)
     }
 
     /// A short protocol label for reports.
@@ -250,7 +243,6 @@ impl ScenarioConfig {
             !matches!(self.protocol, ProtocolChoice::MultiOverlay { .. }),
             "multi-overlay runs use MoMsg; use run() instead"
         );
-        let positions = self.initial_positions();
         let keys: KeyRegistry<SimScheme> = KeyRegistry::generate(self.seed, self.n as u32);
         let verifier = self.make_verifier(&keys);
         let factory = WireNodeFactory {
@@ -263,16 +255,25 @@ impl ScenarioConfig {
                 .collect(),
             sabotage: self.sabotage,
         };
+        self.build_sim(self.initial_positions(), move |id| factory.make(id))
+    }
 
+    /// Builds the simulator with this scenario's mobility and fault plan,
+    /// nodes at `positions`, and each node's protocol from `make`.
+    fn build_sim<M: Message + 'static>(
+        &self,
+        positions: Vec<Position>,
+        make: impl Fn(NodeId) -> BoxedProtocol<M> + 'static,
+    ) -> Simulator<M> {
         let mut builder = SimBuilder::new(self.sim_config())
             .with_mobility(self.mobility.build())
             .with_positions(positions)
-            .with_nodes(self.n, |id| factory.make(id))
+            .with_nodes(self.n, &make)
             .with_fault_plan(self.fault_plan.clone());
         if !self.fault_plan.is_empty() {
             // The same factory rebuilds nodes after state-losing restarts,
             // so a restarted node is indistinguishable from a fresh one.
-            builder = builder.with_restart_factory(Box::new(move |id| factory.make(id)));
+            builder = builder.with_restart_factory(Box::new(make));
         }
         builder.build()
     }
@@ -316,16 +317,7 @@ impl ScenarioConfig {
             }
         };
 
-        let mut builder = SimBuilder::new(self.sim_config())
-            .with_mobility(self.mobility.build())
-            .with_positions(positions)
-            .with_nodes(self.n, &make)
-            .with_fault_plan(self.fault_plan.clone());
-        if !self.fault_plan.is_empty() {
-            builder = builder.with_restart_factory(Box::new(make));
-        }
-        let mut sim = builder.build();
-
+        let mut sim = self.build_sim(positions, make);
         self.drive(&mut sim, workload);
         let correct = self.correct_mask();
         let mut summary = RunSummary::from_metrics(self.protocol_label(), sim.metrics(), &correct);
@@ -336,11 +328,7 @@ impl ScenarioConfig {
     }
 
     /// Schedules the workload and runs the simulation to its horizon.
-    pub fn drive<M: byzcast_sim::Message + 'static>(
-        &self,
-        sim: &mut Simulator<M>,
-        workload: &Workload,
-    ) {
+    pub fn drive<M: Message + 'static>(&self, sim: &mut Simulator<M>, workload: &Workload) {
         for (at, sender, payload_id, size) in workload.schedule() {
             sim.schedule_app_broadcast(at, sender, payload_id, size);
         }

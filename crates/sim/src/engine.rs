@@ -427,23 +427,6 @@ impl<M: Message + 'static> Simulator<M> {
         self.nodes[node.index()].as_any_mut().downcast_mut::<P>()
     }
 
-    /// Ground-truth one-hop neighbours of `node` under the nominal disk model
-    /// (the paper's `N(1, p)`).
-    pub fn nominal_neighbors(&self, node: NodeId) -> Vec<NodeId> {
-        let p = self.positions[node.index()];
-        (0..self.nodes.len() as u32)
-            .map(NodeId)
-            .filter(|&q| q != node && self.radio.in_nominal_range(&p, &self.positions[q.index()]))
-            .collect()
-    }
-
-    /// Ground-truth adjacency under the nominal disk model.
-    pub fn nominal_adjacency(&self) -> Vec<Vec<NodeId>> {
-        (0..self.nodes.len() as u32)
-            .map(|i| self.nominal_neighbors(NodeId(i)))
-            .collect()
-    }
-
     /// Schedules an application broadcast of `size_bytes` at the absolute
     /// instant `at` (offset from simulation start) on `node`.
     ///
@@ -1213,23 +1196,6 @@ mod tests {
     use crate::mobility::RandomWaypoint;
     fn waypoint_for_test() -> RandomWaypoint {
         RandomWaypoint::new(5.0, 10.0, SimDuration::ZERO)
-    }
-
-    #[test]
-    fn nominal_neighbors_reflect_positions() {
-        let config = line_config(150.0);
-        let sim = SimBuilder::new(config)
-            .with_positions(vec![
-                Position::new(0.0, 50.0),
-                Position::new(100.0, 50.0),
-                Position::new(600.0, 50.0),
-            ])
-            .with_nodes(3, Flooder::boxed)
-            .build();
-        assert_eq!(sim.nominal_neighbors(NodeId(0)), vec![NodeId(1)]);
-        assert_eq!(sim.nominal_neighbors(NodeId(2)), Vec::<NodeId>::new());
-        let adj = sim.nominal_adjacency();
-        assert_eq!(adj[1], vec![NodeId(0)]);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //!   receive either message".
 //! * **CSMA broadcast MAC** ([`mac`]) — carrier sense plus random backoff,
 //!   no RTS/CTS and no link-level ACKs, as for IEEE 802.11 broadcast frames.
-//! * **Mobility** ([`mobility`]) — static placement, random waypoint and
-//!   random walk.
+//! * **Mobility** ([`mobility`]) — static placement and random waypoint.
 //! * **Metrics** ([`metrics`]) — what a run reports: run totals of frames
 //!   and bytes by kind and of losses by cause, plus every broadcast and
 //!   delivery with its time. The engine keeps nothing per node beyond the
@@ -89,7 +88,7 @@ pub use engine::{BoxedProtocol, DynProtocol, SimBuilder, SimConfig, Simulator};
 pub use fault::{FaultEvent, FaultKind, FaultPlan};
 pub use geometry::{Field, Position};
 pub use metrics::{DeliveryRecord, FaultStats, Metrics};
-pub use mobility::{MobilityModel, RandomWalk, RandomWaypoint, StaticPlacement};
+pub use mobility::{MobilityModel, RandomWaypoint, StaticPlacement};
 pub use node::{AppPayload, Context, Message, NodeId, Protocol, TimerKey};
 pub use radio::{RadioConfig, RadioModel};
 pub use rng::SimRng;

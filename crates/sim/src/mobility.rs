@@ -3,14 +3,13 @@
 //! The paper's system model is a mobile ad-hoc network: "due to mobility, the
 //! physical structure of the network is constantly evolving". The engine
 //! advances positions on a fixed tick by calling the configured
-//! [`MobilityModel`]. Three models are provided:
+//! [`MobilityModel`]. Two models are provided:
 //!
 //! * [`StaticPlacement`] — nodes never move; placements can be uniform
 //!   random, explicit, a line, or a grid (the last two are used by the
 //!   worst-case analyses of paper §3.5).
 //! * [`RandomWaypoint`] — the classic model: pick a destination uniformly in
 //!   the field, move to it at a uniform-random speed, pause, repeat.
-//! * [`RandomWalk`] — pick a heading, walk for an exponential time, turn.
 
 use crate::geometry::{Field, Position};
 use crate::rng::SimRng;
@@ -197,86 +196,6 @@ impl MobilityModel for RandomWaypoint {
     }
 }
 
-/// The random walk (random direction) model: walk on a heading for an
-/// exponentially distributed leg time, then turn; reflect off field borders.
-#[derive(Clone, Debug)]
-pub struct RandomWalk {
-    /// Constant walking speed in metres per second.
-    pub speed_mps: f64,
-    /// Mean leg duration before picking a new heading.
-    pub mean_leg: SimDuration,
-    headings: Vec<f64>,
-    leg_remaining: Vec<SimDuration>,
-}
-
-impl RandomWalk {
-    /// Creates the model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `speed_mps` is not positive.
-    pub fn new(speed_mps: f64, mean_leg: SimDuration) -> Self {
-        assert!(speed_mps > 0.0, "speed must be positive");
-        RandomWalk {
-            speed_mps,
-            mean_leg,
-            headings: Vec::new(),
-            leg_remaining: Vec::new(),
-        }
-    }
-
-    fn new_leg(&self, rng: &mut SimRng) -> (f64, SimDuration) {
-        let heading = rng.gen_f64() * std::f64::consts::TAU;
-        let leg = SimDuration::from_secs_f64(rng.gen_exp(self.mean_leg.as_secs_f64()));
-        (heading, leg)
-    }
-}
-
-impl MobilityModel for RandomWalk {
-    fn initial_positions(&mut self, n: usize, field: &Field, rng: &mut SimRng) -> Vec<Position> {
-        let positions: Vec<Position> = (0..n).map(|_| field.random_position(rng)).collect();
-        self.headings.clear();
-        self.leg_remaining.clear();
-        for _ in 0..n {
-            let (h, l) = self.new_leg(rng);
-            self.headings.push(h);
-            self.leg_remaining.push(l);
-        }
-        positions
-    }
-
-    fn step(
-        &mut self,
-        positions: &mut [Position],
-        dt: SimDuration,
-        field: &Field,
-        rng: &mut SimRng,
-    ) {
-        let dt_s = dt.as_secs_f64();
-        for (i, pos) in positions.iter_mut().enumerate() {
-            if self.leg_remaining[i] <= dt {
-                let (h, l) = self.new_leg(rng);
-                self.headings[i] = h;
-                self.leg_remaining[i] = l;
-            } else {
-                self.leg_remaining[i] = self.leg_remaining[i] - dt;
-            }
-            let mut x = pos.x + self.speed_mps * dt_s * self.headings[i].cos();
-            let mut y = pos.y + self.speed_mps * dt_s * self.headings[i].sin();
-            // Reflect off the borders, flipping the heading component.
-            if x < 0.0 || x > field.width {
-                self.headings[i] = std::f64::consts::PI - self.headings[i];
-                x = x.clamp(0.0, field.width);
-            }
-            if y < 0.0 || y > field.height {
-                self.headings[i] = -self.headings[i];
-                y = y.clamp(0.0, field.height);
-            }
-            *pos = Position::new(x, y);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,20 +289,6 @@ mod tests {
         let at_pause = ps[0];
         m.step(&mut ps, SimDuration::from_millis(200), &f, &mut rng);
         assert_eq!(ps[0], at_pause, "node moved during pause");
-    }
-
-    #[test]
-    fn walk_nodes_move_and_stay_in_field() {
-        let mut m = RandomWalk::new(3.0, SimDuration::from_secs(5));
-        let mut rng = SimRng::new(4);
-        let f = field();
-        let mut ps = m.initial_positions(10, &f, &mut rng);
-        for _ in 0..500 {
-            m.step(&mut ps, SimDuration::from_millis(200), &f, &mut rng);
-            for p in &ps {
-                assert!(f.contains(*p), "escaped field: {p:?}");
-            }
-        }
     }
 
     #[test]

@@ -213,13 +213,6 @@ impl RadioModel {
         let di = interferer.distance(rx);
         di >= ds * self.config.capture_ratio
     }
-
-    /// Whether two nodes are neighbours under the *formal* disk model — used
-    /// to compute ground-truth `N(1, p)` sets in analyses and tests.
-    pub fn in_nominal_range(&self, a: &Position, b: &Position) -> bool {
-        let r = self.config.range_m;
-        a.distance_squared(b) <= r * r
-    }
 }
 
 #[cfg(test)]

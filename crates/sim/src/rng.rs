@@ -117,13 +117,6 @@ impl SimRng {
         }
     }
 
-    /// Exponentially distributed value with the given mean (for Poisson
-    /// inter-arrival workloads).
-    pub fn gen_exp(&mut self, mean: f64) -> f64 {
-        let u = 1.0 - self.gen_f64(); // in (0, 1]
-        -mean * u.ln()
-    }
-
     /// Fisher–Yates shuffle of a slice.
     pub fn shuffle<T>(&mut self, xs: &mut [T]) {
         for i in (1..xs.len()).rev() {
@@ -208,14 +201,6 @@ mod tests {
         assert!(rng.gen_bool(1.0));
         assert!(!rng.gen_bool(-3.0));
         assert!(rng.gen_bool(7.0));
-    }
-
-    #[test]
-    fn gen_exp_has_requested_mean() {
-        let mut rng = SimRng::new(11);
-        let n = 20_000;
-        let mean: f64 = (0..n).map(|_| rng.gen_exp(2.0)).sum::<f64>() / n as f64;
-        assert!((mean - 2.0).abs() < 0.1, "mean was {mean}");
     }
 
     #[test]

@@ -51,11 +51,6 @@ impl SimTime {
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
     }
-
-    /// Checked subtraction of two instants.
-    pub fn checked_since(self, earlier: SimTime) -> Option<SimDuration> {
-        self.0.checked_sub(earlier.0).map(SimDuration)
-    }
 }
 
 impl SimDuration {
@@ -97,11 +92,6 @@ impl SimDuration {
     /// Saturating scalar multiplication.
     pub fn saturating_mul(self, k: u64) -> SimDuration {
         SimDuration(self.0.saturating_mul(k))
-    }
-
-    /// Checked scalar division; `None` when `k` is zero.
-    pub fn checked_div(self, k: u64) -> Option<SimDuration> {
-        self.0.checked_div(k).map(SimDuration)
     }
 }
 
@@ -189,7 +179,6 @@ mod tests {
         );
         // Saturating: earlier.since(later) is zero, not a panic.
         assert_eq!(SimTime::from_secs(1).saturating_since(t), SimDuration::ZERO);
-        assert_eq!(SimTime::from_secs(1).checked_since(t), None);
     }
 
     #[test]
