@@ -17,7 +17,9 @@ use byzcast_core::message::{
 };
 use byzcast_core::ByzcastNode;
 use byzcast_crypto::Signature;
-use byzcast_overlay::{NeighborTable, OverlayDecision, OverlayProtocol, OverlayRole, TrustView};
+use byzcast_overlay::{
+    AdvertisedLists, NeighborTable, OverlayDecision, OverlayProtocol, OverlayRole, TrustView,
+};
 use byzcast_sim::node::Action;
 use byzcast_sim::{AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey};
 
@@ -453,8 +455,7 @@ impl ByzantineNode {
                     victim,
                     OverlayRole::Dominator,
                     true,
-                    vec![me],
-                    vec![],
+                    AdvertisedLists::new(&[me], &[]),
                     vec![],
                     Signature::zero(),
                 )));

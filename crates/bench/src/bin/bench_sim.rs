@@ -14,6 +14,14 @@
 //! per copy near the n = 320 point means the growth is algorithmic, near
 //! the n = 2560 point it is locality. Each point runs once.
 //!
+//! Beside µs per copy each point reports its memory footprint at the last
+//! broadcast: bytes per node for each structure of a byzcast node (its hot
+//! head and cold part, store, neighbour table, MUTE, VERBOSE, TRUST,
+//! recovery maps, governor; see `ByzcastNode::footprint`) and for each of
+//! the engine's per-node vectors (`engine.*`, see `Simulator::footprint`).
+//! Taking it is not timed. The file also records `ratio_max_min`, µs per
+//! copy at the largest n over the smallest.
+//!
 //! Usage: `bench_sim [--quick] [--label TEXT] [--parent PATH] [--out PATH]`
 //! (default `BENCH_scale.json`). `--quick` runs n ∈ {320, 640} and 2
 //! islands, for CI, and its verdict reads `unresolved`. `--parent PATH` embeds the JSON that this binary wrote
@@ -23,10 +31,12 @@
 use std::collections::HashSet;
 use std::time::Instant;
 
+use byzcast_core::WireMsg;
 use byzcast_harness::record::JsonObject;
-use byzcast_harness::{MobilityChoice, ScenarioConfig, Workload};
+use byzcast_harness::{byz_view, MobilityChoice, ScenarioConfig, Workload};
 use byzcast_sim::{
     Field, Metrics, NodeId, Position, RadioModel, SimConfig, SimDuration, SimRng, SimTime,
+    Simulator,
 };
 
 /// R5's density (80 nodes per 1000 m × 1000 m), preserved at any n.
@@ -90,6 +100,28 @@ fn delivered_copies(metrics: &Metrics) -> u64 {
     copies.len() as u64
 }
 
+/// Bytes per node for each structure: a byzcast node's, then the engine's
+/// per-node vectors (prefixed `engine.`), averaged over the nodes.
+fn footprint(sim: &Simulator<WireMsg>) -> Vec<(String, f64)> {
+    let n = sim.node_count();
+    let mut totals: Vec<(String, usize)> = Vec::new();
+    for i in 0..n {
+        let node = byz_view(sim, NodeId(i as u32)).expect("every node runs byzcast");
+        for (k, (name, bytes)) in node.footprint().into_iter().enumerate() {
+            if k == totals.len() {
+                totals.push((name.to_owned(), 0));
+            }
+            totals[k].1 += bytes;
+        }
+    }
+    let engine = sim.footprint().into_iter();
+    totals.extend(engine.map(|(name, bytes)| (format!("engine.{name}"), bytes)));
+    totals
+        .into_iter()
+        .map(|(name, bytes)| (name, bytes as f64 / n as f64))
+        .collect()
+}
+
 /// One measured point of the scale curve.
 struct ScalePoint {
     label: String,
@@ -101,6 +133,8 @@ struct ScalePoint {
     /// Nodes each message can reach (n, or one island's size).
     nodes_per_stream: usize,
     messages: usize,
+    /// Bytes per node for each structure, at the last broadcast.
+    footprint: Vec<(String, f64)>,
 }
 
 impl ScalePoint {
@@ -120,14 +154,25 @@ impl ScalePoint {
             .map(|&(at, ..)| at)
             .min()
             .expect("a broadcast");
+        let last = schedule
+            .iter()
+            .map(|&(at, ..)| at)
+            .max()
+            .expect("a broadcast");
         for (at, sender, payload_id, size) in schedule {
             sim.schedule_app_broadcast(at, sender, payload_id, size);
         }
         sim.run_until(SimTime::from_micros(first.as_micros() - 1_000));
         let setup_s = t.elapsed().as_secs_f64();
+        // Splitting the run at an instant changes nothing; the footprint is
+        // taken between the two halves, off the clock.
+        let t = Instant::now();
+        sim.run_until(SimTime::ZERO + last);
+        let mut run_s = t.elapsed().as_secs_f64();
+        let footprint = footprint(&sim);
         let t = Instant::now();
         sim.run_until(SimTime::ZERO + workload.horizon());
-        let run_s = t.elapsed().as_secs_f64();
+        run_s += t.elapsed().as_secs_f64();
         let point = ScalePoint {
             label,
             n: config.n,
@@ -137,6 +182,7 @@ impl ScalePoint {
             frames_sent: sim.metrics().frames_sent,
             nodes_per_stream,
             messages: workload.count,
+            footprint,
         };
         eprintln!(
             "  {:<14} n={:<5} setup {setup_s:7.3} s  run {run_s:7.3} s  {:6.2} us/copy  \
@@ -173,6 +219,11 @@ impl ScalePoint {
             .f64("us_per_copy", self.us_per_copy())
             .f64("frames_per_copy", self.frames_per_copy())
             .f64("delivery_ratio", self.delivery_ratio());
+        let mut bytes = JsonObject::new();
+        for (name, per_node) in &self.footprint {
+            bytes.f64(name, *per_node);
+        }
+        o.raw("footprint_bytes_per_node", &bytes.finish());
         o.finish()
     }
 }
@@ -246,6 +297,7 @@ fn scale_curve(quick: bool, label: &str, parent: Option<&str>, out: &str) {
     };
     let (base, full) = (at_n(ISLAND_N), at_n(islands * ISLAND_N));
     let position = (control.us_per_copy() - base) / (full - base);
+    let ratio = at_n(ns[ns.len() - 1]) / at_n(ns[0]);
     points.push(control);
     // One run per point at n ≤ 640 puts the position within host noise,
     // so a quick run draws no verdict.
@@ -281,6 +333,7 @@ fn scale_curve(quick: bool, label: &str, parent: Option<&str>, out: &str) {
                     .join(",")
             ),
         )
+        .f64("ratio_max_min", ratio)
         .f64("islands_position", position)
         .str("verdict", verdict);
     if let Some(path) = parent {

@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use byzcast_crypto::{Signature, Signer, SignerId, Verifier};
 use byzcast_fd::MsgKind;
-use byzcast_overlay::OverlayRole;
+use byzcast_overlay::{AdvertisedLists, OverlayRole};
 use byzcast_sim::{Message, NodeId};
 
 /// Uniquely identifies an application message: `(originator, sequence)`.
@@ -244,8 +244,7 @@ pub struct BeaconMsg {
     sender: NodeId,
     role: OverlayRole,
     marked: bool,
-    neighbors: Arc<[NodeId]>,
-    dominator_neighbors: Arc<[NodeId]>,
+    lists: AdvertisedLists,
     suspects: Arc<[NodeId]>,
     /// The canonical encoding of all of the above: what `sig` signs.
     signed: Arc<[u8]>,
@@ -281,8 +280,8 @@ impl BeaconMsg {
     pub fn sign(
         signer: &dyn Signer,
         role: OverlayRole,
-        neighbors: impl Into<Arc<[NodeId]>>,
-        dominator_neighbors: impl Into<Arc<[NodeId]>>,
+        neighbors: impl AsRef<[NodeId]>,
+        dominator_neighbors: impl AsRef<[NodeId]>,
         suspects: impl Into<Arc<[NodeId]>>,
     ) -> Self {
         Self::sign_marked(
@@ -300,16 +299,15 @@ impl BeaconMsg {
         signer: &dyn Signer,
         role: OverlayRole,
         marked: bool,
-        neighbors: impl Into<Arc<[NodeId]>>,
-        dominator_neighbors: impl Into<Arc<[NodeId]>>,
+        neighbors: impl AsRef<[NodeId]>,
+        dominator_neighbors: impl AsRef<[NodeId]>,
         suspects: impl Into<Arc<[NodeId]>>,
     ) -> Self {
         let mut b = Self::from_parts(
             NodeId(signer.id().0),
             role,
             marked,
-            neighbors,
-            dominator_neighbors,
+            AdvertisedLists::new(neighbors.as_ref(), dominator_neighbors.as_ref()),
             suspects,
             Signature::zero(),
         );
@@ -325,28 +323,22 @@ impl BeaconMsg {
         sender: NodeId,
         role: OverlayRole,
         marked: bool,
-        neighbors: impl Into<Arc<[NodeId]>>,
-        dominator_neighbors: impl Into<Arc<[NodeId]>>,
+        lists: AdvertisedLists,
         suspects: impl Into<Arc<[NodeId]>>,
         sig: Signature,
     ) -> Self {
-        let (neighbors, dominator_neighbors, suspects) = (
-            neighbors.into(),
-            dominator_neighbors.into(),
-            suspects.into(),
-        );
+        let suspects = suspects.into();
         let signed = Self::canonical_bytes(
             sender,
             role,
             marked,
-            [&neighbors, &dominator_neighbors, &suspects],
+            [lists.neighbors(), lists.dominator_neighbors(), &suspects],
         );
         BeaconMsg {
             sender,
             role,
             marked,
-            neighbors,
-            dominator_neighbors,
+            lists,
             suspects,
             signed,
             sig,
@@ -370,13 +362,18 @@ impl BeaconMsg {
     }
 
     /// Its one-hop neighbour list, as sent (a correct sender's is sorted).
-    pub fn neighbors(&self) -> &Arc<[NodeId]> {
-        &self.neighbors
+    pub fn neighbors(&self) -> &[NodeId] {
+        self.lists.neighbors()
     }
 
     /// Its dominator neighbours (for the MIS+B 3-hop bridge rule).
-    pub fn dominator_neighbors(&self) -> &Arc<[NodeId]> {
-        &self.dominator_neighbors
+    pub fn dominator_neighbors(&self) -> &[NodeId] {
+        self.lists.dominator_neighbors()
+    }
+
+    /// Both advertised lists, in their one shared allocation.
+    pub fn lists(&self) -> &AdvertisedLists {
+        &self.lists
     }
 
     /// Nodes it currently suspects (second-hand trust reports: "a node that
@@ -401,7 +398,7 @@ impl BeaconMsg {
             + 1
             + 1
             + 3 * 2
-            + 4 * (self.neighbors.len() + self.dominator_neighbors.len() + self.suspects.len())
+            + 4 * (self.neighbors().len() + self.dominator_neighbors().len() + self.suspects.len())
             + Signature::WIRE_SIZE
     }
 }
@@ -540,8 +537,7 @@ mod tests {
                 sender,
                 role,
                 b.marked(),
-                Arc::clone(b.neighbors()),
-                Arc::clone(b.dominator_neighbors()),
+                b.lists().clone(),
                 suspects,
                 *b.sig(),
             )

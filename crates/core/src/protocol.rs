@@ -116,31 +116,86 @@ impl TrustView for TrustAt<'_> {
 }
 
 /// A node running the Byzantine broadcast protocol.
+///
+/// Every node handles every frame it overhears, so the simulator's cost per
+/// reception is mostly the cost of reaching the receiver's state. The node
+/// is therefore split by use: this head holds what a DATA or gossip
+/// reception, an fd tick or frame admission reads or writes, and everything
+/// else — what only a first reception's bookkeeping, another timer, a
+/// recovery branch or a report touches — sits behind one box, `Cold`.
+/// A new field goes in the head only if one of those four paths touches it
+/// every time; `tests::hot_head_fits_its_cache_lines` pins the head's size.
 pub struct ByzcastNode {
     id: NodeId,
-    config: ByzcastConfig,
-    signer: Box<dyn Signer + Send>,
-    verifier: Arc<dyn Verifier + Send + Sync>,
-    fds: FailureDetectors,
-    table: NeighborTable,
-    overlay_protocol: Box<dyn OverlayProtocol + Send>,
     role: OverlayRole,
     /// Wu–Li marked flag advertised alongside the role.
     marked: bool,
+    /// The `ByzcastConfig` values the hot paths read.
+    hot_config: HotConfig,
+    /// Admission control and verification budgets (resource governance).
+    governor: Governor,
     store: MessageStore,
-    next_seq: u64,
+    /// Recovery responses scheduled after `rebroadcast_timeout` jitter,
+    /// cancelled if another node's rebroadcast is overheard first (response
+    /// implosion suppression: one answer instead of one per overlay
+    /// neighbour).
+    pending_responses: BTreeMap<MessageId, PendingResponse>,
+    fds: FailureDetectors,
+    table: NeighborTable,
+    verifier: Arc<dyn Verifier + Send + Sync>,
     missing: BTreeMap<MessageId, MissingState>,
+    /// Peak `missing` size (resource-stats high-water mark).
+    peak_missing: usize,
+    /// `TrustDetector::generation` when `prev_untrusted` was last taken: an
+    /// fd tick rebuilds and diffs the untrusted set only if it has moved.
+    fd_generation: u64,
+    cold: Box<Cold>,
+}
+
+/// The `ByzcastConfig` values a reception or an fd tick reads, copied into
+/// the node's head so those paths never reach the configuration itself.
+#[derive(Clone, Copy, Debug)]
+struct HotConfig {
+    request_timeout: SimDuration,
+    max_gossip_per_origin: usize,
+    max_missing_per_origin: usize,
+    /// Total request rounds allowed per missing message: the plain retry cap
+    /// normally, or unicast rounds + widened rounds when the recovery
+    /// envelope escalates.
+    request_cap: u32,
+    reelect_on_indictment: bool,
+}
+
+impl HotConfig {
+    fn of(config: &ByzcastConfig) -> Self {
+        let rec = &config.recovery;
+        HotConfig {
+            request_timeout: config.request_timeout,
+            max_gossip_per_origin: config.resources.max_gossip_per_origin,
+            max_missing_per_origin: config.resources.max_missing_per_origin,
+            request_cap: if rec.escalation_enabled() {
+                rec.escalate_after.saturating_add(rec.max_escalations)
+            } else {
+                config.max_requests_per_msg
+            },
+            reelect_on_indictment: rec.reelect_on_indictment,
+        }
+    }
+}
+
+/// The state of a [`ByzcastNode`] that no reception or fd tick touches in
+/// the common case.
+struct Cold {
+    config: ByzcastConfig,
+    signer: Box<dyn Signer + Send>,
+    overlay_protocol: Box<dyn OverlayProtocol + Send>,
+    next_seq: u64,
     counters: ProtocolCounters,
     /// History of this node's own TRUST suspicions (for experiment R6).
     sus_log: SuspicionLog,
     prev_untrusted: BTreeSet<NodeId>,
     /// When the last beacon was piggybacked (`None` = one is due now).
     last_beacon: Option<SimTime>,
-    /// Recovery responses scheduled after `rebroadcast_timeout` jitter,
-    /// cancelled if another node's rebroadcast is overheard first (response
-    /// implosion suppression: one answer instead of one per overlay
-    /// neighbour).
-    pending_responses: BTreeMap<MessageId, PendingResponse>,
     /// `FIND_MISSING` searches re-flooded recently: each message id is
     /// re-flooded at most once per window, or a single search sweeping a
     /// dense region explodes quadratically.
@@ -153,16 +208,9 @@ pub struct ByzcastNode {
     /// (both signature schemes are deterministic, so re-signing the same
     /// contents would give the same bytes).
     signed_beacon: Option<BeaconMsg>,
-    /// `TrustDetector::generation` when `prev_untrusted` was last taken: an
-    /// fd tick rebuilds and diffs the untrusted set only if it has moved.
-    fd_generation: u64,
-    /// Admission control and verification budgets (resource governance).
-    governor: Governor,
     /// Escalated-recovery and overlay-repair accounting (only reported when
     /// the `ByzcastConfig::recovery` envelope is enabled).
     recovery_stats: RecoveryStats,
-    /// Peak `missing` size (resource-stats high-water mark).
-    peak_missing: usize,
 }
 
 /// A scheduled recovery response.
@@ -213,29 +261,32 @@ impl ByzcastNode {
         let governor = Governor::new(config.resources);
         ByzcastNode {
             id,
-            config,
-            signer,
-            verifier,
-            fds,
-            table,
-            overlay_protocol,
             role: OverlayRole::Passive,
             marked: false,
-            store,
-            next_seq: 0,
-            missing: BTreeMap::new(),
-            counters: ProtocolCounters::default(),
-            sus_log: SuspicionLog::new(),
-            prev_untrusted: BTreeSet::new(),
-            last_beacon: None,
-            pending_responses: BTreeMap::new(),
-            finds_forwarded: BTreeMap::new(),
-            served_recently: BTreeMap::new(),
-            signed_beacon: None,
-            fd_generation: 0,
+            hot_config: HotConfig::of(&config),
             governor,
-            recovery_stats: RecoveryStats::default(),
+            store,
+            pending_responses: BTreeMap::new(),
+            fds,
+            table,
+            verifier,
+            missing: BTreeMap::new(),
             peak_missing: 0,
+            fd_generation: 0,
+            cold: Box::new(Cold {
+                config,
+                signer,
+                overlay_protocol,
+                next_seq: 0,
+                counters: ProtocolCounters::default(),
+                sus_log: SuspicionLog::new(),
+                prev_untrusted: BTreeSet::new(),
+                last_beacon: None,
+                finds_forwarded: BTreeMap::new(),
+                served_recently: BTreeMap::new(),
+                signed_beacon: None,
+                recovery_stats: RecoveryStats::default(),
+            }),
         }
     }
 
@@ -250,12 +301,12 @@ impl ByzcastNode {
 
     /// The key this node signs with.
     pub fn signer(&self) -> &dyn Signer {
-        self.signer.as_ref()
+        self.cold.signer.as_ref()
     }
 
     /// The configuration in force.
     pub fn config(&self) -> &ByzcastConfig {
-        &self.config
+        &self.cold.config
     }
 
     /// Current overlay role.
@@ -270,7 +321,7 @@ impl ByzcastNode {
 
     /// Protocol counters.
     pub fn counters(&self) -> &ProtocolCounters {
-        &self.counters
+        &self.cold.counters
     }
 
     /// Hit/miss counters of this node's signature-verification cache, if its
@@ -287,7 +338,7 @@ impl ByzcastNode {
     /// Resource-governance statistics: admission drops, evictions, quota
     /// suspicions, and high-water marks against the configured envelope.
     pub fn resource_stats(&self) -> ResourceStats {
-        let mut s = *self.governor.stats();
+        let mut s = self.governor.stats();
         s.store_rejects = self.store.body_rejects();
         s.seen_evictions = self.store.seen_evictions();
         s.peak_store_msgs = self.store.high_water() as u64;
@@ -301,7 +352,7 @@ impl ByzcastNode {
     /// Recovery-escalation statistics: widened retries, escalated searches,
     /// escalation high-water, and liveness-driven overlay repairs.
     pub fn recovery_stats(&self) -> &RecoveryStats {
-        &self.recovery_stats
+        &self.cold.recovery_stats
     }
 
     /// The neighbour table.
@@ -321,12 +372,59 @@ impl ByzcastNode {
 
     /// This node's suspicion history (open and closed episodes).
     pub fn suspicion_log(&self) -> &SuspicionLog {
-        &self.sus_log
+        &self.cold.sus_log
     }
 
     /// The trust level this node assigns `other` at `now`.
     pub fn trust_level(&self, other: NodeId, now: SimTime) -> TrustLevel {
         self.fds.level(other, now)
+    }
+
+    /// Bytes this node holds, per structure, counted from lengths and
+    /// capacities (no allocator hooks, no RNG draws, nothing reordered):
+    /// `hot_head` and `cold` are the two parts' own sizes; every other
+    /// figure is one structure's inline size plus what it allocates, so
+    /// those overlap the first two. A map entry counts as its key and
+    /// value. Message bodies and advertised neighbour lists are shared with
+    /// the rest of the network and are not counted.
+    pub fn footprint(&self) -> Vec<(&'static str, usize)> {
+        use std::mem::size_of;
+        fn map_bytes<K, V>(m: &BTreeMap<K, V>) -> usize {
+            size_of::<BTreeMap<K, V>>() + m.len() * size_of::<(K, V)>()
+        }
+        let heard_from: usize = self
+            .missing
+            .values()
+            .map(|ms| ms.heard_from.capacity() * size_of::<NodeId>())
+            .sum();
+        let fds = &self.fds;
+        vec![
+            ("hot_head", size_of::<Self>()),
+            ("cold", size_of::<Cold>()),
+            ("store", size_of::<MessageStore>() + self.store.heap_bytes()),
+            (
+                "table",
+                size_of::<NeighborTable>() + self.table.heap_bytes(),
+            ),
+            ("mute", size_of_val(&fds.mute) + fds.mute.heap_bytes()),
+            (
+                "verbose",
+                size_of_val(&fds.verbose) + fds.verbose.heap_bytes(),
+            ),
+            ("trust", size_of_val(&fds.trust) + fds.trust.heap_bytes()),
+            (
+                "recovery",
+                map_bytes(&self.missing)
+                    + heard_from
+                    + map_bytes(&self.pending_responses)
+                    + map_bytes(&self.cold.finds_forwarded)
+                    + map_bytes(&self.cold.served_recently),
+            ),
+            (
+                "governor",
+                size_of::<Governor>() + self.governor.heap_bytes(),
+            ),
+        ]
     }
 
     /// Replaces the overlay maintenance rule.
@@ -335,7 +433,7 @@ impl ByzcastNode {
     /// always *claims* to be a dominator so correct neighbours defer to it,
     /// which is exactly the attack the MUTE failure detector must defeat.
     pub fn set_overlay_protocol(&mut self, protocol: Box<dyn OverlayProtocol + Send>) {
-        self.overlay_protocol = protocol;
+        self.cold.overlay_protocol = protocol;
     }
 
     // ------------------------------------------------------------------
@@ -358,21 +456,9 @@ impl ByzcastNode {
         self.table.info(node).is_some_and(|i| i.role.is_active())
     }
 
-    /// Total request rounds allowed per missing message: the plain retry cap
-    /// normally, or unicast rounds + widened rounds when the recovery
-    /// envelope escalates.
-    fn request_cap(&self) -> u32 {
-        let rec = &self.config.recovery;
-        if rec.escalation_enabled() {
-            rec.escalate_after.saturating_add(rec.max_escalations)
-        } else {
-            self.config.max_requests_per_msg
-        }
-    }
-
     fn suspect(&mut self, now: SimTime, node: NodeId, reason: SuspicionReason) {
         if matches!(reason, SuspicionReason::BadSignature) {
-            self.counters.bad_signatures_seen += 1;
+            self.cold.counters.bad_signatures_seen += 1;
         }
         self.fds.trust.suspect(now, node, reason);
     }
@@ -408,7 +494,7 @@ impl ByzcastNode {
         let quota = if id.origin == self.id {
             0
         } else {
-            self.config.resources.max_gossip_per_origin
+            self.hot_config.max_gossip_per_origin
         };
         match self.store.advertise(id, rounds, quota) {
             Advertise::NoBody => return false,
@@ -463,7 +549,7 @@ impl ByzcastNode {
         self.fds.mute.satisfy((m.id.origin, m.id.seq));
         if let Some(ms) = self.missing.remove(&m.id) {
             if ms.requests_sent > 0 {
-                self.counters.recovered_via_request += 1;
+                self.cold.counters.recovered_via_request += 1;
             }
         }
         // Advertise only what we can serve: a body rejected by the store
@@ -485,7 +571,7 @@ impl ByzcastNode {
         // TTL-2 recovery responses (one extra hop).
         if self.role.is_active() || m.ttl == 2 {
             ctx.send(WireMsg::Data(body));
-            self.counters.data_forwards += 1;
+            self.cold.counters.data_forwards += 1;
         }
     }
 
@@ -524,7 +610,7 @@ impl ByzcastNode {
         }
         // Per-origin quota on the request bookkeeping: a flooder gossiping
         // unique ids cannot grow `missing` beyond its envelope share.
-        let quota = self.config.resources.max_missing_per_origin;
+        let quota = self.hot_config.max_missing_per_origin;
         if quota != 0 && !self.missing.contains_key(&e.id) {
             let tracked = self
                 .missing
@@ -572,7 +658,7 @@ impl ByzcastNode {
         // retransmit) and then fall back to a delayed request, so the
         // recovery chain of Theorem 3.2 also starts at the first hop.
         let originator_grace = if from == e.id.origin {
-            self.config.mute.expect_timeout
+            self.fds.mute.config().expect_timeout
         } else {
             SimDuration::ZERO
         };
@@ -580,14 +666,14 @@ impl ByzcastNode {
         // neighbours that all heard the same gossip at the same instant.
         let jitter = SimDuration::from_micros(
             ctx.rng()
-                .gen_range_u64(self.config.request_timeout.as_micros().max(2) / 2),
+                .gen_range_u64(self.hot_config.request_timeout.as_micros().max(2) / 2),
         );
-        let cap = self.request_cap();
+        let cap = self.hot_config.request_cap;
         let ms = self.missing.get_mut(&e.id).expect("just inserted");
         let may_request = ms.requests_sent < cap
             && now.saturating_since(ms.last_request) >= REQUEST_RETRY_SPACING;
         if may_request && ms.request_due.is_none() {
-            let due = now + self.config.request_timeout + originator_grace + jitter;
+            let due = now + self.hot_config.request_timeout + originator_grace + jitter;
             ms.request_due = Some(due);
             ctx.set_timer_at(due, timers::REQUEST_FLUSH);
         }
@@ -602,8 +688,8 @@ impl ByzcastNode {
             .filter(|(_, ms)| ms.request_due.is_some_and(|d| d <= now))
             .map(|(&id, _)| id)
             .collect();
-        let rec = self.config.recovery;
-        let cap = self.request_cap();
+        let rec = self.cold.config.recovery;
+        let cap = self.hot_config.request_cap;
         for id in due_ids {
             let Some(ms) = self.missing.get_mut(&id) else {
                 continue;
@@ -650,8 +736,8 @@ impl ByzcastNode {
                         entry,
                         target: peer,
                     }));
-                    self.counters.requests_sent += 1;
-                    self.recovery_stats.requests_widened += 1;
+                    self.cold.counters.requests_sent += 1;
+                    self.cold.recovery_stats.requests_widened += 1;
                     // Deliberately no MUTE expectation: unlike the
                     // remembered gossiper, a widened target never
                     // advertised the message and may legitimately lack it.
@@ -661,12 +747,10 @@ impl ByzcastNode {
                     target: self.id,
                     ttl: rec.find_ttl.max(2),
                 }));
-                self.counters.finds_sent += 1;
-                self.recovery_stats.finds_escalated += 1;
-                self.recovery_stats.peak_escalation = self
-                    .recovery_stats
-                    .peak_escalation
-                    .max(u64::from(level) + 1);
+                self.cold.counters.finds_sent += 1;
+                self.cold.recovery_stats.finds_escalated += 1;
+                let stats = &mut self.cold.recovery_stats;
+                stats.peak_escalation = stats.peak_escalation.max(u64::from(level) + 1);
             } else {
                 // Self-re-arm while retries remain, so recovery does not
                 // depend on hearing the gossip again (advertisement windows
@@ -677,8 +761,8 @@ impl ByzcastNode {
                 // Line 32: ask the gossiper and the overlay neighbours (one
                 // broadcast reaches both; handlers filter by role/target).
                 ctx.send(WireMsg::Request(RequestMsg { entry, target }));
-                self.counters.requests_sent += 1;
-                self.recovery_stats.requests_originated += 1;
+                self.cold.counters.requests_sent += 1;
+                self.cold.recovery_stats.requests_originated += 1;
                 // Line 28: the targeted gossiper advertised the message, so
                 // it must supply it now; anyone's rebroadcast satisfies this.
                 self.fds
@@ -711,7 +795,7 @@ impl ByzcastNode {
         // because this window starts at the jittered *serve* time, a retry
         // spaced exactly one retry window after the original request landed
         // inside it and was silently refused.
-        if let Some(&last) = self.served_recently.get(&id) {
+        if let Some(&last) = self.cold.served_recently.get(&id) {
             if now.saturating_since(last) < RESPONSE_SERVE_WINDOW {
                 return;
             }
@@ -744,8 +828,8 @@ impl ByzcastNode {
             };
             if let Some(stored) = self.store.get(id) {
                 ctx.send(WireMsg::Data(DataMsg::share_with_ttl(&stored.msg, p.ttl)));
-                self.counters.recoveries_served += 1;
-                self.served_recently.insert(id, now);
+                self.cold.counters.recoveries_served += 1;
+                self.cold.served_recently.insert(id, now);
             }
         }
         if let Some(next) = self.pending_responses.values().map(|p| p.due).min() {
@@ -799,7 +883,7 @@ impl ByzcastNode {
                     target: r.target,
                     ttl: 2,
                 }));
-                self.counters.finds_sent += 1;
+                self.cold.counters.finds_sent += 1;
             }
         } else {
             // Lines 54–56: the originator requesting its own message is
@@ -821,7 +905,7 @@ impl ByzcastNode {
         // An escalated search (TTL above the paper's fixed 2) only exists
         // when the recovery envelope is on; its searcher is known to be
         // stranded, so holders of *any* role answer and nobody indicts it.
-        let escalated = self.config.recovery.escalation_enabled() && f.ttl > 2;
+        let escalated = self.cold.config.recovery.escalation_enabled() && f.ttl > 2;
         if self.store.has(f.entry.id) {
             // Lines 68–77.
             if self.role.is_active() || self.id == f.target || escalated {
@@ -839,18 +923,18 @@ impl ByzcastNode {
                     self.schedule_response(ctx, f.entry.id, 2);
                 }
             }
-        } else if f.ttl == 2 || (escalated && f.ttl <= self.config.recovery.find_ttl.max(2)) {
+        } else if f.ttl == 2 || (escalated && f.ttl <= self.cold.config.recovery.find_ttl.max(2)) {
             // Lines 63–66: keep flooding one more hop — but re-flood each
             // searched id at most once per window, or one search sweeping a
             // dense region is amplified by every node that lacks the
             // message. Escalated searches decrement hop by hop the same way,
             // so a TTL-bumped flood travels `find_ttl` hops in total.
-            let fresh = match self.finds_forwarded.get(&f.entry.id) {
+            let fresh = match self.cold.finds_forwarded.get(&f.entry.id) {
                 Some(&last) => now.saturating_since(last) >= REQUEST_RETRY_SPACING,
                 None => true,
             };
             if fresh {
-                self.finds_forwarded.insert(f.entry.id, now);
+                self.cold.finds_forwarded.insert(f.entry.id, now);
                 ctx.send(WireMsg::FindMissing(FindMissingMsg {
                     ttl: f.ttl - 1,
                     ..*f
@@ -879,14 +963,8 @@ impl ByzcastNode {
             return;
         }
         self.fds.verbose.observe_arrival(now, from, MsgKind::Beacon);
-        self.table.record_beacon_marked(
-            now,
-            from,
-            b.role(),
-            b.marked(),
-            Arc::clone(b.neighbors()),
-            Arc::clone(b.dominator_neighbors()),
-        );
+        self.table
+            .record_beacon_marked(now, from, b.role(), b.marked(), b.lists().clone());
         // Second-hand suspicion reports ("a node that suspects one of its
         // neighbors should notify its other neighbors about this suspicion").
         for &s in b.suspects() {
@@ -910,13 +988,14 @@ impl ByzcastNode {
             now,
         };
         let decision = self
+            .cold
             .overlay_protocol
             .decide(self.id, &self.table, &trust_view);
         self.role = decision.role;
         self.marked = decision.marked;
         let mut suspects = self.fds.trust.untrusted(now);
         suspects.truncate(16);
-        self.counters.beacons_sent += 1;
+        self.cold.counters.beacons_sent += 1;
         let table = &self.table;
         let neighbors = || table.iter().map(|(id, _)| id);
         let dominator_neighbors = || {
@@ -925,7 +1004,7 @@ impl ByzcastNode {
                 .filter(|(_, i)| i.role == OverlayRole::Dominator)
                 .map(|(id, _)| id)
         };
-        if let Some(prev) = &self.signed_beacon {
+        if let Some(prev) = &self.cold.signed_beacon {
             if prev.role() == self.role
                 && prev.marked() == self.marked
                 && prev.suspects() == suspects
@@ -940,14 +1019,14 @@ impl ByzcastNode {
             }
         }
         let b = BeaconMsg::sign_marked(
-            self.signer.as_ref(),
+            self.cold.signer.as_ref(),
             self.role,
             self.marked,
             neighbors().collect::<Vec<_>>(),
             dominator_neighbors().collect::<Vec<_>>(),
             suspects,
         );
-        self.signed_beacon = Some(b.clone());
+        self.cold.signed_beacon = Some(b.clone());
         b
     }
 
@@ -957,10 +1036,11 @@ impl ByzcastNode {
     fn gossip_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
         let beacon_due = self
+            .cold
             .last_beacon
             .is_none_or(|t| now.saturating_since(t) >= BEACON_PERIOD);
         let beacon = if beacon_due {
-            self.last_beacon = Some(now);
+            self.cold.last_beacon = Some(now);
             Some(self.make_beacon(now))
         } else {
             None
@@ -968,18 +1048,18 @@ impl ByzcastNode {
         // Only gossip messages we still hold (purging stops their gossip)
         // and whose advertisement window is open.
         let entries = self.store.gossip_round(MAX_GOSSIP_ENTRIES);
-        if self.config.aggregate_gossip {
+        if self.cold.config.aggregate_gossip {
             if !entries.is_empty() || beacon.is_some() {
-                self.counters.gossip_packets += 1;
-                self.counters.gossip_entries += entries.len() as u64;
+                self.cold.counters.gossip_packets += 1;
+                self.cold.counters.gossip_entries += entries.len() as u64;
                 ctx.send(WireMsg::Gossip(GossipMsg { entries, beacon }));
             }
         } else {
             // Ablation (experiment R8): one packet per entry; the beacon
             // travels in its own packet too.
             for e in entries {
-                self.counters.gossip_packets += 1;
-                self.counters.gossip_entries += 1;
+                self.cold.counters.gossip_packets += 1;
+                self.cold.counters.gossip_entries += 1;
                 ctx.send(WireMsg::Gossip(GossipMsg::of_entries(vec![e])));
             }
             if let Some(b) = beacon {
@@ -989,7 +1069,7 @@ impl ByzcastNode {
                 }));
             }
         }
-        ctx.set_timer_after(self.config.gossip_period, timers::GOSSIP);
+        ctx.set_timer_after(self.cold.config.gossip_period, timers::GOSSIP);
     }
 
     fn fd_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
@@ -1003,16 +1083,19 @@ impl ByzcastNode {
         if self.fds.trust.generation() != self.fd_generation {
             self.fd_generation = self.fds.trust.generation();
             let current: BTreeSet<NodeId> = self.fds.trust.untrusted(now).into_iter().collect();
-            fresh = current.difference(&self.prev_untrusted).copied().collect();
+            fresh = current
+                .difference(&self.cold.prev_untrusted)
+                .copied()
+                .collect();
             for &n in &fresh {
-                self.sus_log.begin(now, self.id, n);
+                self.cold.sus_log.begin(now, self.id, n);
             }
-            for &n in self.prev_untrusted.difference(&current) {
-                self.sus_log.end(now, self.id, n);
+            for &n in self.cold.prev_untrusted.difference(&current) {
+                self.cold.sus_log.end(now, self.id, n);
             }
-            self.prev_untrusted = current;
+            self.cold.prev_untrusted = current;
         }
-        if self.config.recovery.reelect_on_indictment {
+        if self.hot_config.reelect_on_indictment {
             // Liveness-driven overlay repair: a freshly indicted neighbour —
             // or one whose beacons expired — otherwise lingers in the table
             // until the next beacon round, absorbing unicast REQUESTs and
@@ -1026,7 +1109,7 @@ impl ByzcastNode {
             }
             self.table.prune(now);
             let purged = (before - self.table.len()) as u64;
-            self.recovery_stats.neighbors_purged += purged;
+            self.cold.recovery_stats.neighbors_purged += purged;
             if purged > 0 || !fresh.is_empty() {
                 self.reelect(now);
             }
@@ -1044,27 +1127,30 @@ impl ByzcastNode {
             now,
         };
         let decision = self
+            .cold
             .overlay_protocol
             .decide(self.id, &self.table, &trust_view);
         if decision.role != self.role || decision.marked != self.marked {
             self.role = decision.role;
             self.marked = decision.marked;
-            self.last_beacon = None;
-            self.recovery_stats.reelections += 1;
+            self.cold.last_beacon = None;
+            self.cold.recovery_stats.reelections += 1;
         }
     }
 
     fn purge_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
         self.store.purge(now);
-        let horizon = self.config.purge_after;
+        let horizon = self.cold.config.purge_after;
         self.missing
             .retain(|_, ms| now.saturating_since(ms.first_heard) <= horizon);
-        self.finds_forwarded
+        self.cold
+            .finds_forwarded
             .retain(|_, &mut t| now.saturating_since(t) <= horizon);
-        self.served_recently
+        self.cold
+            .served_recently
             .retain(|_, &mut t| now.saturating_since(t) <= horizon);
-        ctx.set_timer_after(self.config.purge_after, timers::PURGE);
+        ctx.set_timer_after(self.cold.config.purge_after, timers::PURGE);
     }
 }
 
@@ -1076,11 +1162,11 @@ impl Protocol for ByzcastNode {
         // network does not beacon or gossip in lockstep.
         let gossip_phase = SimDuration::from_micros(
             ctx.rng()
-                .gen_range_u64(self.config.gossip_period.as_micros().max(1)),
+                .gen_range_u64(self.cold.config.gossip_period.as_micros().max(1)),
         );
         ctx.set_timer_after(gossip_phase, timers::GOSSIP);
         ctx.set_timer_after(FD_TICK, timers::FD);
-        ctx.set_timer_after(self.config.purge_after, timers::PURGE);
+        ctx.set_timer_after(self.cold.config.purge_after, timers::PURGE);
     }
 
     fn on_packet(&mut self, ctx: &mut Context<'_, WireMsg>, from: NodeId, msg: &WireMsg) {
@@ -1125,18 +1211,18 @@ impl Protocol for ByzcastNode {
 
     fn on_app_broadcast(&mut self, ctx: &mut Context<'_, WireMsg>, payload: AppPayload) {
         let now = ctx.now();
-        self.next_seq += 1;
+        self.cold.next_seq += 1;
         // Line 1: message := msg_id ‖ node_id ‖ msg ‖ sig(…).
         let m = Arc::new(DataMsg::sign(
-            self.signer.as_ref(),
-            self.next_seq,
+            self.cold.signer.as_ref(),
+            self.cold.next_seq,
             payload.id,
             payload.size_bytes as u32,
         ));
         let id = m.id;
         self.store.insert(now, Arc::clone(&m));
         ctx.deliver(self.id, payload.id);
-        self.counters.data_originated += 1;
+        self.cold.counters.data_originated += 1;
         // Line 3: broadcast(message, DATA, ttl=1).
         ctx.send(WireMsg::Data(m));
         // Lines 2 & 4: start lazycasting the gossip. The *first* gossip is
@@ -1156,7 +1242,7 @@ impl std::fmt::Debug for ByzcastNode {
             .field("role", &self.role)
             .field("store_len", &self.store.len())
             .field("missing", &self.missing.len())
-            .field("counters", &self.counters)
+            .field("counters", self.counters())
             .finish()
     }
 }
@@ -1241,6 +1327,20 @@ mod tests {
                 _ => None,
             })
             .collect()
+    }
+
+    #[test]
+    fn hot_head_fits_its_cache_lines() {
+        // The head is what every reception and fd tick may touch; a new
+        // field must fit in these twelve cache lines or go to `Cold`. The
+        // three detectors' table headers alone take 464 bytes of it.
+        let head = std::mem::size_of::<ByzcastNode>();
+        assert!(head <= 12 * 64, "hot head grew to {head} bytes");
+        assert_eq!(
+            std::mem::size_of::<Box<Cold>>(),
+            8,
+            "one pointer to the cold part"
+        );
     }
 
     #[test]
@@ -1710,7 +1810,7 @@ mod tests {
 
     #[test]
     fn unsorted_beacon_lists_are_stored_normalised_and_decide_alike() {
-        use byzcast_overlay::{Cds, MapTrust};
+        use byzcast_overlay::{AdvertisedLists, Cds, MapTrust};
         let mut h = Harness::new(1, ByzcastConfig::default());
         let t = SimTime::from_secs(1);
         let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
@@ -1731,15 +1831,16 @@ mod tests {
             h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(q), &WireMsg::Beacon(b)));
             let nbrs = if q == 6 { sorted.clone() } else { nbrs };
             let doms = if q == 6 { ids(&[2, 5]) } else { ids(&[6]) };
-            reference.record_beacon_marked(t, NodeId(q), role, marked, nbrs.into(), doms.into());
+            let lists = AdvertisedLists::new(&nbrs, &doms);
+            reference.record_beacon_marked(t, NodeId(q), role, marked, lists);
         }
         let info = h
             .node
             .table()
             .info(NodeId(6))
             .expect("signed beacon accepted");
-        assert_eq!(&info.neighbors[..], &sorted[..]);
-        assert_eq!(&info.dominator_neighbors[..], &ids(&[2, 5])[..]);
+        assert_eq!(info.neighbors(), &sorted[..]);
+        assert_eq!(info.dominator_neighbors(), &ids(&[2, 5])[..]);
         let trust = MapTrust::default();
         let decision = Cds.decide(NodeId(1), h.node.table(), &trust);
         assert_eq!(decision, Cds.decide(NodeId(1), &reference, &trust));
@@ -1759,8 +1860,7 @@ mod tests {
             signed.sender(),
             signed.role(),
             signed.marked(),
-            Arc::clone(signed.neighbors()),
-            Arc::clone(signed.dominator_neighbors()),
+            signed.lists().clone(),
             vec![NodeId(3)],
             *signed.sig(),
         );
@@ -1982,7 +2082,10 @@ mod tests {
         });
         // Original request at t=580 ms; our response served at t=600 ms
         // (20 ms of rebroadcast jitter).
-        h.node.served_recently.insert(id, SimTime::from_millis(600));
+        h.node
+            .cold
+            .served_recently
+            .insert(id, SimTime::from_millis(600));
         // The requester retries exactly one spacing after its request:
         // t = 580 + 1000 = 1580 ms — 980 ms after the serve. Under the old
         // aliased knob (window == spacing == 1000 ms) this was refused.

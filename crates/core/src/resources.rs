@@ -166,57 +166,99 @@ impl TokenBucket {
 
 /// The admission-control state of one node: per-neighbour token buckets plus
 /// the verification-rate window used for `peak_verifs_per_sec`.
+///
+/// Every received frame passes [`Governor::admit_frame`] and every signature
+/// check [`Governor::admit_verification`], so what an ungoverned node reads
+/// and writes there — the two rates and the counters they always bump —
+/// sits inline; the buckets, the rest of the envelope and the other
+/// statistics sit behind one box.
 #[derive(Debug)]
 pub(crate) struct Governor {
-    cfg: ResourceConfig,
-    frames: BTreeMap<NodeId, TokenBucket>,
-    verifs: BTreeMap<NodeId, TokenBucket>,
+    frames_per_sec: u32,
+    verifs_per_sec: u32,
+    frames_admitted: u64,
+    verifs_charged: u64,
     /// Calendar second of the current verification-counting window.
     verif_window: u64,
     verifs_in_window: u64,
+    peak_verifs_per_sec: u64,
+    cold: Box<GovernorCold>,
+}
+
+/// The part of a [`Governor`] only a governed envelope or a report reads.
+#[derive(Debug)]
+struct GovernorCold {
+    cfg: ResourceConfig,
+    frames: BTreeMap<NodeId, TokenBucket>,
+    verifs: BTreeMap<NodeId, TokenBucket>,
+    /// Every statistic but the inline counters.
     stats: ResourceStats,
 }
 
 impl Governor {
     pub(crate) fn new(cfg: ResourceConfig) -> Self {
         Governor {
-            cfg,
-            frames: BTreeMap::new(),
-            verifs: BTreeMap::new(),
+            frames_per_sec: cfg.frames_per_sec,
+            verifs_per_sec: cfg.verifs_per_sec,
+            frames_admitted: 0,
+            verifs_charged: 0,
             verif_window: 0,
             verifs_in_window: 0,
-            stats: ResourceStats::default(),
+            peak_verifs_per_sec: 0,
+            cold: Box::new(GovernorCold {
+                cfg,
+                frames: BTreeMap::new(),
+                verifs: BTreeMap::new(),
+                stats: ResourceStats::default(),
+            }),
         }
     }
 
-    pub(crate) fn stats(&self) -> &ResourceStats {
-        &self.stats
+    /// The statistics so far.
+    pub(crate) fn stats(&self) -> ResourceStats {
+        ResourceStats {
+            frames_admitted: self.frames_admitted,
+            verifs_charged: self.verifs_charged,
+            peak_verifs_per_sec: self.peak_verifs_per_sec,
+            ..self.cold.stats
+        }
     }
 
+    /// The statistics the protocol itself bumps (quota drops and
+    /// suspicions).
     pub(crate) fn stats_mut(&mut self) -> &mut ResourceStats {
-        &mut self.stats
+        &mut self.cold.stats
+    }
+
+    /// Bytes its cold part and its buckets take (a bucket counted as its
+    /// key and value; the B-tree nodes around them are not).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        let bucket = std::mem::size_of::<(NodeId, TokenBucket)>();
+        std::mem::size_of::<GovernorCold>()
+            + (self.cold.frames.len() + self.cold.verifs.len()) * bucket
     }
 
     /// Charges one frame against `from`'s admission bucket. Returns whether
     /// the frame may be dispatched.
     pub(crate) fn admit_frame(&mut self, now: SimTime, from: NodeId) -> bool {
-        if self.cfg.frames_per_sec == 0 {
-            self.stats.frames_admitted += 1;
+        if self.frames_per_sec == 0 {
+            self.frames_admitted += 1;
             return true;
         }
+        let cold = &mut *self.cold;
         let (rate, burst) = (
-            self.cfg.frames_per_sec as u64,
-            self.cfg.frame_burst_tokens(),
+            cold.cfg.frames_per_sec as u64,
+            cold.cfg.frame_burst_tokens(),
         );
-        let bucket = self
+        let bucket = cold
             .frames
             .entry(from)
             .or_insert_with(|| TokenBucket::full(burst));
         if bucket.try_take(now, rate, burst) {
-            self.stats.frames_admitted += 1;
+            self.frames_admitted += 1;
             true
         } else {
-            self.stats.frames_dropped += 1;
+            cold.stats.frames_dropped += 1;
             false
         }
     }
@@ -225,28 +267,29 @@ impl Governor {
     /// whether the verification may run; the caller must drop the item
     /// unverified (and unsuspected — nothing was authenticated) on `false`.
     pub(crate) fn admit_verification(&mut self, now: SimTime, from: NodeId) -> bool {
-        if self.cfg.verifs_per_sec != 0 {
+        if self.verifs_per_sec != 0 {
+            let cold = &mut *self.cold;
             let (rate, burst) = (
-                self.cfg.verifs_per_sec as u64,
-                self.cfg.verif_burst_tokens(),
+                cold.cfg.verifs_per_sec as u64,
+                cold.cfg.verif_burst_tokens(),
             );
-            let bucket = self
+            let bucket = cold
                 .verifs
                 .entry(from)
                 .or_insert_with(|| TokenBucket::full(burst));
             if !bucket.try_take(now, rate, burst) {
-                self.stats.verifs_dropped += 1;
+                cold.stats.verifs_dropped += 1;
                 return false;
             }
         }
-        self.stats.verifs_charged += 1;
+        self.verifs_charged += 1;
         let window = now.as_micros() / 1_000_000;
         if window != self.verif_window {
             self.verif_window = window;
             self.verifs_in_window = 0;
         }
         self.verifs_in_window += 1;
-        self.stats.peak_verifs_per_sec = self.stats.peak_verifs_per_sec.max(self.verifs_in_window);
+        self.peak_verifs_per_sec = self.peak_verifs_per_sec.max(self.verifs_in_window);
         true
     }
 }

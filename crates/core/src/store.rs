@@ -43,10 +43,11 @@
 //! * how many of those bodies hold an advertisement slot.
 //!
 //! An originator numbers its messages consecutively, so a lookup first tries
-//! the position `seq − first seq` and falls back to a binary search when the
-//! seqs there are not contiguous: sparse seqs (an impersonator's), and the
-//! gaps that seen-cap eviction and out-of-order purging leave, need no
-//! special case. Iteration runs origin by origin, seq by seq: `MessageId`
+//! the position `last − (last seq − seq)`, counted back from the newest
+//! entry (most lookups are for recent seqs), and falls back to a binary
+//! search when the seqs there are not contiguous: sparse seqs (an
+//! impersonator's), and the gaps that seen-cap eviction and out-of-order
+//! purging leave, need no special case. Iteration runs origin by origin, seq by seq: `MessageId`
 //! order, as a map keyed by id would give.
 //!
 //! `seen_by_time`, a `(time, id)` ordered set over the seen ids, is filled
@@ -94,28 +95,33 @@ pub(crate) enum Advertise {
 
 /// Where `seq` sits among `len` ascending seqs (`seq_at(i)` is the i-th):
 /// `Ok` at its position, `Err` at the position it would be inserted. The
-/// append position and the contiguous position `seq − first` are tried
-/// first; `search`, a binary search, settles the rest.
+/// append position is tried first, then the position `seq` would hold if
+/// the seqs before the last were contiguous: lookups are mostly for recent
+/// seqs, so both reads tend to fall in the last cache line. `search`, a
+/// binary search, settles the rest.
 fn locate(
     len: usize,
     seq_at: impl Fn(usize) -> u64,
     seq: u64,
     search: impl FnOnce() -> Result<usize, usize>,
 ) -> Result<usize, usize> {
-    if len == 0 || seq > seq_at(len - 1) {
+    let Some(last) = len.checked_sub(1) else {
+        return Err(0);
+    };
+    let last_seq = seq_at(last);
+    if seq > last_seq {
         return Err(len);
     }
-    let guess = seq.wrapping_sub(seq_at(0));
-    if guess < len as u64 && seq_at(guess as usize) == seq {
-        return Ok(guess as usize);
+    let back = last_seq - seq;
+    if back <= last as u64 && seq_at(last - back as usize) == seq {
+        return Ok(last - back as usize);
     }
     search()
 }
 
 /// Everything the store keeps about one originator's messages.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Origin {
-    origin: NodeId,
     /// Retained seen seqs, ascending (a ring, so the seen-id cap's
     /// oldest-first eviction pops its front).
     seen: VecDeque<u64>,
@@ -126,15 +132,6 @@ struct Origin {
 }
 
 impl Origin {
-    fn new(origin: NodeId) -> Self {
-        Origin {
-            origin,
-            seen: VecDeque::new(),
-            bodies: Vec::new(),
-            advertised: 0,
-        }
-    }
-
     fn find_seen(&self, seq: u64) -> Result<usize, usize> {
         locate(
             self.seen.len(),
@@ -174,13 +171,25 @@ impl Origin {
 /// ```
 #[derive(Debug)]
 pub struct MessageStore {
-    hold_for: SimDuration,
-    /// Per-origin seen seqs, bodies and slot counts, sorted by origin. Seen
-    /// ids are retained past body purging so a purged message re-received
-    /// late — or replayed by an adversary — is never delivered twice
-    /// (bounded by `max_seen` only). An origin is dropped at a purge once it
-    /// has neither.
+    /// The origins with seen ids or bodies, ascending: the dense key column
+    /// every lookup searches. `origins[i]` is the entry of `origin_ids[i]`;
+    /// every insert and purge keeps the two in step.
+    origin_ids: Vec<NodeId>,
+    /// Per-origin seen seqs, bodies and slot counts. Seen ids are retained
+    /// past body purging so a purged message re-received late — or replayed
+    /// by an adversary — is never delivered twice (bounded by `max_seen`
+    /// only). An origin is dropped at a purge once it has neither.
     origins: Vec<Origin>,
+    /// Caps, sizes and statistics: what only a first reception, a purge, a
+    /// lazycast round or a report reads, kept out of the node's hot head.
+    books: Box<Books>,
+}
+
+/// The part of a [`MessageStore`] that duplicate receptions and gossip
+/// echoes never touch.
+#[derive(Debug)]
+struct Books {
+    hold_for: SimDuration,
     /// Reception-order index over the seen ids, for oldest-first cap
     /// eviction; empty unless `max_seen` is set.
     seen_by_time: BTreeSet<(SimTime, MessageId)>,
@@ -225,33 +234,57 @@ impl MessageStore {
         max_seen: usize,
     ) -> Self {
         MessageStore {
-            hold_for,
+            origin_ids: Vec::new(),
             origins: Vec::new(),
-            seen_by_time: BTreeSet::new(),
-            max_msgs,
-            max_bytes,
-            max_seen,
-            len: 0,
-            bytes: 0,
-            seen_len: 0,
-            advertised: 0,
-            gossip_cursor: 0,
-            high_water: 0,
-            peak_bytes: 0,
-            peak_seen: 0,
-            peak_advertised: 0,
-            body_rejects: 0,
-            seen_evictions: 0,
+            books: Box::new(Books {
+                hold_for,
+                seen_by_time: BTreeSet::new(),
+                max_msgs,
+                max_bytes,
+                max_seen,
+                len: 0,
+                bytes: 0,
+                seen_len: 0,
+                advertised: 0,
+                gossip_cursor: 0,
+                high_water: 0,
+                peak_bytes: 0,
+                peak_seen: 0,
+                peak_advertised: 0,
+                body_rejects: 0,
+                seen_evictions: 0,
+            }),
         }
     }
 
     fn find_origin(&self, origin: NodeId) -> Result<usize, usize> {
-        self.origins.binary_search_by_key(&origin, |o| o.origin)
+        self.origin_ids.binary_search(&origin)
     }
 
     fn origin(&self, origin: NodeId) -> Option<&Origin> {
         let pos = self.find_origin(origin).ok()?;
         Some(&self.origins[pos])
+    }
+
+    /// Bytes it allocates: its books, its two origin columns, and each
+    /// origin's seen ring and body index (from their capacities; a seen-time
+    /// entry counted as its key). Bodies are shared with the network and
+    /// every other holder, so they are not counted.
+    pub(crate) fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        let per_origin: usize = self
+            .origins
+            .iter()
+            .map(|o| {
+                o.seen.capacity() * size_of::<u64>()
+                    + o.bodies.capacity() * size_of::<(u64, StoredMsg)>()
+            })
+            .sum();
+        size_of::<Books>()
+            + self.books.seen_by_time.len() * size_of::<(SimTime, MessageId)>()
+            + self.origin_ids.capacity() * size_of::<NodeId>()
+            + self.origins.capacity() * size_of::<Origin>()
+            + per_origin
     }
 
     /// Whether the message body is currently buffered.
@@ -282,14 +315,15 @@ impl MessageStore {
         // origin, so `found` stays valid.
         self.evict_for(now, id);
         let pos = found.unwrap_or_else(|pos| {
-            self.origins.insert(pos, Origin::new(id.origin));
+            self.origin_ids.insert(pos, id.origin);
+            self.origins.insert(pos, Origin::default());
             pos
         });
         let o = &mut self.origins[pos];
         let at = o.find_seen(id.seq).unwrap_err();
         o.seen.insert(at, id.seq);
-        self.seen_len += 1;
-        self.peak_seen = self.peak_seen.max(self.seen_len);
+        self.books.seen_len += 1;
+        self.books.peak_seen = self.books.peak_seen.max(self.books.seen_len);
         // A body can outlive its seen-id under the seen-id cap. Its
         // re-reception counts as new, and so does its advertisement. The new
         // body replaces the held one, so the caps are checked without it.
@@ -300,16 +334,17 @@ impl MessageStore {
             held = Some(s.msg.wire_size());
             if s.advert.take().is_some() {
                 o.advertised -= 1;
-                self.advertised -= 1;
+                self.books.advertised -= 1;
             }
         }
         let held_bytes = held.unwrap_or(0);
         let size = msg.wire_size();
-        let others = self.len - usize::from(held.is_some());
-        let over_count = self.max_msgs != 0 && others >= self.max_msgs;
-        let over_bytes = self.max_bytes != 0 && self.bytes - held_bytes + size > self.max_bytes;
+        let others = self.books.len - usize::from(held.is_some());
+        let over_count = self.books.max_msgs != 0 && others >= self.books.max_msgs;
+        let over_bytes = self.books.max_bytes != 0
+            && self.books.bytes - held_bytes + size > self.books.max_bytes;
         if over_count || over_bytes {
-            self.body_rejects += 1;
+            self.books.body_rejects += 1;
             return true;
         }
         let stored = StoredMsg {
@@ -321,32 +356,32 @@ impl MessageStore {
             Ok(b) => o.bodies[b].1 = stored,
             Err(b) => {
                 o.bodies.insert(b, (id.seq, stored));
-                self.len += 1;
+                self.books.len += 1;
             }
         }
-        self.bytes = self.bytes - held_bytes + size;
-        self.high_water = self.high_water.max(self.len);
-        self.peak_bytes = self.peak_bytes.max(self.bytes);
+        self.books.bytes = self.books.bytes - held_bytes + size;
+        self.books.high_water = self.books.high_water.max(self.books.len);
+        self.books.peak_bytes = self.books.peak_bytes.max(self.books.bytes);
         true
     }
 
     /// Under a seen-id cap, makes room for `id` (evicting the oldest seen-id
     /// when the cap is reached) and indexes it by reception time.
     fn evict_for(&mut self, now: SimTime, id: MessageId) {
-        if self.max_seen == 0 {
+        if self.books.max_seen == 0 {
             return;
         }
-        if self.seen_len >= self.max_seen {
-            if let Some((_, oldest)) = self.seen_by_time.pop_first() {
+        if self.books.seen_len >= self.books.max_seen {
+            if let Some((_, oldest)) = self.books.seen_by_time.pop_first() {
                 let pos = self.find_origin(oldest.origin).expect("indexed origin");
                 let o = &mut self.origins[pos];
                 let at = o.find_seen(oldest.seq).expect("indexed seen-id");
                 o.seen.remove(at);
-                self.seen_len -= 1;
-                self.seen_evictions += 1;
+                self.books.seen_len -= 1;
+                self.books.seen_evictions += 1;
             }
         }
-        self.seen_by_time.insert((now, id));
+        self.books.seen_by_time.insert((now, id));
     }
 
     /// The buffered message body, if present.
@@ -360,7 +395,7 @@ impl MessageStore {
     /// Seen-ids are retained (bounded by the seen-id cap, oldest evicted
     /// first) so late replays stay deduplicated.
     pub fn purge(&mut self, now: SimTime) {
-        let hold = self.hold_for;
+        let hold = self.books.hold_for;
         let (mut freed, mut dropped, mut released) = (0, 0, 0);
         for o in &mut self.origins {
             o.bodies.retain(|(_, s)| {
@@ -376,11 +411,13 @@ impl MessageStore {
                 keep
             });
         }
-        self.origins
-            .retain(|o| !o.seen.is_empty() || !o.bodies.is_empty());
-        self.bytes -= freed;
-        self.len -= dropped;
-        self.advertised -= released;
+        let live = |o: &Origin| !o.seen.is_empty() || !o.bodies.is_empty();
+        let mut origins = self.origins.iter();
+        self.origin_ids.retain(|_| origins.next().is_some_and(live));
+        self.origins.retain(live);
+        self.books.bytes -= freed;
+        self.books.len -= dropped;
+        self.books.advertised -= released;
     }
 
     /// Opens an advertisement slot of `rounds` lazycast rounds for the body
@@ -403,8 +440,8 @@ impl MessageStore {
         }
         s.advert = Some(rounds);
         o.advertised += 1;
-        self.advertised += 1;
-        self.peak_advertised = self.peak_advertised.max(self.advertised);
+        self.books.advertised += 1;
+        self.books.peak_advertised = self.books.peak_advertised.max(self.books.advertised);
         Advertise::Armed
     }
 
@@ -412,7 +449,7 @@ impl MessageStore {
     /// advertisement window is open, taken round-robin over the open set so
     /// large sets all get airtime. Each advertised body uses up one round.
     pub(crate) fn gossip_round(&mut self, cap: usize) -> Vec<GossipEntry> {
-        if self.advertised == 0 {
+        if self.books.advertised == 0 {
             return Vec::new();
         }
         let mut open: Vec<&mut StoredMsg> = self
@@ -428,22 +465,25 @@ impl MessageStore {
         let take = open.len().min(cap);
         let mut entries = Vec::with_capacity(take);
         for k in 0..take {
-            let i = (self.gossip_cursor + k) % open.len();
+            let i = (self.books.gossip_cursor + k) % open.len();
             let s = &mut *open[i];
             s.advert = s.advert.map(|r| r - 1);
             entries.push(s.msg.gossip_entry());
         }
-        self.gossip_cursor = (self.gossip_cursor + take) % open.len();
+        self.books.gossip_cursor = (self.books.gossip_cursor + take) % open.len();
         entries
     }
 
     /// Currently buffered message ids, oldest-id first.
     pub fn ids(&self) -> impl Iterator<Item = MessageId> + '_ {
-        self.origins.iter().flat_map(|o| {
-            o.bodies
-                .iter()
-                .map(move |&(seq, _)| MessageId::new(o.origin, seq))
-        })
+        self.origin_ids
+            .iter()
+            .zip(&self.origins)
+            .flat_map(|(&origin, o)| {
+                o.bodies
+                    .iter()
+                    .map(move |&(seq, _)| MessageId::new(origin, seq))
+            })
     }
 
     /// Iterates buffered messages, in id order.
@@ -455,53 +495,53 @@ impl MessageStore {
 
     /// Number of buffered message bodies.
     pub fn len(&self) -> usize {
-        self.len
+        self.books.len
     }
 
     /// Whether no bodies are buffered.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.books.len == 0
     }
 
     /// The maximum number of bodies ever buffered simultaneously — compared
     /// against the paper's §3.5 buffer bound in experiment T1.
     pub fn high_water(&self) -> usize {
-        self.high_water
+        self.books.high_water
     }
 
     /// Total wire bytes of the currently buffered bodies.
     pub fn bytes(&self) -> usize {
-        self.bytes
+        self.books.bytes
     }
 
     /// The maximum buffered body bytes ever held simultaneously.
     pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes
+        self.books.peak_bytes
     }
 
     /// Number of currently retained seen-ids.
     pub fn seen_len(&self) -> usize {
-        self.seen_len
+        self.books.seen_len
     }
 
     /// The maximum retained seen-ids ever held simultaneously.
     pub fn peak_seen(&self) -> usize {
-        self.peak_seen
+        self.books.peak_seen
     }
 
     /// Bodies rejected by the count/byte caps (drop-newest).
     pub fn body_rejects(&self) -> u64 {
-        self.body_rejects
+        self.books.body_rejects
     }
 
     /// Seen-ids evicted by the seen-id cap (oldest first).
     pub fn seen_evictions(&self) -> u64 {
-        self.seen_evictions
+        self.books.seen_evictions
     }
 
     /// The maximum bodies ever holding an advertisement slot at once.
     pub(crate) fn peak_advertised(&self) -> usize {
-        self.peak_advertised
+        self.books.peak_advertised
     }
 }
 
@@ -676,7 +716,7 @@ mod tests {
             s.insert(SimTime::from_secs(seq), msg(seq + 1));
         }
         s.insert(SimTime::from_secs(4), Arc::clone(&m));
-        assert!(s.seen_by_time.is_empty());
+        assert!(s.books.seen_by_time.is_empty());
         assert_eq!(s.seen_len(), 4);
         assert!(Arc::ptr_eq(&s.get(m.id).unwrap().msg, &m));
     }
@@ -964,7 +1004,7 @@ mod tests {
         prop_assert_eq!(s.is_empty(), m.messages.is_empty());
         prop_assert_eq!(s.bytes(), m.bytes);
         prop_assert_eq!(s.seen_len(), m.seen.len());
-        prop_assert_eq!(s.seen_by_time.len(), m.seen_by_time.len());
+        prop_assert_eq!(s.books.seen_by_time.len(), m.seen_by_time.len());
         let counters = (
             s.high_water(),
             s.peak_bytes(),

@@ -24,11 +24,6 @@ pub enum MsgKind {
 }
 
 impl MsgKind {
-    /// Number of kinds: a per-kind table has this length and is indexed by
-    /// `kind as usize`. Derived from `Beacon`, which must stay the last
-    /// variant.
-    pub const COUNT: usize = MsgKind::Beacon as usize + 1;
-
     /// Short label for metrics and traces.
     pub const fn label(self) -> &'static str {
         match self {

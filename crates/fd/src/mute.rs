@@ -204,6 +204,17 @@ impl MuteDetector {
         self.misses.counter(node)
     }
 
+    /// Bytes its tables allocate (from their capacities).
+    pub fn heap_bytes(&self) -> usize {
+        self.misses.heap_bytes()
+            + self.expectations.capacity() * std::mem::size_of::<Expectation>()
+            + self
+                .expectations
+                .iter()
+                .map(|e| e.waiting_on.capacity() * std::mem::size_of::<NodeId>())
+                .sum::<usize>()
+    }
+
     /// Number of live (unsatisfied, unexpired) expectations.
     pub fn pending_expectations(&self) -> usize {
         self.expectations.iter().filter(|e| !e.satisfied).count()

@@ -19,11 +19,9 @@
 //! overlay, but it cannot destroy the connectivity of the overlay w.r.t.
 //! correct nodes".
 
-use std::collections::HashMap;
-
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
-use crate::suspicion::Suspected;
+use crate::suspicion::{NodeMap, Suspected};
 
 /// Why a node was suspected (fed to `suspect`, counted for diagnostics).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -37,6 +35,9 @@ pub enum SuspicionReason {
     /// Any other locally observable protocol deviation.
     ProtocolViolation,
 }
+
+/// Number of [`SuspicionReason`]s (`ProtocolViolation` is the last).
+const REASONS: usize = SuspicionReason::ProtocolViolation as usize + 1;
 
 /// The trust level `p` assigns a neighbour, as used by the overlay.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Default)]
@@ -65,8 +66,9 @@ pub struct TrustDetector {
     /// `(suspected, reporter)`, one per pair: a node's reports are one
     /// contiguous run, and one `retain` ages them all.
     reports: Vec<(NodeId, NodeId, SimTime)>,
-    /// Total suspicions raised per node, by reason (diagnostic).
-    history: HashMap<(NodeId, SuspicionReason), u64>,
+    /// Total suspicions raised per node, indexed by `reason as usize`
+    /// (diagnostic).
+    history: NodeMap<[u64; REASONS]>,
     /// Bumped by every `suspect` call and every tick that expires a direct
     /// suspicion: equal generations mean an unchanged suspicion set.
     generation: u64,
@@ -76,7 +78,7 @@ impl TrustDetector {
     /// Directly suspects `node` for `reason` (Figure 2's `suspect` method).
     pub fn suspect(&mut self, now: SimTime, node: NodeId, reason: SuspicionReason) {
         self.suspected.raise(node, now + SUSPICION_DURATION);
-        *self.history.entry((node, reason)).or_insert(0) += 1;
+        self.history.entry(node, [0; REASONS])[reason as usize] += 1;
         self.generation += 1;
     }
 
@@ -146,9 +148,18 @@ impl TrustDetector {
         self.suspected.at(now)
     }
 
+    /// Bytes its tables allocate (from their capacities).
+    pub fn heap_bytes(&self) -> usize {
+        self.suspected.heap_bytes()
+            + self.reports.capacity() * std::mem::size_of::<(NodeId, NodeId, SimTime)>()
+            + self.history.heap_bytes()
+    }
+
     /// Total suspicions raised against `node` for `reason` (diagnostic).
     pub fn history(&self, node: NodeId, reason: SuspicionReason) -> u64 {
-        self.history.get(&(node, reason)).copied().unwrap_or(0)
+        self.history
+            .get(node)
+            .map_or(0, |counts| counts[reason as usize])
     }
 }
 

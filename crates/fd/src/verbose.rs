@@ -12,13 +12,15 @@
 //! messages of the same type", invoked at initialization time — implemented
 //! here as [`VerboseDetector::set_min_spacing`] plus
 //! [`VerboseDetector::observe_arrival`]. Counters age down periodically.
-
-use std::collections::HashMap;
+//!
+//! The protocol sends two kinds on a fixed period, gossips and beacons, so
+//! those are the kinds a spacing rule can name; arrivals of any other kind
+//! are ignored.
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
 use crate::header::MsgKind;
-use crate::suspicion::Offences;
+use crate::suspicion::{NodeMap, Offences};
 
 /// VERBOSE detector parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -48,8 +50,20 @@ impl Default for VerboseConfig {
     }
 }
 
-/// The latest arrival per message kind from one sender.
-type ArrivalRow = [Option<SimTime>; MsgKind::COUNT];
+/// The kinds a spacing rule can name, in slot order.
+const SPACED: [MsgKind; 2] = [MsgKind::Gossip, MsgKind::Beacon];
+
+/// The slot of `kind` in a row and in the rules, if it can have a rule.
+fn slot(kind: MsgKind) -> Option<usize> {
+    SPACED.iter().position(|&k| k == kind)
+}
+
+/// An empty arrival slot (no arrival of that kind is tracked).
+const NO_ARRIVAL: SimTime = SimTime::MAX;
+
+/// The latest Gossip and Beacon arrival from one sender, [`NO_ARRIVAL`]
+/// where none is tracked: 16 bytes, four rows to a cache line.
+type ArrivalRow = [SimTime; SPACED.len()];
 
 /// The VERBOSE failure detector of one node.
 #[derive(Debug)]
@@ -57,19 +71,18 @@ pub struct VerboseDetector {
     config: VerboseConfig,
     /// Indictments per node.
     indictments: Offences,
-    /// Spacing rule per message kind, indexed by `kind as usize`.
-    min_spacing: [Option<SimDuration>; MsgKind::COUNT],
+    /// Spacing rule per slot of [`SPACED`]; zero means no rule (a zero
+    /// spacing could never be violated).
+    min_spacing: [SimDuration; SPACED.len()],
     /// Senders with a tracked arrival, ascending; `arrivals[i]` is the row of
     /// `arrival_from[i]`.
     arrival_from: Vec<NodeId>,
-    /// One row per tracked sender: the latest arrival of each kind that has
-    /// a spacing rule, indexed by `kind as usize`, so a gossip's Gossip and
-    /// Beacon arrivals share one lookup. A row goes once all its arrivals
-    /// have aged out.
+    /// One row per tracked sender, so a gossip's Gossip and Beacon arrivals
+    /// share one lookup. A row goes once all its arrivals have aged out.
     arrivals: Vec<ArrivalRow>,
     /// Accumulated resource-quota violations per node, reset each time they
     /// convert into an indictment.
-    quota_violations: HashMap<NodeId, u32>,
+    quota_violations: NodeMap<u32>,
 }
 
 impl VerboseDetector {
@@ -82,10 +95,10 @@ impl VerboseDetector {
                 config.decay_interval,
                 config.suspicion_duration,
             ),
-            min_spacing: [None; MsgKind::COUNT],
+            min_spacing: [SimDuration::ZERO; SPACED.len()],
             arrival_from: Vec::new(),
             arrivals: Vec::new(),
-            quota_violations: HashMap::new(),
+            quota_violations: NodeMap::default(),
         }
     }
 
@@ -97,8 +110,14 @@ impl VerboseDetector {
     /// Declares that consecutive messages of `kind` from the same node closer
     /// together than `spacing` constitute a verbose fault. Typically invoked
     /// at initialization time.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `kind` is [`MsgKind::Gossip`] or [`MsgKind::Beacon`],
+    /// the kinds the protocol sends on a fixed period.
     pub fn set_min_spacing(&mut self, kind: MsgKind, spacing: SimDuration) {
-        self.min_spacing[kind as usize] = Some(spacing);
+        let slot = slot(kind).unwrap_or_else(|| panic!("no spacing rule for {kind:?}"));
+        self.min_spacing[slot] = spacing;
     }
 
     /// Indicts `node` for sending too many messages of some type.
@@ -118,7 +137,7 @@ impl VerboseDetector {
         if self.config.quota_violation_threshold == 0 {
             return false;
         }
-        let c = self.quota_violations.entry(node).or_insert(0);
+        let c = self.quota_violations.entry(node, 0);
         *c += 1;
         let converts = *c >= self.config.quota_violation_threshold;
         if converts {
@@ -134,21 +153,25 @@ impl VerboseDetector {
         // Arrival times are only ever compared against a spacing rule, so
         // kinds without one need no tracking at all (rules are registered at
         // initialization time, before any arrivals).
-        let Some(spacing) = self.min_spacing[kind as usize] else {
+        let Some(slot) = slot(kind) else {
             return;
         };
+        let spacing = self.min_spacing[slot];
+        if spacing == SimDuration::ZERO {
+            return;
+        }
         // One probe: record this arrival and get the previous one back.
         let prev = match self.arrival_from.binary_search(&node) {
-            Ok(pos) => self.arrivals[pos][kind as usize].replace(now),
+            Ok(pos) => std::mem::replace(&mut self.arrivals[pos][slot], now),
             Err(pos) => {
-                let mut row = [None; MsgKind::COUNT];
-                row[kind as usize] = Some(now);
+                let mut row = [NO_ARRIVAL; SPACED.len()];
+                row[slot] = now;
                 self.arrival_from.insert(pos, node);
                 self.arrivals.insert(pos, row);
-                None
+                NO_ARRIVAL
             }
         };
-        if prev.is_some_and(|prev| now.saturating_since(prev) < spacing) {
+        if prev != NO_ARRIVAL && now.saturating_since(prev) < spacing {
             self.indict(now, node);
         }
     }
@@ -162,17 +185,25 @@ impl VerboseDetector {
         if self.indictments.tick(now) {
             let spacing = &self.min_spacing;
             for row in &mut self.arrivals {
-                for (slot, rule) in row.iter_mut().zip(spacing) {
-                    if slot.is_some_and(|at| rule.is_none_or(|s| now.saturating_since(at) >= s)) {
-                        *slot = None;
+                for (at, &rule) in row.iter_mut().zip(spacing) {
+                    if *at != NO_ARRIVAL && now.saturating_since(*at) >= rule {
+                        *at = NO_ARRIVAL;
                     }
                 }
             }
-            let live = |row: &ArrivalRow| row.iter().any(Option::is_some);
+            let live = |row: &ArrivalRow| row.iter().any(|&at| at != NO_ARRIVAL);
             let mut rows = self.arrivals.iter();
             self.arrival_from.retain(|_| rows.next().is_some_and(live));
             self.arrivals.retain(live);
         }
+    }
+
+    /// Bytes its tables allocate (from their capacities).
+    pub fn heap_bytes(&self) -> usize {
+        self.indictments.heap_bytes()
+            + self.arrival_from.capacity() * std::mem::size_of::<NodeId>()
+            + self.arrivals.capacity() * std::mem::size_of::<ArrivalRow>()
+            + self.quota_violations.heap_bytes()
     }
 
     /// Whether `node` is currently suspected.
@@ -265,14 +296,14 @@ mod tests {
     #[test]
     fn min_spacing_violations_auto_indict() {
         let mut fd = VerboseDetector::new(config());
-        fd.set_min_spacing(MsgKind::RequestMsg, SimDuration::from_millis(500));
+        fd.set_min_spacing(MsgKind::Gossip, SimDuration::from_millis(500));
         let t = SimTime::from_secs(1);
-        // Four rapid-fire requests: three spacing violations ≥ threshold.
+        // Four rapid-fire gossips: three spacing violations ≥ threshold.
         for i in 0..4u64 {
             fd.observe_arrival(
                 t + SimDuration::from_millis(i * 10),
                 NodeId(3),
-                MsgKind::RequestMsg,
+                MsgKind::Gossip,
             );
         }
         assert!(fd.is_suspected(NodeId(3), t + SimDuration::from_millis(40)));
@@ -281,14 +312,10 @@ mod tests {
     #[test]
     fn spaced_arrivals_do_not_indict() {
         let mut fd = VerboseDetector::new(config());
-        fd.set_min_spacing(MsgKind::RequestMsg, SimDuration::from_millis(500));
+        fd.set_min_spacing(MsgKind::Beacon, SimDuration::from_millis(500));
         let t = SimTime::from_secs(1);
         for i in 0..10u64 {
-            fd.observe_arrival(
-                t + SimDuration::from_secs(i),
-                NodeId(3),
-                MsgKind::RequestMsg,
-            );
+            fd.observe_arrival(t + SimDuration::from_secs(i), NodeId(3), MsgKind::Beacon);
         }
         assert_eq!(fd.counter(NodeId(3)), 0);
     }
@@ -400,5 +427,156 @@ mod tests {
             fd.observe_arrival(t + SimDuration::from_micros(i), NodeId(3), MsgKind::Gossip);
         }
         assert_eq!(fd.counter(NodeId(3)), 0);
+    }
+
+    /// The detector as it was before its rows were compacted: one slot for
+    /// each of the five kinds per sender, `None` where no arrival is
+    /// tracked, and a rule slot for every kind.
+    struct FiveKindReference {
+        indictments: Offences,
+        min_spacing: [Option<SimDuration>; 5],
+        arrival_from: Vec<NodeId>,
+        arrivals: Vec<[Option<SimTime>; 5]>,
+    }
+
+    impl FiveKindReference {
+        fn new(config: VerboseConfig) -> Self {
+            FiveKindReference {
+                indictments: Offences::new(
+                    config.threshold,
+                    config.decay_interval,
+                    config.suspicion_duration,
+                ),
+                min_spacing: [None; 5],
+                arrival_from: Vec::new(),
+                arrivals: Vec::new(),
+            }
+        }
+
+        fn observe_arrival(&mut self, now: SimTime, node: NodeId, kind: MsgKind) {
+            let Some(spacing) = self.min_spacing[kind as usize] else {
+                return;
+            };
+            let prev = match self.arrival_from.binary_search(&node) {
+                Ok(pos) => self.arrivals[pos][kind as usize].replace(now),
+                Err(pos) => {
+                    let mut row = [None; 5];
+                    row[kind as usize] = Some(now);
+                    self.arrival_from.insert(pos, node);
+                    self.arrivals.insert(pos, row);
+                    None
+                }
+            };
+            if prev.is_some_and(|prev| now.saturating_since(prev) < spacing) {
+                self.indictments.count(now, node);
+            }
+        }
+
+        fn tick(&mut self, now: SimTime) {
+            if self.indictments.tick(now) {
+                let spacing = &self.min_spacing;
+                for row in &mut self.arrivals {
+                    for (slot, rule) in row.iter_mut().zip(spacing) {
+                        if slot.is_some_and(|at| rule.is_none_or(|s| now.saturating_since(at) >= s))
+                        {
+                            *slot = None;
+                        }
+                    }
+                }
+                let live = |row: &[Option<SimTime>; 5]| row.iter().any(Option::is_some);
+                let mut rows = self.arrivals.iter();
+                self.arrival_from.retain(|_| rows.next().is_some_and(live));
+                self.arrivals.retain(live);
+            }
+        }
+    }
+
+    const KINDS: [MsgKind; 5] = [
+        MsgKind::Data,
+        MsgKind::Gossip,
+        MsgKind::RequestMsg,
+        MsgKind::FindMissingMsg,
+        MsgKind::Beacon,
+    ];
+
+    /// One schedule: `rules` picks which of Gossip and Beacon get a spacing
+    /// rule (and how long), then each op advances time by `gap_ms` and
+    /// either ticks (`action` 0) or delivers an arrival of `KINDS[kind]`
+    /// from `sender`.
+    fn compact_rows_match_case(
+        (gossip_rule, beacon_rule): (u64, u64),
+        ops: &[(u64, u32, usize, u8)],
+        hits: &mut [u64; 3],
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        use proptest::prop_assert_eq;
+        let config = VerboseConfig {
+            threshold: 3,
+            decay_interval: SimDuration::from_millis(700),
+            suspicion_duration: SimDuration::from_millis(1500),
+            quota_violation_threshold: 2,
+        };
+        let mut fd = VerboseDetector::new(config);
+        let mut model = FiveKindReference::new(config);
+        for (kind, rule) in [
+            (MsgKind::Gossip, gossip_rule),
+            (MsgKind::Beacon, beacon_rule),
+        ] {
+            if rule > 0 {
+                let spacing = SimDuration::from_millis(rule * 100);
+                fd.set_min_spacing(kind, spacing);
+                model.min_spacing[kind as usize] = Some(spacing);
+            }
+        }
+        let mut now = SimTime::from_secs(1);
+        for &(gap_ms, sender, kind, action) in ops {
+            now += SimDuration::from_millis(gap_ms);
+            let rows_before = fd.arrival_from.len();
+            let tick = action == 0;
+            if tick {
+                fd.tick(now);
+                model.tick(now);
+            } else {
+                fd.observe_arrival(now, NodeId(sender), KINDS[kind]);
+                model.observe_arrival(now, NodeId(sender), KINDS[kind]);
+            }
+            for node in (0..5).map(NodeId) {
+                prop_assert_eq!(fd.counter(node), model.indictments.counter(node));
+                prop_assert_eq!(fd.indict_count(node), model.indictments.total(node));
+                prop_assert_eq!(
+                    fd.is_suspected(node, now),
+                    model.indictments.suspected().contains(node, now)
+                );
+            }
+            prop_assert_eq!(fd.suspects(now), model.indictments.suspected().at(now));
+            prop_assert_eq!(&fd.arrival_from, &model.arrival_from);
+            hits[0] += u64::from(fd.indict_count(NodeId(sender)) > 0);
+            hits[1] += u64::from(!fd.suspects(now).is_empty());
+            hits[2] += u64::from(fd.arrival_from.len() < rows_before);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn compact_rows_match_the_five_kind_reference() {
+        use proptest::prelude::ProptestConfig;
+        let mut hits = [0u64; 3];
+        let strategy = (
+            (0u64..6, 0u64..6),
+            proptest::collection::vec((0u64..150, 0u32..5, 0usize..5, 0u8..3), 1..120),
+        );
+        proptest::test_runner::run_cases(
+            "compact_rows_match_the_five_kind_reference",
+            &ProptestConfig::default(),
+            &strategy,
+            |(rules, ops)| compact_rows_match_case(rules, &ops, &mut hits),
+        );
+        // Spacing violations, suspicions and aged-out rows were all reached.
+        assert!(hits.iter().all(|&h| h > 0), "uncovered path: {hits:?}");
+    }
+
+    #[test]
+    #[should_panic(expected = "no spacing rule for RequestMsg")]
+    fn only_periodic_kinds_take_a_spacing_rule() {
+        VerboseDetector::new(config()).set_min_spacing(MsgKind::RequestMsg, SimDuration::ZERO);
     }
 }

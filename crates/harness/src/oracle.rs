@@ -35,7 +35,7 @@ use byzcast_fd::interval::SuspicionEpisode;
 use byzcast_sim::{FaultKind, Metrics, NodeId, SimDuration, SimTime};
 
 use crate::scenario::{adjacency_within, byz_view, MobilityChoice, ProtocolChoice, ScenarioConfig};
-use crate::summary::RunSummary;
+use crate::summary::{DeliveriesByPayload, RunSummary};
 use crate::workload::Workload;
 
 /// One invariant violation, with enough detail to debug the run.
@@ -157,21 +157,28 @@ impl Oracle for NoDuplication {
     }
 
     fn check(&self, ctx: &OracleCtx<'_>) -> Vec<Violation> {
-        let mut counts: BTreeMap<(NodeId, NodeId, u64), u64> = BTreeMap::new();
-        for d in &ctx.metrics.deliveries {
-            if ctx.eligible[d.node.index()] {
-                *counts.entry((d.node, d.origin, d.payload_id)).or_insert(0) += 1;
-            }
-        }
-        counts
-            .into_iter()
-            .filter(|&(_, c)| c > 1)
-            .map(|((node, origin, payload_id), c)| Violation {
-                oracle: self.name(),
-                detail: format!(
-                    "node {} delivered payload {} from {} {c} times",
-                    node.0, payload_id, origin.0
-                ),
+        let mut keys: Vec<(NodeId, NodeId, u64)> = ctx
+            .metrics
+            .deliveries
+            .iter()
+            .filter(|d| ctx.eligible[d.node.index()])
+            .map(|d| (d.node, d.origin, d.payload_id))
+            .collect();
+        keys.sort_unstable();
+        keys.chunk_by(|a, b| a == b)
+            .filter(|run| run.len() > 1)
+            .map(|run| {
+                let (node, origin, payload_id) = run[0];
+                Violation {
+                    oracle: self.name(),
+                    detail: format!(
+                        "node {} delivered payload {} from {} {} times",
+                        node.0,
+                        payload_id,
+                        origin.0,
+                        run.len()
+                    ),
+                }
             })
             .collect()
     }
@@ -255,6 +262,9 @@ impl Oracle for SemiReliability {
 
         let positions = ctx.scenario.initial_positions();
         let adj = adjacency_within(&positions, certain_radius(ctx.scenario));
+        let by_payload = DeliveriesByPayload::new(ctx.metrics);
+        let mut reachable: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+        let mut delivered: Vec<NodeId> = Vec::new();
         let mut out = Vec::new();
         for b in &ctx.metrics.broadcasts {
             if !ctx.eligible[b.origin.index()]
@@ -263,15 +273,14 @@ impl Oracle for SemiReliability {
             {
                 continue;
             }
-            let reachable = reachable_from(b.origin, &adj, &ctx.eligible);
-            let delivered: BTreeSet<NodeId> = ctx
-                .metrics
-                .deliveries_of(b.payload_id)
-                .filter(|d| d.origin == b.origin)
-                .map(|d| d.node)
-                .collect();
-            for node in reachable {
-                if !delivered.contains(&node) {
+            let reachable = reachable
+                .entry(b.origin)
+                .or_insert_with(|| reachable_from(b.origin, &adj, &ctx.eligible));
+            delivered.clear();
+            delivered.extend(by_payload.of(b.origin, b.payload_id).iter().map(|d| d.node));
+            delivered.sort_unstable();
+            for &node in reachable.iter() {
+                if delivered.binary_search(&node).is_err() {
                     out.push(Violation {
                         oracle: self.name(),
                         detail: format!(
@@ -713,5 +722,92 @@ mod tests {
         let eligible = eligible_mask(&s);
         assert!(!eligible[5]);
         assert!(eligible[4]);
+    }
+
+    /// Nodes 0–2 a few metres apart, node 3 far out of range; origins 0
+    /// and 1 both broadcast payload id 7 at 1 s. Node 0 delivers 0's
+    /// message three times and 1's once, node 1 delivers 0's twice and 1's
+    /// once, node 2 delivers only 1's.
+    fn hand_built_run() -> (ScenarioConfig, Metrics) {
+        use byzcast_sim::metrics::{BroadcastRecord, DeliveryRecord};
+        use byzcast_sim::Position;
+        let positions = vec![
+            Position::new(0.0, 0.0),
+            Position::new(10.0, 0.0),
+            Position::new(20.0, 0.0),
+            Position::new(5000.0, 0.0),
+        ];
+        let scenario = ScenarioConfig {
+            n: 4,
+            mobility: MobilityChoice::Explicit(positions),
+            sim: SimConfig {
+                field: Field::new(6000.0, 100.0),
+                ..SimConfig::default()
+            },
+            ..ScenarioConfig::default()
+        };
+        let mut m = Metrics::default();
+        for origin in [0, 1] {
+            m.broadcasts.push(BroadcastRecord {
+                origin: NodeId(origin),
+                payload_id: 7,
+                time: SimTime::from_secs(1),
+                size_bytes: 64,
+            });
+        }
+        for (node, origin) in [
+            (1, 0),
+            (0, 0),
+            (2, 1),
+            (1, 0),
+            (0, 0),
+            (1, 1),
+            (0, 0),
+            (0, 1),
+        ] {
+            m.deliveries.push(DeliveryRecord {
+                node: NodeId(node),
+                origin: NodeId(origin),
+                payload_id: 7,
+                time: SimTime::from_secs(2),
+            });
+        }
+        (scenario, m)
+    }
+
+    fn hand_built_check(oracle: &dyn Oracle) -> Vec<String> {
+        let (scenario, metrics) = hand_built_run();
+        let ctx = OracleCtx {
+            eligible: vec![true; 4],
+            scenario: &scenario,
+            workload: &Workload::default(),
+            metrics: &metrics,
+            horizon: SimTime::from_secs(30),
+            episodes: None,
+            resources: None,
+        };
+        oracle.check(&ctx).into_iter().map(|v| v.detail).collect()
+    }
+
+    #[test]
+    fn no_duplication_counts_each_node_origin_payload_once_in_key_order() {
+        assert_eq!(
+            hand_built_check(&NoDuplication),
+            [
+                "node 0 delivered payload 7 from 0 3 times",
+                "node 1 delivered payload 7 from 0 2 times",
+            ]
+        );
+    }
+
+    #[test]
+    fn semi_reliability_keeps_origins_apart_and_skips_the_unreachable() {
+        // One payload id, two origins: node 2's delivery of 1's message
+        // does not discharge 0's, and node 3, out of everyone's range, owes
+        // nothing.
+        assert_eq!(
+            hand_built_check(&SemiReliability),
+            ["node 2 never delivered payload 7 from 0 despite being connected and up"]
+        );
     }
 }

@@ -1,9 +1,7 @@
 //! Distilling simulator metrics into per-run summaries.
 
-use std::collections::BTreeSet;
-
 use byzcast_core::{ProtocolCounters, RecoveryStats, ResourceStats};
-use byzcast_sim::{FaultStats, Metrics, NodeId};
+use byzcast_sim::{DeliveryRecord, FaultStats, Metrics, NodeId};
 
 /// The distilled result of one simulation run — the quantities the paper's
 /// evaluation plots.
@@ -91,27 +89,28 @@ impl RunSummary {
         let mut latencies: Vec<f64> = Vec::new();
         let mut total_correct_deliveries: u64 = 0;
         let mut messages = 0usize;
+        let by_payload = DeliveriesByPayload::new(metrics);
+        let mut deliverers: Vec<NodeId> = Vec::new();
         for b in &metrics.broadcasts {
             if !correct[b.origin.index()] {
                 continue;
             }
             messages += 1;
-            let deliverers: BTreeSet<NodeId> = metrics
-                .deliveries_of(b.payload_id)
-                .filter(|d| correct[d.node.index()] && d.origin == b.origin)
-                .map(|d| d.node)
-                .collect();
+            deliverers.clear();
+            for d in by_payload.of(b.origin, b.payload_id) {
+                if correct[d.node.index()] {
+                    deliverers.push(d.node);
+                    latencies.push(d.time.saturating_since(b.time).as_secs_f64());
+                }
+            }
+            deliverers.sort_unstable();
+            deliverers.dedup();
             total_correct_deliveries += deliverers.len() as u64;
             ratios.push(if correct_count == 0 {
                 0.0
             } else {
                 deliverers.len() as f64 / correct_count as f64
             });
-            for d in metrics.deliveries_of(b.payload_id) {
-                if correct[d.node.index()] && d.origin == b.origin {
-                    latencies.push(d.time.saturating_since(b.time).as_secs_f64());
-                }
-            }
         }
         latencies.sort_by(|a, b| a.partial_cmp(b).expect("latencies are finite"));
         let mean_latency_s = if latencies.is_empty() {
@@ -157,6 +156,27 @@ impl RunSummary {
                 .collect(),
             ..RunSummary::default()
         }
+    }
+}
+
+/// A run's deliveries sorted by `(payload id, origin)`, record order kept
+/// within each pair: one sort, then each broadcast finds its deliveries by
+/// binary search instead of scanning every delivery of the run.
+pub(crate) struct DeliveriesByPayload<'a>(Vec<&'a DeliveryRecord>);
+
+impl<'a> DeliveriesByPayload<'a> {
+    pub(crate) fn new(metrics: &'a Metrics) -> Self {
+        let mut sorted: Vec<&DeliveryRecord> = metrics.deliveries.iter().collect();
+        sorted.sort_by_key(|d| (d.payload_id, d.origin));
+        DeliveriesByPayload(sorted)
+    }
+
+    /// The deliveries of `payload_id` claiming `origin`, in record order.
+    pub(crate) fn of(&self, origin: NodeId, payload_id: u64) -> &[&'a DeliveryRecord] {
+        let key = (payload_id, origin);
+        let lo = self.0.partition_point(|d| (d.payload_id, d.origin) < key);
+        let hi = lo + self.0[lo..].partition_point(|d| (d.payload_id, d.origin) == key);
+        &self.0[lo..hi]
     }
 }
 
@@ -258,5 +278,36 @@ mod tests {
         assert_eq!(percentile(&xs, 0.5), 2.0);
         assert_eq!(percentile(&xs, 0.99), 4.0);
         assert_eq!(percentile(&[], 0.5), 0.0);
+    }
+
+    #[test]
+    fn duplicates_and_shared_payload_ids_count_per_origin() {
+        // Origins 0 and 1 both use payload id 1; node 1 delivers 0's message
+        // twice, node 2 only 1's.
+        let mut m = metrics_with_one_broadcast();
+        m.broadcasts.push(BroadcastRecord {
+            origin: NodeId(1),
+            payload_id: 1,
+            time: SimTime::from_secs(1),
+            size_bytes: 100,
+        });
+        m.deliveries.retain(|d| d.node != NodeId(2));
+        for (node, origin, at) in [(1u32, 0u32, 3.0f64), (2, 1, 2.0), (1, 1, 1.25)] {
+            m.deliveries.push(DeliveryRecord {
+                node: NodeId(node),
+                origin: NodeId(origin),
+                payload_id: 1,
+                time: SimTime::from_micros((at * 1e6) as u64),
+            });
+        }
+        let s = RunSummary::from_metrics("x", &m, &[true; 4]);
+        assert_eq!(s.messages, 2);
+        // 0's message reached nodes 0 and 1, 1's reached nodes 1 and 2.
+        assert!((s.delivery_ratio - 0.5).abs() < 1e-9);
+        assert!((s.min_delivery_ratio - 0.5).abs() < 1e-9);
+        // Four distinct deliverers over 30 frames.
+        assert!((s.frames_per_delivery - 7.5).abs() < 1e-9);
+        // Every delivery, the duplicate included, is a latency sample.
+        assert_eq!(s.latencies_s, vec![0.0, 0.25, 0.5, 1.0, 2.0]);
     }
 }

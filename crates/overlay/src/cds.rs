@@ -61,8 +61,7 @@ impl OverlayProtocol for Cds {
         let in_closed = |q: NodeId, nq: &[NodeId], n: NodeId| -> bool {
             n == q || nq.binary_search(&n).is_ok()
         };
-        let advertised =
-            |q: NodeId| -> &[NodeId] { table.info(q).map_or(&[], |i| &i.neighbors[..]) };
+        let advertised = |q: NodeId| -> &[NodeId] { table.info(q).map_or(&[], |i| i.neighbors()) };
 
         // Marking rule: two considered neighbours not adjacent to each other,
         // where adjacency (as in `NeighborTable::are_adjacent`) holds if

@@ -37,7 +37,7 @@ pub mod neighbors;
 
 pub use cds::Cds;
 pub use mis_bridges::MisBridges;
-pub use neighbors::{NeighborInfo, NeighborTable};
+pub use neighbors::{AdvertisedLists, NeighborInfo, NeighborTable};
 
 use byzcast_fd::TrustLevel;
 use byzcast_sim::NodeId;

@@ -82,8 +82,8 @@ impl OverlayProtocol for MisBridges {
                     c > me
                         && table.info(c).is_some_and(|ic| {
                             ic.role.is_active()
-                                && ic.neighbors.contains(&a)
-                                && ic.neighbors.contains(&b)
+                                && ic.neighbors().contains(&a)
+                                && ic.neighbors().contains(&b)
                         })
                 });
                 if !better_candidate {
@@ -98,7 +98,7 @@ impl OverlayProtocol for MisBridges {
             let a_closed: BTreeSet<NodeId> = {
                 let mut s: BTreeSet<NodeId> = table
                     .info(a)
-                    .map(|i| i.neighbors.iter().copied().collect())
+                    .map(|i| i.neighbors().iter().copied().collect())
                     .unwrap_or_default();
                 s.insert(a);
                 s
@@ -109,7 +109,7 @@ impl OverlayProtocol for MisBridges {
                 }
                 let Some(iq) = table.info(q) else { continue };
                 let far_dominator = iq
-                    .dominator_neighbors
+                    .dominator_neighbors()
                     .iter()
                     .any(|&b| b != me && !a_closed.contains(&b) && !my_nbrs.contains(&b));
                 if !far_dominator {
@@ -123,8 +123,8 @@ impl OverlayProtocol for MisBridges {
                         && c != q
                         && table.info(c).is_some_and(|ic| {
                             ic.role.is_active()
-                                && ic.neighbors.contains(&a)
-                                && ic.neighbors.contains(&q)
+                                && ic.neighbors().contains(&a)
+                                && ic.neighbors().contains(&q)
                         })
                 });
                 if !better_candidate {

@@ -11,17 +11,72 @@
 //! Entries expire when beacons stop arriving, which is how departed or mute
 //! neighbours fall out of the view.
 //!
-//! An entry keeps a neighbour's advertised lists by reference: the
-//! `Arc<[NodeId]>` the beacon carried is what every receiver stores, so a
-//! beacon heard by ten neighbours is one allocation, not ten copies. Lists
-//! must be strictly ascending (membership is a binary search); a list that
-//! is not (a Byzantine sender's) is stored as a sorted, deduplicated copy.
+//! An entry keeps a neighbour's advertised lists by reference: both lists
+//! of a beacon live in one shared allocation, an [`AdvertisedLists`], and
+//! that allocation is what every receiver stores. So a beacon heard by ten
+//! neighbours is one allocation, not ten copies, and replacing an entry
+//! releases one reference count. Lists must be strictly ascending
+//! (membership is a binary search); a beacon whose lists are not (a
+//! Byzantine sender's) is stored as a sorted, deduplicated copy.
 
 use std::sync::Arc;
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
 use crate::OverlayRole;
+
+/// The two lists a beacon advertises — its sender's one-hop neighbours,
+/// then its dominator neighbours — in one shared allocation.
+#[derive(Clone, PartialEq, Eq, Debug)]
+pub struct AdvertisedLists {
+    /// The neighbours, then the dominator neighbours.
+    ids: Arc<[NodeId]>,
+    /// Length of the neighbour part of `ids`.
+    split: u32,
+}
+
+impl AdvertisedLists {
+    /// Copies both lists, as given, into one new allocation.
+    pub fn new(neighbors: &[NodeId], dominator_neighbors: &[NodeId]) -> Self {
+        AdvertisedLists {
+            ids: neighbors
+                .iter()
+                .chain(dominator_neighbors)
+                .copied()
+                .collect(),
+            split: u32::try_from(neighbors.len()).expect("neighbour list fits a beacon"),
+        }
+    }
+
+    /// The advertised one-hop neighbours.
+    pub fn neighbors(&self) -> &[NodeId] {
+        &self.ids[..self.split as usize]
+    }
+
+    /// The advertised dominator neighbours.
+    pub fn dominator_neighbors(&self) -> &[NodeId] {
+        &self.ids[self.split as usize..]
+    }
+
+    /// These lists if both are strictly ascending, else a sorted,
+    /// deduplicated copy of both.
+    fn normalised(self) -> Self {
+        let ascending = |l: &[NodeId]| l.windows(2).all(|w| w[0] < w[1]);
+        if ascending(self.neighbors()) && ascending(self.dominator_neighbors()) {
+            return self;
+        }
+        let sorted = |l: &[NodeId]| {
+            let mut copy = l.to_vec();
+            copy.sort_unstable();
+            copy.dedup();
+            copy
+        };
+        AdvertisedLists::new(
+            &sorted(self.neighbors()),
+            &sorted(self.dominator_neighbors()),
+        )
+    }
+}
 
 /// What one beacon told us about a neighbour.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -33,26 +88,24 @@ pub struct NeighborInfo {
     /// The neighbour's advertised Wu–Li *marked* flag (role-independent;
     /// what CDS pruning rules compare against).
     pub marked: bool,
+    /// Its advertised lists, both sorted ascending and deduplicated.
+    lists: AdvertisedLists,
+}
+
+impl NeighborInfo {
     /// The neighbour's advertised one-hop neighbour set, sorted ascending
     /// and deduplicated (so membership is a binary search and iteration
     /// order matches the former `BTreeSet` representation exactly).
-    pub neighbors: Arc<[NodeId]>,
+    pub fn neighbors(&self) -> &[NodeId] {
+        self.lists.neighbors()
+    }
+
     /// The neighbour's advertised *dominator* neighbours (used by the MIS+B
     /// bridge rule to find dominators two hops away). Sorted ascending and
     /// deduplicated.
-    pub dominator_neighbors: Arc<[NodeId]>,
-}
-
-/// `list` itself if it is strictly ascending, else a sorted, deduplicated
-/// copy of it.
-fn normalised(list: Arc<[NodeId]>) -> Arc<[NodeId]> {
-    if list.windows(2).all(|w| w[0] < w[1]) {
-        return list;
+    pub fn dominator_neighbors(&self) -> &[NodeId] {
+        self.lists.dominator_neighbors()
     }
-    let mut copy = list.to_vec();
-    copy.sort_unstable();
-    copy.dedup();
-    copy.into()
 }
 
 /// A node's view of its one-hop neighbourhood (and, through advertised
@@ -113,34 +166,33 @@ impl NeighborTable {
         neighbors: impl IntoIterator<Item = NodeId>,
         dominator_neighbors: impl IntoIterator<Item = NodeId>,
     ) {
+        let neighbors: Vec<NodeId> = neighbors.into_iter().collect();
+        let dominator_neighbors: Vec<NodeId> = dominator_neighbors.into_iter().collect();
         self.record_beacon_marked(
             now,
             from,
             role,
             role.is_active(),
-            neighbors.into_iter().collect(),
-            dominator_neighbors.into_iter().collect(),
+            AdvertisedLists::new(&neighbors, &dominator_neighbors),
         );
     }
 
     /// Records a beacon carrying an explicit marked flag, keeping its lists
     /// by reference (or, if one is not strictly ascending, a sorted,
-    /// deduplicated copy of it).
+    /// deduplicated copy of both).
     pub fn record_beacon_marked(
         &mut self,
         now: SimTime,
         from: NodeId,
         role: OverlayRole,
         marked: bool,
-        neighbors: Arc<[NodeId]>,
-        dominator_neighbors: Arc<[NodeId]>,
+        lists: AdvertisedLists,
     ) {
         let info = NeighborInfo {
             last_heard: now,
             role,
             marked,
-            neighbors: normalised(neighbors),
-            dominator_neighbors: normalised(dominator_neighbors),
+            lists: lists.normalised(),
         };
         match self.ids.binary_search(&from) {
             Ok(pos) => self.infos[pos] = info,
@@ -202,16 +254,24 @@ impl NeighborTable {
         self.ids.is_empty()
     }
 
+    /// Bytes its two columns allocate (from their capacities). The
+    /// advertised lists are shared with the beacon and every other receiver,
+    /// so they are not counted.
+    pub fn heap_bytes(&self) -> usize {
+        self.ids.capacity() * std::mem::size_of::<NodeId>()
+            + self.infos.capacity() * std::mem::size_of::<NeighborInfo>()
+    }
+
     /// Whether, according to advertised lists, `a` and `b` are adjacent.
     /// Falls back to `false` when neither endpoint's list is known.
     pub fn are_adjacent(&self, a: NodeId, b: NodeId) -> bool {
         if let Some(ia) = self.info(a) {
-            if ia.neighbors.binary_search(&b).is_ok() {
+            if ia.neighbors().binary_search(&b).is_ok() {
                 return true;
             }
         }
         if let Some(ib) = self.info(b) {
-            if ib.neighbors.binary_search(&a).is_ok() {
+            if ib.neighbors().binary_search(&a).is_ok() {
                 return true;
             }
         }
@@ -242,8 +302,8 @@ mod tests {
         assert_eq!(t.len(), 1);
         let info = t.info(NodeId(2)).unwrap();
         assert_eq!(info.role, OverlayRole::Dominator);
-        assert!(info.neighbors.contains(&NodeId(3)));
-        assert!(info.dominator_neighbors.contains(&NodeId(3)));
+        assert!(info.neighbors().contains(&NodeId(3)));
+        assert!(info.dominator_neighbors().contains(&NodeId(3)));
     }
 
     #[test]
@@ -288,7 +348,7 @@ mod tests {
         let info = t.info(NodeId(2)).unwrap();
         assert_eq!(info.role, OverlayRole::Bridge);
         assert_eq!(info.last_heard, SimTime::from_secs(2));
-        assert!(info.neighbors.contains(&NodeId(9)));
+        assert!(info.neighbors().contains(&NodeId(9)));
     }
 
     #[test]
@@ -316,20 +376,78 @@ mod tests {
     fn ascending_lists_are_kept_by_reference_and_others_normalised() {
         let mut t = table();
         let now = SimTime::from_secs(1);
-        let sorted: Arc<[NodeId]> = vec![NodeId(1), NodeId(4), NodeId(7)].into();
-        let shuffled: Arc<[NodeId]> = vec![NodeId(7), NodeId(1), NodeId(7), NodeId(4)].into();
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let sorted = AdvertisedLists::new(&ids(&[1, 4, 7]), &ids(&[4]));
+        t.record_beacon_marked(now, NodeId(2), OverlayRole::Passive, false, sorted.clone());
+        assert!(Arc::ptr_eq(
+            &t.info(NodeId(2)).unwrap().lists.ids,
+            &sorted.ids
+        ));
+        // One unsorted list is enough for a copy of both.
+        let shuffled = AdvertisedLists::new(&ids(&[1, 4, 7]), &ids(&[7, 1, 7, 4]));
         t.record_beacon_marked(
             now,
-            NodeId(2),
+            NodeId(3),
             OverlayRole::Passive,
             false,
-            Arc::clone(&sorted),
-            Arc::clone(&shuffled),
+            shuffled.clone(),
         );
-        let info = t.info(NodeId(2)).unwrap();
-        assert!(Arc::ptr_eq(&info.neighbors, &sorted));
-        assert_eq!(info.dominator_neighbors, sorted);
-        assert!(!Arc::ptr_eq(&info.dominator_neighbors, &shuffled));
+        let info = t.info(NodeId(3)).unwrap();
+        assert!(!Arc::ptr_eq(&info.lists.ids, &shuffled.ids));
+        assert_eq!(info.neighbors(), &ids(&[1, 4, 7])[..]);
+        assert_eq!(info.dominator_neighbors(), &ids(&[1, 4, 7])[..]);
+    }
+
+    #[test]
+    fn a_replaced_entry_swaps_both_lists_and_releases_one_reference() {
+        // Each beacon's two lists travel in one allocation: replacing a
+        // neighbour's entry installs both new lists together and drops one
+        // reference on the old allocation, which other receivers keep; a
+        // re-sent, unchanged beacon leaves the count where it was.
+        let mut t = table();
+        let ids = |v: &[u32]| v.iter().map(|&i| NodeId(i)).collect::<Vec<_>>();
+        let mut rng = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut held: Vec<Option<AdvertisedLists>> = vec![None; 6];
+        for step in 0..300u64 {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            let from = (rng % 6) as usize;
+            let resend = (rng >> 16).is_multiple_of(4) && held[from].is_some();
+            let lists = if resend {
+                held[from].clone().unwrap()
+            } else {
+                let len = (rng >> 8) as u32 % 5;
+                let neighbors: Vec<u32> = (0..len).map(|k| 10 * from as u32 + k).collect();
+                let dominators: Vec<u32> = neighbors
+                    .iter()
+                    .copied()
+                    .filter(|k| k.is_multiple_of(2))
+                    .collect();
+                AdvertisedLists::new(&ids(&neighbors), &ids(&dominators))
+            };
+            let at = SimTime::from_millis(step);
+            let copy = lists.clone();
+            t.record_beacon_marked(at, NodeId(from as u32), OverlayRole::Passive, false, copy);
+            if let Some(old) = held[from].replace(lists) {
+                // Replaced lists are left with this test's copy only; re-sent
+                // ones are still the table's too.
+                let holders = if resend { 3 } else { 1 };
+                assert_eq!(Arc::strong_count(&old.ids), holders);
+            }
+            let current = held[from].as_ref().unwrap();
+            let info = t.info(NodeId(from as u32)).unwrap();
+            assert_eq!(info.last_heard, at);
+            assert!(Arc::ptr_eq(&info.lists.ids, &current.ids));
+            assert_eq!(Arc::strong_count(&current.ids), 2);
+            assert_eq!(info.neighbors(), current.neighbors());
+            assert_eq!(info.dominator_neighbors(), current.dominator_neighbors());
+            assert!(info
+                .dominator_neighbors()
+                .iter()
+                .all(|d| d.0.is_multiple_of(2)));
+            assert!(info.neighbors().iter().all(|n| n.0 / 10 == from as u32));
+        }
     }
 
     #[test]
@@ -380,7 +498,7 @@ mod tests {
             let want: Vec<(NodeId, SimTime)> = model.iter().map(|(&id, &at)| (id, at)).collect();
             assert_eq!(got, want);
             for (id, info) in t.iter() {
-                assert_eq!(&info.neighbors[..], &[id], "info of {id:?} mispaired");
+                assert_eq!(info.neighbors(), &[id], "info of {id:?} mispaired");
                 assert_eq!(t.info(id), Some(info));
             }
             assert_eq!(t.neighbor_ids(), model.keys().copied().collect::<Vec<_>>());

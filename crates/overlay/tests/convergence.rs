@@ -11,7 +11,7 @@ use std::collections::BTreeSet;
 use byzcast_fd::TrustLevel;
 use byzcast_overlay::analysis::{bfs_distances, induced_connected};
 use byzcast_overlay::{
-    MapTrust, NeighborTable, OverlayKind, OverlayProtocol, OverlayRole, TrustView,
+    AdvertisedLists, MapTrust, NeighborTable, OverlayKind, OverlayProtocol, OverlayRole, TrustView,
 };
 use byzcast_sim::{Field, NodeId, Position, SimDuration, SimRng, SimTime};
 
@@ -57,8 +57,7 @@ impl Rig {
                 q,
                 self.roles[qi],
                 self.marked[qi],
-                self.adj[qi].iter().copied().collect(),
-                dom.into(),
+                AdvertisedLists::new(&self.adj[qi], &dom),
             );
         }
         t

@@ -392,6 +392,40 @@ impl<M: Message + 'static> Simulator<M> {
         &self.metrics
     }
 
+    /// Bytes the engine's per-node vectors hold, per vector, counted from
+    /// capacities (no allocator hooks, no RNG draws, nothing reordered).
+    /// `nodes` counts the boxes' pointers only; each protocol reports its
+    /// own state.
+    pub fn footprint(&self) -> Vec<(&'static str, usize)> {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * std::mem::size_of::<T>()
+        }
+        vec![
+            ("nodes", bytes(&self.nodes)),
+            ("node_rngs", bytes(&self.node_rngs)),
+            ("positions", bytes(&self.positions)),
+            (
+                "timers",
+                bytes(&self.timers) + self.timers.iter().map(bytes).sum::<usize>(),
+            ),
+            (
+                "mac",
+                bytes(&self.mac) + self.mac.iter().map(MacState::heap_bytes).sum::<usize>(),
+            ),
+            ("liveness", bytes(&self.up) + bytes(&self.state_lost)),
+            (
+                "neighbourhoods",
+                bytes(&self.neighbourhoods)
+                    + self
+                        .neighbourhoods
+                        .iter()
+                        .map(|h| bytes(&h.ids))
+                        .sum::<usize>(),
+            ),
+            ("carrier", bytes(&self.busy_until) + bytes(&self.own_tx)),
+        ]
+    }
+
     /// Current position of `node`.
     pub fn position(&self, node: NodeId) -> Position {
         self.positions[node.index()]

@@ -77,6 +77,11 @@ impl<M> Default for MacState<M> {
 }
 
 impl<M> MacState<M> {
+    /// Bytes its queue allocates (from its capacity).
+    pub(crate) fn heap_bytes(&self) -> usize {
+        self.queue.capacity() * std::mem::size_of::<M>()
+    }
+
     /// Enqueues an outgoing frame. Returns `false` if the queue is full (the
     /// engine counts the drop in `Metrics::queue_drops`).
     pub fn enqueue(&mut self, msg: M, capacity: usize) -> bool {

@@ -170,7 +170,7 @@ fn advertised_neighbor_lists_are_shared_not_copied() {
         for r in 0..config.n as u32 {
             if let Some(info) = node(r).table().info(NodeId(s)) {
                 holders += 1;
-                lists.insert(Arc::as_ptr(&info.neighbors));
+                lists.insert(info.neighbors().as_ptr());
             }
         }
         assert!(
