@@ -14,8 +14,9 @@
 //! * [`VerboseDetector`] (`indict(node)`) — detects *verbose* failures:
 //!   "sending messages too often w.r.t. the protocol". It keeps a counter per
 //!   indicted node, suspects past a threshold, supports minimum-spacing rules
-//!   per message type, and ages counters down over time ("the suspicion
-//!   counters for each node are periodically decremented").
+//!   for the two periodic message types (gossip and beacon), and ages
+//!   counters down over time ("the suspicion counters for each node are
+//!   periodically decremented").
 //! * [`TrustDetector`] (`suspect(node, reason)`) — aggregates MUTE, VERBOSE,
 //!   bad-signature reports and second-hand suspicions from trusted
 //!   neighbours into a per-node [`TrustLevel`] (`Trusted`, `Unknown`,
