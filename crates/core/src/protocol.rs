@@ -19,11 +19,11 @@
 //! The failure-detector wiring follows the pseudo-code line by line; comments
 //! in the handlers cite the corresponding line numbers.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use byzcast_crypto::{CacheStats, Signer, Verifier};
-use byzcast_fd::{FailureDetectors, MsgKind, SuspicionLog, SuspicionReason, TrustLevel};
+use byzcast_fd::{Detector, FailureDetectors, MsgKind, Peers, SuspicionLog, TrustLevel};
 use byzcast_overlay::{NeighborTable, OverlayProtocol, OverlayRole, TrustView};
 use byzcast_sim::{
     counter_set, AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey,
@@ -102,16 +102,16 @@ counter_set! {
     }
 }
 
-/// Adapts the TRUST failure detector to the overlay's [`TrustView`] at a
-/// fixed instant.
+/// Adapts a node's trust levels to the overlay's [`TrustView`] at a fixed
+/// instant.
 struct TrustAt<'a> {
-    trust: &'a byzcast_fd::TrustDetector,
+    node: &'a ByzcastNode,
     now: SimTime,
 }
 
 impl TrustView for TrustAt<'_> {
     fn level(&self, node: NodeId) -> TrustLevel {
-        self.trust.level(node, self.now)
+        self.node.trust_level(node, self.now)
     }
 }
 
@@ -141,14 +141,12 @@ pub struct ByzcastNode {
     /// neighbour).
     pending_responses: BTreeMap<MessageId, PendingResponse>,
     fds: FailureDetectors,
+    /// The one peer table: neighbour beacons and the detectors' rows.
     table: NeighborTable,
     verifier: Arc<dyn Verifier + Send + Sync>,
     missing: BTreeMap<MessageId, MissingState>,
     /// Peak `missing` size (resource-stats high-water mark).
     peak_missing: usize,
-    /// `TrustDetector::generation` when `prev_untrusted` was last taken: an
-    /// fd tick rebuilds and diffs the untrusted set only if it has moved.
-    fd_generation: u64,
     cold: Box<Cold>,
 }
 
@@ -193,7 +191,6 @@ struct Cold {
     counters: ProtocolCounters,
     /// History of this node's own TRUST suspicions (for experiment R6).
     sus_log: SuspicionLog,
-    prev_untrusted: BTreeSet<NodeId>,
     /// When the last beacon was piggybacked (`None` = one is due now).
     last_beacon: Option<SimTime>,
     /// `FIND_MISSING` searches re-flooded recently: each message id is
@@ -272,7 +269,6 @@ impl ByzcastNode {
             verifier,
             missing: BTreeMap::new(),
             peak_missing: 0,
-            fd_generation: 0,
             cold: Box::new(Cold {
                 config,
                 signer,
@@ -280,7 +276,6 @@ impl ByzcastNode {
                 next_seq: 0,
                 counters: ProtocolCounters::default(),
                 sus_log: SuspicionLog::new(),
-                prev_untrusted: BTreeSet::new(),
                 last_beacon: None,
                 finds_forwarded: BTreeMap::new(),
                 served_recently: BTreeMap::new(),
@@ -377,7 +372,7 @@ impl ByzcastNode {
 
     /// The trust level this node assigns `other` at `now`.
     pub fn trust_level(&self, other: NodeId, now: SimTime) -> TrustLevel {
-        self.fds.level(other, now)
+        self.fds.trust.level(&self.table, other, now)
     }
 
     /// Bytes this node holds, per structure, counted from lengths and
@@ -407,10 +402,7 @@ impl ByzcastNode {
                 size_of::<NeighborTable>() + self.table.heap_bytes(),
             ),
             ("mute", size_of_val(&fds.mute) + fds.mute.heap_bytes()),
-            (
-                "verbose",
-                size_of_val(&fds.verbose) + fds.verbose.heap_bytes(),
-            ),
+            ("verbose", size_of_val(&fds.verbose)),
             ("trust", size_of_val(&fds.trust) + fds.trust.heap_bytes()),
             (
                 "recovery",
@@ -446,7 +438,7 @@ impl ByzcastNode {
         self.table
             .iter()
             .filter(|(id, info)| {
-                info.role.is_active() && self.fds.trust.level(*id, now) == TrustLevel::Trusted
+                info.role.is_active() && self.trust_level(*id, now) == TrustLevel::Trusted
             })
             .map(|(id, _)| id)
             .collect()
@@ -456,19 +448,19 @@ impl ByzcastNode {
         self.table.info(node).is_some_and(|i| i.role.is_active())
     }
 
-    fn suspect(&mut self, now: SimTime, node: NodeId, reason: SuspicionReason) {
-        if matches!(reason, SuspicionReason::BadSignature) {
-            self.cold.counters.bad_signatures_seen += 1;
-        }
-        self.fds.trust.suspect(now, node, reason);
+    /// Counts a signature by `node` that did not verify, and suspects it.
+    fn bad_signature(&mut self, now: SimTime, node: NodeId) {
+        self.cold.counters.bad_signatures_seen += 1;
+        self.fds.trust.suspect(now, &mut self.table, node);
     }
 
     /// Records one resource-governance violation by `from`; sustained
-    /// violations convert into VERBOSE indictments (via the configured
-    /// `quota_violation_threshold`), so a flooder is eventually suspected
-    /// and shed from the overlay, not just throttled.
+    /// violations convert into VERBOSE indictments (every
+    /// `verbose::QUOTA_VIOLATION_THRESHOLD`-th), so a flooder is eventually
+    /// suspected and shed from the overlay, not just throttled.
     fn note_quota_violation(&mut self, now: SimTime, from: NodeId) {
-        if self.fds.verbose.report_quota_violation(now, from) {
+        let table = &mut self.table;
+        if self.fds.verbose.report_quota_violation(now, table, from) {
             self.governor.stats_mut().quota_suspicions += 1;
         }
     }
@@ -533,7 +525,7 @@ impl ByzcastNode {
         // Lines 6 / 22–24: verify both originator signatures; on mismatch
         // "m is ignored and the process that sent it is suspected".
         if !m.verify(self.verifier.as_ref()) || !m.gossip_entry().verify(self.verifier.as_ref()) {
-            self.suspect(now, from, SuspicionReason::BadSignature);
+            self.bad_signature(now, from);
             return;
         }
 
@@ -605,7 +597,7 @@ impl ByzcastNode {
         }
         // Lines 26 / 39–41: authenticate the gossiped signature.
         if !e.verify(self.verifier.as_ref()) {
-            self.suspect(now, from, SuspicionReason::BadSignature);
+            self.bad_signature(now, from);
             return;
         }
         // Per-origin quota on the request bookkeeping: a flooder gossiping
@@ -720,7 +712,7 @@ impl ByzcastNode {
                 let peers: Vec<NodeId> = self
                     .table
                     .iter()
-                    .filter(|&(id, _)| self.fds.trust.level(id, now) != TrustLevel::Untrusted)
+                    .filter(|&(id, _)| self.trust_level(id, now) != TrustLevel::Untrusted)
                     .map(|(id, _)| id)
                     .collect();
                 let widened: Vec<NodeId> = if peers.is_empty() {
@@ -845,7 +837,7 @@ impl ByzcastNode {
             return;
         }
         if !r.entry.verify(self.verifier.as_ref()) {
-            self.suspect(now, from, SuspicionReason::BadSignature);
+            self.bad_signature(now, from);
             return;
         }
         // Someone else is already requesting this message: *defer* our own
@@ -869,7 +861,7 @@ impl ByzcastNode {
             // Lines 45–47: an overlay node already broadcast this message;
             // a request for it counts against the requester.
             if self.role.is_active() {
-                self.fds.verbose.indict(now, from);
+                self.fds.verbose.indict(now, &mut self.table, from);
             }
             // Line 48: rebroadcast the data (after the rebroadcast_timeout
             // jitter, suppressed if another holder answers first).
@@ -888,7 +880,7 @@ impl ByzcastNode {
         } else {
             // Lines 54–56: the originator requesting its own message is
             // nonsensical — indict.
-            self.fds.verbose.indict(now, from);
+            self.fds.verbose.indict(now, &mut self.table, from);
         }
     }
 
@@ -899,7 +891,7 @@ impl ByzcastNode {
             return;
         }
         if !f.entry.verify(self.verifier.as_ref()) {
-            self.suspect(now, from, SuspicionReason::BadSignature);
+            self.bad_signature(now, from);
             return;
         }
         // An escalated search (TTL above the paper's fixed 2) only exists
@@ -914,7 +906,7 @@ impl ByzcastNode {
                     // overlay node must already have broadcast to it, so the
                     // search counts against it; answer locally.
                     if self.role.is_active() && !escalated {
-                        self.fds.verbose.indict(now, from);
+                        self.fds.verbose.indict(now, &mut self.table, from);
                     }
                     self.schedule_response(ctx, f.entry.id, 1);
                 } else {
@@ -952,24 +944,26 @@ impl ByzcastNode {
         if b.sender() != from {
             // The radio identified the true transmitter; a beacon claiming a
             // different sender is an impersonation attempt.
-            self.suspect(now, from, SuspicionReason::ProtocolViolation);
+            self.fds.trust.suspect(now, &mut self.table, from);
             return;
         }
         if !self.may_verify(now, from) {
             return;
         }
         if !b.verify(self.verifier.as_ref()) {
-            self.suspect(now, from, SuspicionReason::BadSignature);
+            self.bad_signature(now, from);
             return;
         }
-        self.fds.verbose.observe_arrival(now, from, MsgKind::Beacon);
+        let (verbose, table) = (&mut self.fds.verbose, &mut self.table);
+        verbose.observe_arrival(now, table, from, MsgKind::Beacon);
         self.table
             .record_beacon_marked(now, from, b.role(), b.marked(), b.lists().clone());
         // Second-hand suspicion reports ("a node that suspects one of its
         // neighbors should notify its other neighbors about this suspicion").
+        let trust = &mut self.fds.trust;
         for &s in b.suspects() {
             if s != self.id {
-                self.fds.trust.report_from_neighbor(now, from, s);
+                trust.report_from_neighbor(now, &self.table, from, s);
             }
         }
         let _ = ctx;
@@ -981,19 +975,16 @@ impl ByzcastNode {
     /// newly signed one.
     fn make_beacon(&mut self, now: SimTime) -> BeaconMsg {
         self.table.prune(now);
-        self.fds.tick(now);
+        self.fds.tick(now, &mut self.table);
         // Local computation step: decide our role from the current view.
-        let trust_view = TrustAt {
-            trust: &self.fds.trust,
-            now,
-        };
+        let trust_view = TrustAt { node: self, now };
         let decision = self
             .cold
             .overlay_protocol
             .decide(self.id, &self.table, &trust_view);
         self.role = decision.role;
         self.marked = decision.marked;
-        let mut suspects = self.fds.trust.untrusted(now);
+        let mut suspects = self.table.suspects(Detector::Trust, now);
         suspects.truncate(16);
         self.cold.counters.beacons_sent += 1;
         let table = &self.table;
@@ -1074,26 +1065,15 @@ impl ByzcastNode {
 
     fn fd_tick(&mut self, ctx: &mut Context<'_, WireMsg>) {
         let now = ctx.now();
-        self.fds.tick(now);
-        // Log TRUST transitions for the interval-FD analyses. The untrusted
-        // set can only have changed if TRUST's generation moved since the
-        // last time it was read; otherwise there is nothing to log and no
-        // fresh indictment.
-        let mut fresh = Vec::new();
-        if self.fds.trust.generation() != self.fd_generation {
-            self.fd_generation = self.fds.trust.generation();
-            let current: BTreeSet<NodeId> = self.fds.trust.untrusted(now).into_iter().collect();
-            fresh = current
-                .difference(&self.cold.prev_untrusted)
-                .copied()
-                .collect();
-            for &n in &fresh {
-                self.cold.sus_log.begin(now, self.id, n);
-            }
-            for &n in self.cold.prev_untrusted.difference(&current) {
-                self.cold.sus_log.end(now, self.id, n);
-            }
-            self.cold.prev_untrusted = current;
+        self.fds.tick(now, &mut self.table);
+        // Log TRUST transitions for the interval-FD analyses; the fresh
+        // suspects are also the freshly indicted neighbours.
+        let (fresh, ended) = self.fds.trust.sync_logged(now, &mut self.table);
+        for &n in &fresh {
+            self.cold.sus_log.begin(now, self.id, n);
+        }
+        for &n in &ended {
+            self.cold.sus_log.end(now, self.id, n);
         }
         if self.hot_config.reelect_on_indictment {
             // Liveness-driven overlay repair: a freshly indicted neighbour —
@@ -1103,12 +1083,8 @@ impl ByzcastNode {
             // and re-run the overlay decision now, at fd_tick granularity,
             // so a crashed dominator's role is re-assigned within one
             // beacon period.
-            let before = self.table.len();
-            for &n in &fresh {
-                self.table.remove(n);
-            }
-            self.table.prune(now);
-            let purged = (before - self.table.len()) as u64;
+            let removed = fresh.iter().filter(|&&n| self.table.remove(n)).count();
+            let purged = (removed + self.table.prune(now)) as u64;
             self.cold.recovery_stats.neighbors_purged += purged;
             if purged > 0 || !fresh.is_empty() {
                 self.reelect(now);
@@ -1122,10 +1098,7 @@ impl ByzcastNode {
     /// beacon is forced due), so neighbours learn of the repair within one
     /// gossip period instead of one beacon period.
     fn reelect(&mut self, now: SimTime) {
-        let trust_view = TrustAt {
-            trust: &self.fds.trust,
-            now,
-        };
+        let trust_view = TrustAt { node: self, now };
         let decision = self
             .cold
             .overlay_protocol
@@ -1182,7 +1155,8 @@ impl Protocol for ByzcastNode {
             WireMsg::Data(m) => self.handle_data(ctx, from, m),
             WireMsg::Gossip(g) => {
                 let now = ctx.now();
-                self.fds.verbose.observe_arrival(now, from, MsgKind::Gossip);
+                let (verbose, table) = (&mut self.fds.verbose, &mut self.table);
+                verbose.observe_arrival(now, table, from, MsgKind::Gossip);
                 if let Some(b) = &g.beacon {
                     self.handle_beacon(ctx, from, b);
                 }
@@ -1332,10 +1306,10 @@ mod tests {
     #[test]
     fn hot_head_fits_its_cache_lines() {
         // The head is what every reception and fd tick may touch; a new
-        // field must fit in these twelve cache lines or go to `Cold`. The
-        // three detectors' table headers alone take 464 bytes of it.
+        // field must fit in these seven cache lines or go to `Cold`. The
+        // detectors keep 144 bytes of it and the one peer table 56.
         let head = std::mem::size_of::<ByzcastNode>();
-        assert!(head <= 12 * 64, "hot head grew to {head} bytes");
+        assert!(head <= 7 * 64, "hot head grew to {head} bytes");
         assert_eq!(
             std::mem::size_of::<Box<Cold>>(),
             8,
@@ -1573,7 +1547,7 @@ mod tests {
             .collect();
         assert_eq!(served.len(), 1);
         assert_eq!(h.node.counters().recoveries_served, 1);
-        assert_eq!(h.node.fds.verbose.indict_count(NodeId(5)), 1);
+        assert_eq!(h.node.table.offences(Detector::Verbose, NodeId(5)), 1);
     }
 
     #[test]
@@ -1648,7 +1622,7 @@ mod tests {
         let later = t + REBROADCAST_TIMEOUT;
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         assert_eq!(sends(&actions).len(), 1);
-        assert_eq!(h.node.fds.verbose.indict_count(NodeId(5)), 0);
+        assert_eq!(h.node.table.offences(Detector::Verbose, NodeId(5)), 0);
     }
 
     #[test]
@@ -1706,7 +1680,7 @@ mod tests {
             n.on_packet(ctx, NodeId(0), &WireMsg::Request(req)); // origin requests own msg
         });
         assert!(sends(&actions).is_empty());
-        assert_eq!(h.node.fds.verbose.indict_count(NodeId(0)), 1);
+        assert_eq!(h.node.table.offences(Detector::Verbose, NodeId(0)), 1);
     }
 
     #[test]
@@ -1777,7 +1751,7 @@ mod tests {
         let (_, actions) = h.drive(later, |n, ctx| n.flush_responses(ctx));
         let s = sends(&actions);
         assert!(matches!(&s[0], WireMsg::Data(d) if d.ttl == 1));
-        assert_eq!(h.node.fds.verbose.indict_count(NodeId(5)), 1);
+        assert_eq!(h.node.table.offences(Detector::Verbose, NodeId(5)), 1);
     }
 
     #[test]
@@ -2152,7 +2126,7 @@ mod tests {
         let t1 = t0 + SimDuration::from_millis(50);
         h.drive(t1, |n, ctx| {
             let _ = ctx;
-            n.suspect(t1, NodeId(9), SuspicionReason::BadSignature);
+            n.bad_signature(t1, NodeId(9));
         });
         // The very next fd tick purges it — no waiting for beacon-record
         // expiry, during which it would keep absorbing unicast REQUESTs.
@@ -2170,6 +2144,35 @@ mod tests {
     }
 
     #[test]
+    fn a_reelection_purge_keeps_the_suspicion() {
+        use crate::recovery::RecoveryConfig;
+        let config = ByzcastConfig {
+            recovery: RecoveryConfig::standard(),
+            ..ByzcastConfig::default()
+        };
+        let mut h = Harness::new(1, config);
+        let t0 = SimTime::from_secs(1);
+        let b = h.beacon_from(9, OverlayRole::Dominator);
+        h.drive(t0, |node, ctx| {
+            node.on_packet(ctx, NodeId(9), &WireMsg::Beacon(b))
+        });
+        h.node.bad_signature(t0, NodeId(9));
+        let t1 = t0 + FD_TICK;
+        h.drive(t1, |n, ctx| n.fd_tick(ctx));
+        // The purge drops node 9's beacon entry, once, and nothing else:
+        // it is still untrusted, its episode stays open, and the next tick
+        // neither purges nor logs it again.
+        assert!(!h.node.table.contains(NodeId(9)));
+        assert_eq!(h.node.trust_level(NodeId(9), t1), TrustLevel::Untrusted);
+        let t2 = t1 + FD_TICK;
+        h.drive(t2, |n, ctx| n.fd_tick(ctx));
+        assert_eq!(h.node.recovery_stats().neighbors_purged, 1);
+        assert_eq!(h.node.trust_level(NodeId(9), t2), TrustLevel::Untrusted);
+        assert_eq!(h.node.suspicion_log().episodes().len(), 1);
+        assert_eq!(h.node.suspicion_log().episodes()[0].end, SimTime::MAX);
+    }
+
+    #[test]
     fn indicted_neighbor_lingers_when_recovery_is_off() {
         let mut h = Harness::new(1, ByzcastConfig::default());
         let t0 = SimTime::from_secs(1);
@@ -2180,7 +2183,7 @@ mod tests {
         let t1 = t0 + SimDuration::from_millis(50);
         h.drive(t1, |n, ctx| {
             let _ = ctx;
-            n.suspect(t1, NodeId(9), SuspicionReason::BadSignature);
+            n.bad_signature(t1, NodeId(9));
         });
         let t2 = t1 + SimDuration::from_millis(100);
         h.drive(t2, |n, ctx| n.fd_tick(ctx));
@@ -2358,7 +2361,7 @@ mod tests {
             let m = h.data_from(0, seq);
             h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
         }
-        assert!(h.node.fds().verbose.is_suspected(NodeId(0), t));
+        assert!(h.node.table().suspected(Detector::Verbose, NodeId(0), t));
         assert!(h.node.resource_stats().quota_suspicions >= 1);
     }
 

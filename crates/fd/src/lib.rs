@@ -17,13 +17,17 @@
 //!   for the two periodic message types (gossip and beacon), and ages
 //!   counters down over time ("the suspicion counters for each node are
 //!   periodically decremented").
-//! * [`TrustDetector`] (`suspect(node, reason)`) — aggregates MUTE, VERBOSE,
+//! * [`TrustDetector`] (`suspect(node)`) — aggregates MUTE, VERBOSE,
 //!   bad-signature reports and second-hand suspicions from trusted
 //!   neighbours into a per-node [`TrustLevel`] (`Trusted`, `Unknown`,
 //!   `Untrusted`) that feeds the overlay maintenance protocol.
 //!
-//! The three share one suspicion table (node → suspected until); MUTE and
-//! VERBOSE also share the aged offence counter that feeds it.
+//! TRUST "maintains a trust level for each neighboring node", and all three
+//! keep their per-node state (arrivals, aged counters, suspicions) in one
+//! [`PeerFd`] row per peer of the node's one peer table, the overlay's
+//! neighbour table, reached through [`Peers`]. The detectors hold only what
+//! is not per node: MUTE's expectations, the aging clocks, VERBOSE's
+//! spacing rules, and TRUST's reports, keyed by (suspected, reporter) pair.
 //!
 //! An important property stressed by the paper: these detectors observe only
 //! *locally detectable, benign* misbehaviour, so they work in an eventually
@@ -41,22 +45,31 @@
 pub mod header;
 pub mod interval;
 pub mod mute;
-mod suspicion;
+mod peer;
 pub mod trust;
 pub mod verbose;
 
 pub use header::MsgKind;
 pub use interval::{IntervalSpec, SuspicionLog};
 pub use mute::{DataId, MuteConfig, MuteDetector};
-pub use trust::{SuspicionReason, TrustDetector, TrustLevel};
-pub use verbose::{VerboseConfig, VerboseDetector};
+pub use peer::{Detector, PeerFd, Peers};
+pub use trust::{TrustDetector, TrustLevel};
+pub use verbose::VerboseDetector;
 
-use byzcast_sim::{NodeId, SimTime};
+use byzcast_sim::SimTime;
+
+use peer::decay_steps;
+use Detector::{Mute, Verbose};
+
+// A direct TRUST suspicion must outlast VERBOSE's aging interval, so that
+// `FailureDetectors::tick` runs a pass over it before it lapses.
+const _: () = assert!(verbose::DECAY_INTERVAL.as_micros() < trust::SUSPICION_DURATION.as_micros());
 
 /// The three detectors of the paper's node architecture, bundled.
 ///
-/// Protocol code owns one `FailureDetectors` per node, feeds it what it
-/// observes, and reads back trust levels for the overlay.
+/// Protocol code owns one `FailureDetectors` and one peer table per node,
+/// feeds the detectors what it observes, and reads back trust levels for
+/// the overlay.
 #[derive(Debug)]
 pub struct FailureDetectors {
     /// The MUTE detector (class ◇P_mute / I_mute).
@@ -65,44 +78,64 @@ pub struct FailureDetectors {
     pub verbose: VerboseDetector,
     /// The TRUST aggregator.
     pub trust: TrustDetector,
+    /// Whether a row held a suspicion after the last tick's pass.
+    suspicions: bool,
 }
 
 impl FailureDetectors {
-    /// Creates the bundle from the MUTE configuration; VERBOSE runs with
-    /// [`VerboseConfig::default`] and TRUST with its fixed durations.
+    /// Creates the bundle from the MUTE configuration; VERBOSE and TRUST
+    /// run with their fixed constants.
     pub fn new(mute: MuteConfig) -> Self {
         FailureDetectors {
             mute: MuteDetector::new(mute),
-            verbose: VerboseDetector::new(VerboseConfig::default()),
+            verbose: VerboseDetector::default(),
             trust: TrustDetector::default(),
+            suspicions: false,
         }
     }
 
     /// Advances detector-internal time: fires expect deadlines, ages
-    /// counters, expires suspicions, and propagates fresh MUTE/VERBOSE
-    /// suspicions into TRUST. Call periodically (e.g. from a protocol timer).
-    pub fn tick(&mut self, now: SimTime) {
-        self.mute.tick(now);
-        self.verbose.tick(now);
-        for node in self.mute.suspects(now) {
-            self.trust.suspect(now, node, SuspicionReason::Mute);
+    /// counters and arrivals, expires suspicions, and propagates live
+    /// MUTE/VERBOSE suspicions into TRUST, in one pass over the rows. Call
+    /// periodically (e.g. from a protocol timer).
+    ///
+    /// The pass is skipped when it could change nothing: no aging step is
+    /// due, and no row held a suspicion after the last pass or has been
+    /// given one since by a MUTE miss or a VERBOSE indictment, which flag
+    /// it. A TRUST `suspect` needs no flag: it outlasts VERBOSE's aging
+    /// interval, so a pass sees it before it can lapse.
+    pub fn tick(&mut self, now: SimTime, peers: &mut impl Peers) {
+        let raised = self.mute.fire(now, peers) | std::mem::take(&mut self.verbose.raised);
+        let interval = self.mute.config().decay_interval;
+        let mute_steps = decay_steps(&mut self.mute.last_decay, interval, now);
+        let verbose_steps = decay_steps(&mut self.verbose.last_decay, verbose::DECAY_INTERVAL, now);
+        let (verbose, trust) = (&self.verbose, &mut self.trust);
+        if self.suspicions || raised || mute_steps > 0 || verbose_steps > 0 {
+            let mut suspicions = false;
+            peers.update_peers(|_, row| {
+                row.age(Mute, mute_steps, now);
+                row.age(Verbose, verbose_steps, now);
+                if verbose_steps > 0 {
+                    verbose.age_arrivals(row, now);
+                }
+                if row.suspected(Mute, now) || row.suspected(Verbose, now) {
+                    trust.raise(now, row);
+                }
+                trust.expire(now, row);
+                suspicions |= row.until != [SimTime::ZERO; 3];
+            });
+            self.suspicions = suspicions;
         }
-        for node in self.verbose.suspects(now) {
-            self.trust.suspect(now, node, SuspicionReason::Verbose);
-        }
-        self.trust.tick(now);
-    }
-
-    /// The aggregated trust level of `node` at `now`.
-    pub fn level(&self, node: NodeId, now: SimTime) -> TrustLevel {
-        self.trust.level(node, now)
+        trust.reports.retain(|&(_, _, until)| until > now);
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
-    use byzcast_sim::SimDuration;
+    use byzcast_sim::{NodeId, SimDuration};
 
     #[test]
     fn mute_suspicion_flows_into_trust() {
@@ -112,6 +145,7 @@ mod tests {
             ..MuteConfig::default()
         };
         let mut fd = FailureDetectors::new(mute);
+        let mut peers = BTreeMap::new();
         let threshold = fd.mute.config().threshold;
         let timeout = fd.mute.config().expect_timeout;
         let mut t = SimTime::from_secs(1);
@@ -120,20 +154,21 @@ mod tests {
         for seq in 0..u64::from(threshold) {
             fd.mute.expect(t, (NodeId(9), seq), &[NodeId(5)]);
             t = t + timeout + SimDuration::from_millis(1);
-            fd.tick(t);
+            fd.tick(t, &mut peers);
         }
-        assert_eq!(fd.level(NodeId(5), t), TrustLevel::Untrusted);
-        assert_eq!(fd.level(NodeId(6), t), TrustLevel::Trusted);
+        assert_eq!(fd.trust.level(&peers, NodeId(5), t), TrustLevel::Untrusted);
+        assert_eq!(fd.trust.level(&peers, NodeId(6), t), TrustLevel::Trusted);
     }
 
     #[test]
     fn verbose_indictments_flow_into_trust() {
         let mut fd = FailureDetectors::new(MuteConfig::default());
+        let mut peers = BTreeMap::new();
         let t = SimTime::from_secs(1);
-        for _ in 0..fd.verbose.config().threshold {
-            fd.verbose.indict(t, NodeId(2));
+        for _ in 0..verbose::THRESHOLD {
+            fd.verbose.indict(t, &mut peers, NodeId(2));
         }
-        fd.tick(t);
-        assert_eq!(fd.level(NodeId(2), t), TrustLevel::Untrusted);
+        fd.tick(t, &mut peers);
+        assert_eq!(fd.trust.level(&peers, NodeId(2), t), TrustLevel::Untrusted);
     }
 }

@@ -15,13 +15,13 @@
 //! `one` mode); the header wildcards and the `all` mode go unused.
 //!
 //! The protocol feeds every received data message into
-//! [`MuteDetector::observe`]; [`MuteDetector::tick`] fires deadlines and
-//! expires old suspicions (the aging mechanism that lets the detector
-//! "recover from mistakes").
+//! [`MuteDetector::observe`]; [`crate::FailureDetectors::tick`] fires
+//! deadlines, ages the miss counters and expires old suspicions (the aging
+//! mechanism that lets the detector "recover from mistakes").
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
-use crate::suspicion::Offences;
+use crate::peer::{Detector::Mute, Peers};
 
 /// A data message as MUTE expects it: `(origin, seq)`.
 pub type DataId = (NodeId, u64);
@@ -68,31 +68,34 @@ struct Expectation {
     satisfied: bool,
 }
 
-/// The MUTE failure detector of one node.
+/// The MUTE failure detector of one node: its expectations and aging
+/// clock; the miss counters and suspicions live in the peer rows.
 ///
 /// ```
-/// use byzcast_fd::{MuteConfig, MuteDetector};
+/// use std::collections::BTreeMap;
+/// use byzcast_fd::{Detector, FailureDetectors, MuteConfig, Peers};
 /// use byzcast_sim::{NodeId, SimDuration, SimTime};
 ///
-/// let mut fd = MuteDetector::new(MuteConfig {
+/// let mut fd = FailureDetectors::new(MuteConfig {
 ///     expect_timeout: SimDuration::from_millis(100),
 ///     threshold: 1,
 ///     ..MuteConfig::default()
 /// });
+/// let mut peers = BTreeMap::new();
 /// let t = SimTime::from_secs(1);
 /// // Node 5 should forward message 1 of origin 9…
-/// fd.expect(t, (NodeId(9), 1), &[NodeId(5)]);
+/// fd.mute.expect(t, (NodeId(9), 1), &[NodeId(5)]);
 /// // …but never does:
 /// let late = t + SimDuration::from_millis(200);
-/// fd.tick(late);
-/// assert!(fd.is_suspected(NodeId(5), late));
+/// fd.tick(late, &mut peers);
+/// assert!(peers.suspected(Detector::Mute, NodeId(5), late));
 /// ```
 #[derive(Debug)]
 pub struct MuteDetector {
     config: MuteConfig,
     expectations: Vec<Expectation>,
-    /// Deadline misses per node.
-    misses: Offences,
+    /// When the miss counters were last aged.
+    pub(crate) last_decay: SimTime,
 }
 
 impl MuteDetector {
@@ -101,11 +104,7 @@ impl MuteDetector {
         MuteDetector {
             config,
             expectations: Vec::new(),
-            misses: Offences::new(
-                config.threshold,
-                config.decay_interval,
-                config.suspicion_duration,
-            ),
+            last_decay: SimTime::ZERO,
         }
     }
 
@@ -169,45 +168,26 @@ impl MuteDetector {
         }
     }
 
-    /// Fires expired deadlines (counting a miss against every node listed
-    /// by a missed expectation), ages counters, and expires old suspicions.
-    pub fn tick(&mut self, now: SimTime) {
-        let misses = &mut self.misses;
+    /// Fires expired deadlines, counting a miss against every node listed
+    /// by a missed expectation, and drops the expectations that are done.
+    /// Returns whether a miss raised a suspicion.
+    pub(crate) fn fire(&mut self, now: SimTime, peers: &mut impl Peers) -> bool {
+        let (config, mut raised) = (&self.config, false);
         self.expectations.retain(|e| {
             if !e.satisfied && e.deadline <= now {
                 for &n in &e.waiting_on {
-                    misses.count(now, n);
+                    let row = peers.peer_mut(n);
+                    raised |= row.offend(Mute, config.threshold, now + config.suspicion_duration);
                 }
             }
             !e.satisfied && e.deadline > now
         });
-        self.misses.tick(now);
+        raised
     }
 
-    /// Whether `node` is currently suspected.
-    pub fn is_suspected(&self, node: NodeId, now: SimTime) -> bool {
-        self.misses.suspected().contains(node, now)
-    }
-
-    /// The nodes currently suspected, in id order.
-    pub fn suspects(&self, now: SimTime) -> Vec<NodeId> {
-        self.misses.suspected().at(now)
-    }
-
-    /// Total deadline misses attributed to `node` over the run (diagnostic).
-    pub fn miss_count(&self, node: NodeId) -> u64 {
-        self.misses.total(node)
-    }
-
-    /// The current (aged) miss counter for `node`.
-    pub fn counter(&self, node: NodeId) -> u32 {
-        self.misses.counter(node)
-    }
-
-    /// Bytes its tables allocate (from their capacities).
+    /// Bytes its expectations allocate (from their capacities).
     pub fn heap_bytes(&self) -> usize {
-        self.misses.heap_bytes()
-            + self.expectations.capacity() * std::mem::size_of::<Expectation>()
+        self.expectations.capacity() * std::mem::size_of::<Expectation>()
             + self
                 .expectations
                 .iter()
@@ -223,7 +203,15 @@ impl MuteDetector {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
     use super::*;
+    use crate::{Detector, FailureDetectors, PeerFd};
+
+    /// The detectors under `config`, with a stand-alone peer table.
+    pub(super) fn detector(config: MuteConfig) -> (FailureDetectors, BTreeMap<NodeId, PeerFd>) {
+        (FailureDetectors::new(config), BTreeMap::new())
+    }
 
     fn config() -> MuteConfig {
         // Threshold 1 keeps most tests one-shot; threshold behaviour has
@@ -241,83 +229,90 @@ mod tests {
 
     #[test]
     fn satisfied_expectation_never_suspects() {
-        let mut fd = MuteDetector::new(config());
+        let (mut fd, mut peers) = detector(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, MSG, &[NodeId(1), NodeId(2)]);
-        fd.observe(MSG, NodeId(2));
-        fd.tick(t0 + SimDuration::from_secs(10));
-        assert!(fd.suspects(t0 + SimDuration::from_secs(10)).is_empty());
-        assert_eq!(fd.miss_count(NodeId(1)), 0);
+        fd.mute.expect(t0, MSG, &[NodeId(1), NodeId(2)]);
+        fd.mute.observe(MSG, NodeId(2));
+        fd.tick(t0 + SimDuration::from_secs(10), &mut peers);
+        assert!(peers
+            .suspects(Detector::Mute, t0 + SimDuration::from_secs(10))
+            .is_empty());
+        assert_eq!(peers.offences(Detector::Mute, NodeId(1)), 0);
     }
 
     #[test]
     fn missed_expectation_suspects_all_listed() {
-        let mut fd = MuteDetector::new(config());
+        let (mut fd, mut peers) = detector(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, MSG, &[NodeId(1), NodeId(2)]);
+        fd.mute.expect(t0, MSG, &[NodeId(1), NodeId(2)]);
         let late = t0 + SimDuration::from_millis(101);
-        fd.tick(late);
-        assert_eq!(fd.suspects(late), vec![NodeId(1), NodeId(2)]);
-        assert!(fd.is_suspected(NodeId(1), late));
+        fd.tick(late, &mut peers);
+        assert_eq!(
+            peers.suspects(Detector::Mute, late),
+            vec![NodeId(1), NodeId(2)]
+        );
+        assert!(peers.suspected(Detector::Mute, NodeId(1), late));
     }
 
     #[test]
     fn observation_from_unlisted_node_does_not_satisfy() {
-        let mut fd = MuteDetector::new(config());
+        let (mut fd, mut peers) = detector(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, MSG, &[NodeId(1)]);
-        fd.observe(MSG, NodeId(7)); // not in the set
+        fd.mute.expect(t0, MSG, &[NodeId(1)]);
+        fd.mute.observe(MSG, NodeId(7)); // not in the set
         let late = t0 + SimDuration::from_millis(101);
-        fd.tick(late);
-        assert_eq!(fd.suspects(late), vec![NodeId(1)]);
+        fd.tick(late, &mut peers);
+        assert_eq!(peers.suspects(Detector::Mute, late), vec![NodeId(1)]);
     }
 
     #[test]
     fn suspicion_ages_out() {
-        let mut fd = MuteDetector::new(config());
+        let (mut fd, mut peers) = detector(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, MSG, &[NodeId(1)]);
+        fd.mute.expect(t0, MSG, &[NodeId(1)]);
         let late = t0 + SimDuration::from_millis(101);
-        fd.tick(late);
-        assert!(fd.is_suspected(NodeId(1), late));
+        fd.tick(late, &mut peers);
+        assert!(peers.suspected(Detector::Mute, NodeId(1), late));
         let healed = late + SimDuration::from_secs(2);
-        fd.tick(healed);
-        assert!(!fd.is_suspected(NodeId(1), healed));
-        // The miss count is permanent history, though.
-        assert_eq!(fd.miss_count(NodeId(1)), 1);
+        fd.tick(healed, &mut peers);
+        assert!(!peers.suspected(Detector::Mute, NodeId(1), healed));
+        // The miss still counts until the next aging step.
+        assert_eq!(peers.offences(Detector::Mute, NodeId(1)), 1);
     }
 
     #[test]
     fn duplicate_expectations_merge() {
-        let mut fd = MuteDetector::new(config());
+        let (mut fd, mut peers) = detector(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, MSG, &[NodeId(1)]);
-        fd.expect(t0, MSG, &[NodeId(2)]);
-        assert_eq!(fd.pending_expectations(), 1);
+        fd.mute.expect(t0, MSG, &[NodeId(1)]);
+        fd.mute.expect(t0, MSG, &[NodeId(2)]);
+        assert_eq!(fd.mute.pending_expectations(), 1);
         // Either node satisfies the merged expectation.
-        fd.observe(MSG, NodeId(2));
-        fd.tick(t0 + SimDuration::from_secs(1));
-        assert!(fd.suspects(t0 + SimDuration::from_secs(1)).is_empty());
+        fd.mute.observe(MSG, NodeId(2));
+        fd.tick(t0 + SimDuration::from_secs(1), &mut peers);
+        assert!(peers
+            .suspects(Detector::Mute, t0 + SimDuration::from_secs(1))
+            .is_empty());
     }
 
     #[test]
     fn satisfied_entries_take_no_merges_and_hold_their_slot_until_the_tick() {
-        let mut fd = MuteDetector::new(MuteConfig {
+        let (mut fd, mut peers) = detector(MuteConfig {
             max_expectations: 2,
             ..config()
         });
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
-        fd.expect(t0, (NodeId(9), 2), &[NodeId(2)]);
-        fd.observe((NodeId(9), 2), NodeId(2));
+        fd.mute.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
+        fd.mute.expect(t0, (NodeId(9), 2), &[NodeId(2)]);
+        fd.mute.observe((NodeId(9), 2), NodeId(2));
         // The satisfied entry still fills the cap, so this registration
         // evicts the oldest entry (node 1's), and it opens an entry of its
         // own rather than merging into the satisfied one.
-        fd.expect(t0, (NodeId(9), 2), &[NodeId(3)]);
+        fd.mute.expect(t0, (NodeId(9), 2), &[NodeId(3)]);
         let late = t0 + SimDuration::from_millis(101);
-        fd.tick(late);
-        assert_eq!(fd.suspects(late), vec![NodeId(3)]);
-        assert_eq!(fd.miss_count(NodeId(1)), 0);
+        fd.tick(late, &mut peers);
+        assert_eq!(peers.suspects(Detector::Mute, late), vec![NodeId(3)]);
+        assert_eq!(peers.offences(Detector::Mute, NodeId(1)), 0);
     }
 
     #[test]
@@ -342,24 +337,30 @@ mod tests {
 
     #[test]
     fn repeated_misses_extend_suspicion() {
-        let mut fd = MuteDetector::new(config());
+        let (mut fd, mut peers) = detector(config());
         let t0 = SimTime::from_secs(1);
-        fd.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
+        fd.mute.expect(t0, (NodeId(9), 1), &[NodeId(1)]);
         let t1 = t0 + SimDuration::from_millis(101);
-        fd.tick(t1);
-        fd.expect(t1, (NodeId(9), 2), &[NodeId(1)]);
+        fd.tick(t1, &mut peers);
+        fd.mute.expect(t1, (NodeId(9), 2), &[NodeId(1)]);
         let t2 = t1 + SimDuration::from_millis(101);
-        fd.tick(t2);
-        assert_eq!(fd.miss_count(NodeId(1)), 2);
+        fd.tick(t2, &mut peers);
+        assert_eq!(peers.offences(Detector::Mute, NodeId(1)), 2);
         // Suspicion runs from the *second* miss.
         let probe = t2 + SimDuration::from_millis(950);
-        assert!(fd.is_suspected(NodeId(1), probe));
+        assert!(peers.suspected(Detector::Mute, NodeId(1), probe));
     }
 }
 
 #[cfg(test)]
 mod threshold_tests {
+    use std::collections::BTreeMap;
+
+    use super::tests::detector;
     use super::*;
+    use crate::{Detector, FailureDetectors, PeerFd};
+
+    type Fd = (FailureDetectors, BTreeMap<NodeId, PeerFd>);
 
     fn config() -> MuteConfig {
         MuteConfig {
@@ -371,60 +372,55 @@ mod threshold_tests {
         }
     }
 
-    fn miss(fd: &mut MuteDetector, at: SimTime, seq: u64) -> SimTime {
-        fd.expect(at, (NodeId(9), seq), &[NodeId(1)]);
+    fn miss((fd, peers): &mut Fd, at: SimTime, seq: u64) -> SimTime {
+        fd.mute.expect(at, (NodeId(9), seq), &[NodeId(1)]);
         let deadline = at + SimDuration::from_millis(101);
-        fd.tick(deadline);
+        fd.tick(deadline, peers);
         deadline
     }
 
     #[test]
     fn below_threshold_misses_do_not_suspect() {
-        let mut fd = MuteDetector::new(config());
+        let mut d = detector(config());
         let mut t = SimTime::from_secs(1);
-        t = miss(&mut fd, t, 1);
-        t = miss(&mut fd, t, 2);
-        assert!(!fd.is_suspected(NodeId(1), t));
-        assert_eq!(fd.counter(NodeId(1)), 2);
-        assert_eq!(fd.miss_count(NodeId(1)), 2);
+        t = miss(&mut d, t, 1);
+        t = miss(&mut d, t, 2);
+        assert!(!d.1.suspected(Detector::Mute, NodeId(1), t));
+        assert_eq!(d.1.offences(Detector::Mute, NodeId(1)), 2);
     }
 
     #[test]
     fn threshold_crossing_suspects() {
-        let mut fd = MuteDetector::new(config());
+        let mut d = detector(config());
         let mut t = SimTime::from_secs(1);
-        t = miss(&mut fd, t, 1);
-        t = miss(&mut fd, t, 2);
-        t = miss(&mut fd, t, 3);
-        assert!(fd.is_suspected(NodeId(1), t));
+        t = miss(&mut d, t, 1);
+        t = miss(&mut d, t, 2);
+        t = miss(&mut d, t, 3);
+        assert!(d.1.suspected(Detector::Mute, NodeId(1), t));
     }
 
     #[test]
     fn counters_decay_so_sporadic_losses_never_accumulate() {
-        let mut fd = MuteDetector::new(config());
+        let mut d = detector(config());
         // One miss every 20 s: decay (10 s) keeps the counter at <= 1.
         let mut t = SimTime::from_secs(1);
         for k in 0..6 {
-            t = miss(&mut fd, t, k);
+            t = miss(&mut d, t, k);
             t += SimDuration::from_secs(20);
-            fd.tick(t);
+            d.0.tick(t, &mut d.1);
         }
-        assert!(!fd.is_suspected(NodeId(1), t));
-        assert_eq!(fd.counter(NodeId(1)), 0);
-        assert_eq!(
-            fd.miss_count(NodeId(1)),
-            6,
-            "history still records all misses"
-        );
+        assert!(!d.1.suspected(Detector::Mute, NodeId(1), t));
+        assert_eq!(d.1.offences(Detector::Mute, NodeId(1)), 0);
+        assert!(d.1.is_empty(), "the aged-out row is freed");
     }
 
     #[test]
     fn satisfied_expectations_do_not_count() {
-        let mut fd = MuteDetector::new(config());
+        let mut d = detector(config());
         let t = SimTime::from_secs(1);
-        fd.expect(t, (NodeId(9), 1), &[NodeId(1)]);
-        fd.observe((NodeId(9), 1), NodeId(1));
-        fd.tick(t + SimDuration::from_secs(1));
-        assert_eq!(fd.counter(NodeId(1)), 0);
+        d.0.mute.expect(t, (NodeId(9), 1), &[NodeId(1)]);
+        d.0.mute.observe((NodeId(9), 1), NodeId(1));
+        d.0.tick(t + SimDuration::from_secs(1), &mut d.1);
+        assert_eq!(d.1.offences(Detector::Mute, NodeId(1)), 0);
     }
 }

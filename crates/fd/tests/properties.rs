@@ -3,27 +3,36 @@
 
 use proptest::prelude::*;
 
+use std::collections::BTreeMap;
+
 use byzcast_fd::trust::SUSPICION_DURATION;
 use byzcast_fd::{
-    DataId, MuteConfig, MuteDetector, SuspicionReason, TrustDetector, VerboseConfig,
-    VerboseDetector,
+    verbose, DataId, Detector, FailureDetectors, MuteConfig, MuteDetector, PeerFd, Peers,
 };
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
+/// A stand-alone peer table.
+type Table = BTreeMap<NodeId, PeerFd>;
+
+/// The detectors under `mute`, with an empty peer table.
+fn detectors(mute: MuteConfig) -> (FailureDetectors, Table) {
+    (FailureDetectors::new(mute), Table::new())
+}
+
 /// Expects `id` from nodes 1 and 2, runs `discharge`, ticks at the
 /// deadline, and returns node 1's misses.
-fn misses_after(id: DataId, discharge: impl FnOnce(&mut MuteDetector)) -> u64 {
+fn misses_after(id: DataId, discharge: impl FnOnce(&mut MuteDetector)) -> u32 {
     let timeout = SimDuration::from_millis(100);
-    let mut fd = MuteDetector::new(MuteConfig {
+    let (mut fd, mut peers) = detectors(MuteConfig {
         expect_timeout: timeout,
         threshold: 1,
         ..MuteConfig::default()
     });
     let t = SimTime::from_secs(1);
-    fd.expect(t, id, &[NodeId(1), NodeId(2)]);
-    discharge(&mut fd);
-    fd.tick(t + timeout);
-    fd.miss_count(NodeId(1))
+    fd.mute.expect(t, id, &[NodeId(1), NodeId(2)]);
+    discharge(&mut fd.mute);
+    fd.tick(t + timeout, &mut peers);
+    peers.offences(Detector::Mute, NodeId(1))
 }
 
 fn mute_expectation_binds_its_id_case(origin: u32, seq: u64) -> Result<(), TestCaseError> {
@@ -62,38 +71,28 @@ proptest! {
         mute_expectation_binds_its_id_case(origin, seq)?;
     }
 
-    /// MUTE and VERBOSE count offences in one shared table: the same
-    /// schedule of missed deadlines and indictments, under equal threshold,
-    /// decay and suspicion duration, leaves equal counters, totals and
-    /// suspects after every step.
+    /// MUTE and VERBOSE count offences alike: the same schedule of missed
+    /// deadlines and indictments, with MUTE under VERBOSE's threshold, aging
+    /// step and suspicion length, leaves equal aged counters and suspects
+    /// after every step, in the two columns of one peer table.
     #[test]
     fn mute_misses_and_verbose_indictments_count_alike(
-        threshold in 1u32..5,
-        decay_ms in 1u64..4000,
-        duration_ms in 1u64..5000,
         steps in proptest::collection::vec(
-            (0u64..2500, proptest::collection::vec(0u32..4, 0..4)),
+            (0u64..8000, proptest::collection::vec(0u32..4, 0..14)),
             1..40,
         ),
     ) {
         let ms = SimDuration::from_millis;
         let timeout = ms(100);
-        let mut mute = MuteDetector::new(MuteConfig {
+        let (mut fd, mut peers) = detectors(MuteConfig {
             expect_timeout: timeout,
-            threshold,
-            decay_interval: ms(decay_ms),
-            suspicion_duration: ms(duration_ms),
+            threshold: verbose::THRESHOLD,
+            decay_interval: verbose::DECAY_INTERVAL,
+            suspicion_duration: verbose::SUSPICION_DURATION,
             max_expectations: 1024,
-        });
-        let mut verbose = VerboseDetector::new(VerboseConfig {
-            threshold,
-            decay_interval: ms(decay_ms),
-            suspicion_duration: ms(duration_ms),
-            ..VerboseConfig::default()
         });
         let mut at = SimTime::from_secs(1);
         let mut seq = 0u64;
-        let mut totals = [0u64; 4];
         for (gap, offenders) in steps {
             at += ms(gap);
             // Each offence lands at the deadline `at + timeout`: a missed
@@ -101,21 +100,17 @@ proptest! {
             let now = at + timeout;
             for &n in &offenders {
                 seq += 1;
-                mute.expect(at, (NodeId(9), seq), &[NodeId(n)]);
-                verbose.indict(now, NodeId(n));
-                totals[n as usize] += 1;
+                fd.mute.expect(at, (NodeId(9), seq), &[NodeId(n)]);
+                fd.verbose.indict(now, &mut peers, NodeId(n));
             }
-            mute.tick(now);
-            verbose.tick(now);
+            fd.tick(now, &mut peers);
             for n in 0..4u32 {
                 let node = NodeId(n);
-                prop_assert_eq!(mute.counter(node), verbose.counter(node));
-                prop_assert_eq!(mute.miss_count(node), totals[n as usize]);
-                prop_assert_eq!(verbose.indict_count(node), totals[n as usize]);
+                prop_assert_eq!(peers.offences(Detector::Mute, node), peers.offences(Detector::Verbose, node));
             }
-            prop_assert_eq!(mute.suspects(now), verbose.suspects(now));
-            let probe = now + ms(duration_ms / 2);
-            prop_assert_eq!(mute.suspects(probe), verbose.suspects(probe));
+            prop_assert_eq!(peers.suspects(Detector::Mute, now), peers.suspects(Detector::Verbose, now));
+            let probe = now + ms(5000);
+            prop_assert_eq!(peers.suspects(Detector::Mute, probe), peers.suspects(Detector::Verbose, probe));
         }
     }
 
@@ -126,7 +121,7 @@ proptest! {
         misses in 0u32..12,
         satisfied in 0u32..12,
     ) {
-        let mut fd = MuteDetector::new(MuteConfig {
+        let (mut fd, mut peers) = detectors(MuteConfig {
             expect_timeout: SimDuration::from_millis(100),
             threshold: 1000, // never actually suspect; we check counters
             decay_interval: SimDuration::from_secs(3600),
@@ -137,53 +132,51 @@ proptest! {
         let mut seq = 0u64;
         for _ in 0..misses {
             seq += 1;
-            fd.expect(t, (NodeId(9), seq), &[NodeId(1)]);
+            fd.mute.expect(t, (NodeId(9), seq), &[NodeId(1)]);
             t += SimDuration::from_millis(150);
-            fd.tick(t);
+            fd.tick(t, &mut peers);
         }
         for _ in 0..satisfied {
             seq += 1;
-            fd.expect(t, (NodeId(9), seq), &[NodeId(1)]);
-            fd.observe((NodeId(9), seq), NodeId(1));
+            fd.mute.expect(t, (NodeId(9), seq), &[NodeId(1)]);
+            fd.mute.observe((NodeId(9), seq), NodeId(1));
             t += SimDuration::from_millis(150);
-            fd.tick(t);
+            fd.tick(t, &mut peers);
         }
-        prop_assert_eq!(fd.miss_count(NodeId(1)), u64::from(misses));
-        prop_assert_eq!(fd.counter(NodeId(1)), misses);
+        prop_assert_eq!(peers.offences(Detector::Mute, NodeId(1)), misses);
     }
 
     /// VERBOSE: suspicion iff the aged counter reached the threshold.
     #[test]
-    fn verbose_threshold_is_exact(threshold in 1u32..20, indictments in 0u32..40) {
-        let mut fd = VerboseDetector::new(VerboseConfig {
-            threshold,
-            decay_interval: SimDuration::from_secs(3600),
-            suspicion_duration: SimDuration::from_secs(60),
-            ..VerboseConfig::default()
-        });
+    fn verbose_threshold_is_exact(indictments in 0u32..2 * verbose::THRESHOLD) {
+        let (mut fd, mut peers) = detectors(MuteConfig::default());
         let t = SimTime::from_secs(1);
         for _ in 0..indictments {
-            fd.indict(t, NodeId(2));
+            fd.verbose.indict(t, &mut peers, NodeId(2));
         }
-        prop_assert_eq!(fd.is_suspected(NodeId(2), t), indictments >= threshold);
+        prop_assert_eq!(peers.offences(Detector::Verbose, NodeId(2)), indictments);
+        prop_assert_eq!(
+            peers.suspected(Detector::Verbose, NodeId(2), t),
+            indictments >= verbose::THRESHOLD
+        );
     }
 
     /// TRUST: second-hand reports never upgrade a direct suspicion, and a
     /// suspicion always outranks reports.
     #[test]
     fn trust_levels_are_ordered(reporters in proptest::collection::vec(1u32..50, 0..8)) {
-        let mut d = TrustDetector::default();
+        let (mut fd, mut peers) = detectors(MuteConfig::default());
         let t = SimTime::from_secs(1);
         for &r in &reporters {
-            d.report_from_neighbor(t, NodeId(r), NodeId(0));
+            fd.trust.report_from_neighbor(t, &peers, NodeId(r), NodeId(0));
         }
-        d.suspect(t, NodeId(0), SuspicionReason::Mute);
-        prop_assert_eq!(d.level(NodeId(0), t), byzcast_fd::TrustLevel::Untrusted);
+        fd.trust.suspect(t, &mut peers, NodeId(0));
+        prop_assert_eq!(fd.trust.level(&peers, NodeId(0), t), byzcast_fd::TrustLevel::Untrusted);
         // After the suspicion ages out, reports (if any remain) demote to
         // Unknown at most.
         let later = t + SUSPICION_DURATION + SimDuration::from_secs(1);
-        d.tick(later);
-        let level = d.level(NodeId(0), later);
+        fd.tick(later, &mut peers);
+        let level = fd.trust.level(&peers, NodeId(0), later);
         prop_assert!(level != byzcast_fd::TrustLevel::Untrusted);
     }
 }

@@ -1,5 +1,7 @@
-//! The neighbour table: each node's two-hop view of the network, built from
-//! periodic signed beacons.
+//! The neighbour table: each node's one peer table. A row per peer holds
+//! the peer's latest beacon, which gives the node its two-hop view of the
+//! network, and what the failure detectors keep about the peer (a
+//! [`PeerFd`]).
 //!
 //! "Every correct overlay node periodically publishes this fact to its
 //! neighbors, so in particular, each overlay node eventually knows about all
@@ -8,8 +10,9 @@
 //! Wu–Li rules need), the list of its active neighbours (the paper: "p
 //! records for each neighbor the list of its active neighbors"), and its
 //! current suspicions (consumed by the TRUST detector, not stored here).
-//! Entries expire when beacons stop arriving, which is how departed or mute
-//! neighbours fall out of the view.
+//! Beacon entries expire when beacons stop arriving, which is how departed
+//! or mute neighbours fall out of the view; the row stays while its
+//! detector column holds anything, a suspicion say.
 //!
 //! An entry keeps a neighbour's advertised lists by reference: both lists
 //! of a beacon live in one shared allocation, an [`AdvertisedLists`], and
@@ -21,6 +24,7 @@
 
 use std::sync::Arc;
 
+use byzcast_fd::{PeerFd, Peers};
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
 use crate::OverlayRole;
@@ -108,8 +112,29 @@ impl NeighborInfo {
     }
 }
 
-/// A node's view of its one-hop neighbourhood (and, through advertised
-/// lists, its two-hop neighbourhood).
+/// What a node knows about one peer.
+#[derive(Clone, Debug, Default)]
+struct Row {
+    /// What the peer's latest beacon said, while that beacon is live.
+    info: Option<NeighborInfo>,
+    /// What the failure detectors keep about the peer.
+    fd: PeerFd,
+}
+
+impl Row {
+    /// Whether the row still holds anything.
+    fn kept(&self) -> bool {
+        self.info.is_some() || !self.fd.is_idle()
+    }
+}
+
+/// A node's one peer table: its view of its one-hop neighbourhood (and,
+/// through advertised lists, its two-hop neighbourhood), plus the failure
+/// detectors' per-peer rows.
+///
+/// A row stays while its peer's beacon is live or its [`PeerFd`] holds
+/// anything; the neighbour view — [`NeighborTable::iter`], `info`,
+/// `contains`, `len` — sees only the rows with a live beacon.
 ///
 /// ```
 /// use byzcast_overlay::{NeighborTable, OverlayRole};
@@ -131,14 +156,14 @@ impl NeighborInfo {
 #[derive(Clone, Debug)]
 pub struct NeighborTable {
     timeout: SimDuration,
-    /// Live neighbour ids, ascending (the former `BTreeMap` iteration
-    /// order). Neighbourhoods are a few dozen entries, where a binary search
-    /// over this dense key column — 4 bytes an entry, a few cache lines in
-    /// all — outpaces a tree.
+    /// Peer ids, ascending (the former `BTreeMap` iteration order).
+    /// Neighbourhoods are a few dozen peers, where a binary search over this
+    /// dense key column — 4 bytes a peer, a few cache lines in all —
+    /// outpaces a tree.
     ids: Vec<NodeId>,
-    /// `infos[i]` is what the latest beacon of `ids[i]` said; kept in step
-    /// with `ids` by every insert, prune and removal.
-    infos: Vec<NeighborInfo>,
+    /// `rows[i]` is what this node knows about `ids[i]`; kept in step with
+    /// `ids` by every insert and removal.
+    rows: Vec<Row>,
 }
 
 impl NeighborTable {
@@ -148,13 +173,29 @@ impl NeighborTable {
         NeighborTable {
             timeout,
             ids: Vec::new(),
-            infos: Vec::new(),
+            rows: Vec::new(),
         }
     }
 
     /// The expiry timeout.
     pub fn timeout(&self) -> SimDuration {
         self.timeout
+    }
+
+    /// The row index of `node`, adding an empty row if it has none.
+    fn slot(&mut self, node: NodeId) -> usize {
+        self.ids.binary_search(&node).unwrap_or_else(|pos| {
+            self.ids.insert(pos, node);
+            self.rows.insert(pos, Row::default());
+            pos
+        })
+    }
+
+    /// Frees the rows that hold nothing any more.
+    fn drop_idle(&mut self) {
+        let mut rows = self.rows.iter();
+        self.ids.retain(|_| rows.next().is_some_and(Row::kept));
+        self.rows.retain(Row::kept);
     }
 
     /// Records a beacon heard from `from`, collecting its lists.
@@ -194,64 +235,76 @@ impl NeighborTable {
             marked,
             lists: lists.normalised(),
         };
-        match self.ids.binary_search(&from) {
-            Ok(pos) => self.infos[pos] = info,
-            Err(pos) => {
-                self.ids.insert(pos, from);
-                self.infos.insert(pos, info);
+        let pos = self.slot(from);
+        self.rows[pos].info = Some(info);
+    }
+
+    /// Drops the beacon entries whose last beacon is older than the timeout
+    /// and returns how many it dropped; a row whose detector column holds
+    /// anything stays.
+    pub fn prune(&mut self, now: SimTime) -> usize {
+        let mut dropped = 0;
+        for row in &mut self.rows {
+            let heard = row.info.as_ref().map(|info| info.last_heard);
+            if heard.is_some_and(|at| now.saturating_since(at) > self.timeout) {
+                row.info = None;
+                dropped += 1;
             }
         }
-    }
-
-    /// Drops entries whose last beacon is older than the timeout.
-    pub fn prune(&mut self, now: SimTime) {
-        let timeout = self.timeout;
-        let live = |info: &NeighborInfo| now.saturating_since(info.last_heard) <= timeout;
-        if self.infos.iter().all(live) {
-            return;
+        if dropped > 0 {
+            self.drop_idle();
         }
-        let mut infos = self.infos.iter();
-        self.ids.retain(|_| infos.next().is_some_and(live));
-        self.infos.retain(live);
+        dropped
     }
 
-    /// Removes a neighbour outright (e.g. on conclusive misbehaviour).
-    pub fn remove(&mut self, node: NodeId) {
-        if let Ok(pos) = self.ids.binary_search(&node) {
+    /// Drops a neighbour's beacon entry outright (e.g. on conclusive
+    /// misbehaviour) and returns whether it had one; what the detectors
+    /// keep about it stays.
+    pub fn remove(&mut self, node: NodeId) -> bool {
+        let Ok(pos) = self.ids.binary_search(&node) else {
+            return false;
+        };
+        let had = self.rows[pos].info.take().is_some();
+        if !self.rows[pos].kept() {
             self.ids.remove(pos);
-            self.infos.remove(pos);
+            self.rows.remove(pos);
         }
+        had
     }
 
     /// The live neighbour ids, in increasing order.
     pub fn neighbor_ids(&self) -> Vec<NodeId> {
-        self.ids.clone()
+        self.iter().map(|(id, _)| id).collect()
     }
 
     /// Info for a specific neighbour.
     pub fn info(&self, node: NodeId) -> Option<&NeighborInfo> {
         let pos = self.ids.binary_search(&node).ok()?;
-        Some(&self.infos[pos])
+        self.rows[pos].info.as_ref()
     }
 
-    /// Iterates `(id, info)` pairs in id order.
+    /// Iterates `(id, info)` pairs of the live neighbours in id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &NeighborInfo)> {
-        self.ids.iter().copied().zip(&self.infos)
+        let infos = self.rows.iter().map(|row| row.info.as_ref());
+        self.ids
+            .iter()
+            .zip(infos)
+            .filter_map(|(&id, info)| Some((id, info?)))
     }
 
     /// Whether `node` is currently a live neighbour.
     pub fn contains(&self, node: NodeId) -> bool {
-        self.ids.binary_search(&node).is_ok()
+        self.info(node).is_some()
     }
 
     /// Number of live neighbours.
     pub fn len(&self) -> usize {
-        self.ids.len()
+        self.iter().count()
     }
 
-    /// Whether the table is empty.
+    /// Whether the table has no live neighbour.
     pub fn is_empty(&self) -> bool {
-        self.ids.is_empty()
+        self.iter().next().is_none()
     }
 
     /// Bytes its two columns allocate (from their capacities). The
@@ -259,7 +312,7 @@ impl NeighborTable {
     /// so they are not counted.
     pub fn heap_bytes(&self) -> usize {
         self.ids.capacity() * std::mem::size_of::<NodeId>()
-            + self.infos.capacity() * std::mem::size_of::<NeighborInfo>()
+            + self.rows.capacity() * std::mem::size_of::<Row>()
     }
 
     /// Whether, according to advertised lists, `a` and `b` are adjacent.
@@ -279,9 +332,40 @@ impl NeighborTable {
     }
 }
 
+impl Peers for NeighborTable {
+    fn peer(&self, node: NodeId) -> Option<&PeerFd> {
+        let pos = self.ids.binary_search(&node).ok()?;
+        Some(&self.rows[pos].fd)
+    }
+
+    fn peer_mut(&mut self, node: NodeId) -> &mut PeerFd {
+        let pos = self.slot(node);
+        &mut self.rows[pos].fd
+    }
+
+    fn peers(&self) -> impl Iterator<Item = (NodeId, &PeerFd)> {
+        self.ids
+            .iter()
+            .copied()
+            .zip(self.rows.iter().map(|row| &row.fd))
+    }
+
+    fn update_peers(&mut self, mut f: impl FnMut(NodeId, &mut PeerFd)) {
+        let mut idle = false;
+        for (&id, row) in self.ids.iter().zip(&mut self.rows) {
+            f(id, &mut row.fd);
+            idle |= !row.kept();
+        }
+        if idle {
+            self.drop_idle();
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use byzcast_fd::{Detector, TrustLevel};
 
     fn table() -> NeighborTable {
         NeighborTable::new(SimDuration::from_secs(3))
@@ -462,6 +546,59 @@ mod tests {
         );
         t.remove(NodeId(2));
         assert!(t.is_empty());
+    }
+
+    fn detectors() -> byzcast_fd::FailureDetectors {
+        byzcast_fd::FailureDetectors::new(byzcast_fd::MuteConfig::default())
+    }
+
+    fn beacon(t: &mut NeighborTable, at: SimTime, from: u32) {
+        t.record_beacon(at, NodeId(from), OverlayRole::Passive, [], []);
+    }
+
+    #[test]
+    fn a_suspect_whose_beacons_expire_keeps_its_suspicion_but_leaves_the_view() {
+        let (mut t, mut fd) = (table(), detectors());
+        let at = SimTime::from_secs(1);
+        beacon(&mut t, at, 2);
+        beacon(&mut t, at, 3);
+        fd.trust.suspect(at, &mut t, NodeId(2));
+        let later = at + SimDuration::from_secs(4);
+        beacon(&mut t, later, 3);
+        t.prune(later);
+        assert!(!t.contains(NodeId(2)));
+        assert_eq!(t.neighbor_ids(), vec![NodeId(3)]);
+        assert_eq!((t.len(), t.iter().count()), (1, 1));
+        assert!(t.peer(NodeId(2)).is_some(), "the row outlives the beacon");
+        assert!(t.suspected(Detector::Trust, NodeId(2), later));
+    }
+
+    #[test]
+    fn a_report_about_a_two_hop_node_never_shows_up_as_a_neighbour() {
+        let (mut t, mut fd) = (table(), detectors());
+        let at = SimTime::from_secs(1);
+        beacon(&mut t, at, 2);
+        fd.trust.report_from_neighbor(at, &t, NodeId(2), NodeId(7));
+        assert_eq!(fd.trust.level(&t, NodeId(7), at), TrustLevel::Unknown);
+        fd.tick(at, &mut t);
+        assert_eq!(t.neighbor_ids(), vec![NodeId(2)]);
+        assert!(t.peer(NodeId(7)).is_none());
+    }
+
+    #[test]
+    fn a_row_is_freed_once_it_has_no_beacon_and_every_column_is_default() {
+        let (mut t, mut fd) = (table(), detectors());
+        let at = SimTime::from_secs(1);
+        beacon(&mut t, at, 2);
+        fd.verbose.indict(at, &mut t, NodeId(2));
+        t.remove(NodeId(2));
+        assert!(t.is_empty());
+        assert!(t.peer(NodeId(2)).is_some(), "the counter still holds");
+        // The aging step at 5 s takes the counter to zero, and with it the
+        // last thing the row held.
+        fd.tick(SimTime::from_secs(5), &mut t);
+        assert!(t.peer(NodeId(2)).is_none());
+        assert!(t.ids.is_empty() && t.rows.is_empty());
     }
 
     #[test]
