@@ -30,43 +30,55 @@
 //!
 //! A stored body is the network's one shared allocation of it (an
 //! `Arc<DataMsg>`, see [`crate::message`]), so a buffered (node, message)
-//! pair costs an index entry and a pointer, not a copy of the signatures.
+//! pair costs a 24-byte index entry (seq, pointer, reception time) and one
+//! slot byte, not a copy of the signatures.
 //!
 //! The store is one vector of per-origin entries, sorted by origin; a node
 //! hears from a handful of originators, so finding one is a short binary
-//! search over a few cache lines. Each entry holds:
+//! search over a few cache lines. Each 112-byte entry holds, in this order:
 //!
-//! * the origin's retained seen seqs, ascending (8 bytes per seen id, kept
-//!   always, bounded only by the seen-id cap);
+//! * the origin's newest range of seen seqs, inclusive (an originator
+//!   numbers its messages consecutively, so an honest origin's seen seqs
+//!   are this one range, and its next seq extends it in place);
+//! * the seqs of its first and last buffered bodies;
+//! * how many of its bodies hold an advertisement slot;
 //! * its buffered bodies, ascending by seq, each a [`StoredMsg`] beside its
-//!   seq (one entry per buffered body, until purge);
-//! * how many of those bodies hold an advertisement slot.
+//!   seq, and beside them one slot byte per body;
+//! * its older seen ranges, ascending, disjoint and not adjacent: the gaps
+//!   that out-of-order arrivals and seen-cap eviction leave. Evicting a seq
+//!   inside a range splits it; receiving a seq that closes a gap merges two.
 //!
-//! An originator numbers its messages consecutively, so a lookup first tries
-//! the position `last − (last seq − seq)`, counted back from the newest
-//! entry (most lookups are for recent seqs), and falls back to a binary
-//! search when the seqs there are not contiguous: sparse seqs (an
-//! impersonator's), and the gaps that seen-cap eviction and out-of-order
-//! purging leave, need no special case. Iteration runs origin by origin, seq by seq: `MessageId`
-//! order, as a map keyed by id would give.
+//! A duplicate check therefore reads the newest range alone (the older
+//! ranges only for a seq below it). A body is found by `seq − first` while
+//! the buffered seqs are contiguous (`last − first + 1` bodies), which the
+//! entry answers without reading a body. Otherwise — the sparse seqs an
+//! impersonator signs, the gaps of a body cap and of out-of-order purging —
+//! a lookup tries the position counted back from the newest body (most
+//! lookups are for recent seqs), then a binary search. Iteration runs
+//! origin by origin, seq by seq: `MessageId` order, as a map keyed by id
+//! would give.
 //!
 //! `seen_by_time`, a `(time, id)` ordered set over the seen ids, is filled
-//! only when a seen-id cap is set, since only cap eviction reads it.
+//! only when a seen-id cap is set, since only cap eviction reads it: it
+//! removes the oldest id by reception time, wherever it sits in its range.
 //!
 //! # Advertisement
 //!
-//! Each body also carries its gossip advertisement slot: how many lazycast
-//! rounds it has left. Purging a body drops its slot with it, and the
-//! per-origin count of slots keeps the per-origin gossip quota O(1).
+//! Each body has a gossip advertisement slot: one byte in the origin's
+//! `slots` column, in step with its bodies, holding the lazycast rounds it
+//! has left, or `NO_SLOT` (255). So a gossip echo for a held message reads
+//! the origin's entry and one byte, and a lazycast round scans bytes, not
+//! bodies. Purging a body drops its slot with it, and the per-origin count
+//! of slots keeps the per-origin gossip quota O(1).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use byzcast_sim::{NodeId, SimDuration, SimTime};
 
 use crate::message::{DataMsg, GossipEntry, MessageId};
 
-/// A stored message with its reception time and advertisement slot.
+/// A stored message with its reception time.
 #[derive(Clone, Debug)]
 pub struct StoredMsg {
     /// The shared message body (TTL normalized to 1; TTLs are hop counters,
@@ -74,10 +86,6 @@ pub struct StoredMsg {
     pub msg: Arc<DataMsg>,
     /// When this node first received (or originated) it.
     pub received_at: SimTime,
-    /// Gossip rounds left to advertise it: `None` = no slot, `Some(0)` =
-    /// window closed. A closed slot stays until the body is purged, so a
-    /// neighbour's echo cannot restart the advertising.
-    advert: Option<u32>,
 }
 
 /// What [`MessageStore::advertise`] did.
@@ -93,61 +101,204 @@ pub(crate) enum Advertise {
     Armed,
 }
 
-/// Where `seq` sits among `len` ascending seqs (`seq_at(i)` is the i-th):
-/// `Ok` at its position, `Err` at the position it would be inserted. The
-/// append position is tried first, then the position `seq` would hold if
-/// the seqs before the last were contiguous: lookups are mostly for recent
-/// seqs, so both reads tend to fall in the last cache line. `search`, a
-/// binary search, settles the rest.
-fn locate(
-    len: usize,
-    seq_at: impl Fn(usize) -> u64,
-    seq: u64,
-    search: impl FnOnce() -> Result<usize, usize>,
-) -> Result<usize, usize> {
-    let Some(last) = len.checked_sub(1) else {
-        return Err(0);
-    };
-    let last_seq = seq_at(last);
-    if seq > last_seq {
-        return Err(len);
-    }
-    let back = last_seq - seq;
-    if back <= last as u64 && seq_at(last - back as usize) == seq {
-        return Ok(last - back as usize);
-    }
-    search()
+/// A body's slot byte when it holds no advertisement slot. Any other value
+/// is the lazycast rounds it has left: `0` = window closed. A closed slot
+/// stays until the body is purged, so a neighbour's echo cannot restart the
+/// advertising.
+const NO_SLOT: u8 = u8::MAX;
+
+/// The store's range and body-lookup paths, counted in test builds so the
+/// reference test can show it reached each one.
+#[derive(Clone, Copy)]
+enum Path {
+    /// Two seen ranges joined.
+    Merge,
+    /// A seen range split around an evicted seq.
+    Split,
+    /// A body found by `seq − first`.
+    Direct,
+    /// A body found by the back-count or the binary search.
+    Sparse,
 }
 
-/// Everything the store keeps about one originator's messages.
-#[derive(Debug, Default)]
+#[cfg(test)]
+thread_local! {
+    static PATHS: std::cell::Cell<[u64; 4]> = const { std::cell::Cell::new([0; 4]) };
+}
+
+#[inline(always)]
+fn took(path: Path) {
+    #[cfg(test)]
+    PATHS.with(|p| {
+        let mut n = p.get();
+        n[path as usize] += 1;
+        p.set(n);
+    });
+    let _ = path;
+}
+
+/// Adds the unseen `seq` to ascending, disjoint, non-adjacent inclusive
+/// `ranges`, merging it into the ranges it touches.
+fn insert_seq(ranges: &mut Vec<(u64, u64)>, seq: u64) {
+    let i = ranges.partition_point(|&(lo, _)| lo <= seq);
+    let joins_below = i > 0 && ranges[i - 1].1 + 1 == seq;
+    let joins_above = i < ranges.len() && seq + 1 == ranges[i].0;
+    match (joins_below, joins_above) {
+        (true, true) => {
+            ranges[i - 1].1 = ranges[i].1;
+            ranges.remove(i);
+            took(Path::Merge);
+        }
+        (true, false) => ranges[i - 1].1 = seq,
+        (false, true) => ranges[i].0 = seq,
+        (false, false) => ranges.insert(i, (seq, seq)),
+    }
+}
+
+/// Removes the seen `seq` from `ranges` (as for [`insert_seq`]), splitting
+/// the range it sits inside.
+fn remove_seq(ranges: &mut Vec<(u64, u64)>, seq: u64) {
+    let i = ranges.partition_point(|&(lo, _)| lo <= seq) - 1;
+    let (lo, hi) = ranges[i];
+    match (seq == lo, seq == hi) {
+        (true, true) => {
+            ranges.remove(i);
+        }
+        (true, false) => ranges[i].0 = seq + 1,
+        (false, true) => ranges[i].1 = seq - 1,
+        (false, false) => {
+            ranges[i].1 = seq - 1;
+            ranges.insert(i + 1, (seq + 1, hi));
+            took(Path::Split);
+        }
+    }
+}
+
+/// Everything the store keeps about one originator's messages. The fields
+/// a duplicate check and a held message's echo read come first.
+#[derive(Debug)]
+#[repr(C)]
 struct Origin {
-    /// Retained seen seqs, ascending (a ring, so the seen-id cap's
-    /// oldest-first eviction pops its front).
-    seen: VecDeque<u64>,
-    /// Buffered bodies, ascending by seq.
-    bodies: Vec<(u64, StoredMsg)>,
+    /// The newest seen range, inclusive; `lo > hi` (`NO_SEEN`) when the
+    /// origin has no seen seq, and then `older` is empty too.
+    lo: u64,
+    hi: u64,
+    /// The seqs of the first and last buffered bodies (stale while
+    /// `bodies` is empty).
+    first: u64,
+    last: u64,
     /// Bodies holding an advertisement slot.
     advertised: usize,
+    /// Buffered bodies, ascending by seq.
+    bodies: Vec<(u64, StoredMsg)>,
+    /// Each body's advertisement slot byte, in step with `bodies`.
+    slots: Vec<u8>,
+    /// The seen ranges below `lo`, ascending, disjoint and not adjacent to
+    /// each other or to the newest.
+    older: Vec<(u64, u64)>,
 }
 
+/// The `(lo, hi)` of an empty newest range.
+const NO_SEEN: (u64, u64) = (1, 0);
+
+// 112 bytes, under two cache lines: a new field is a deliberate choice.
+const _: () = assert!(std::mem::size_of::<Origin>() == 112);
+
 impl Origin {
-    fn find_seen(&self, seq: u64) -> Result<usize, usize> {
-        locate(
-            self.seen.len(),
-            |i| self.seen[i],
-            seq,
-            || self.seen.binary_search(&seq),
-        )
+    fn new() -> Self {
+        Origin {
+            lo: NO_SEEN.0,
+            hi: NO_SEEN.1,
+            first: 0,
+            last: 0,
+            advertised: 0,
+            bodies: Vec::new(),
+            slots: Vec::new(),
+            older: Vec::new(),
+        }
     }
 
+    fn has_seen(&self) -> bool {
+        self.lo <= self.hi
+    }
+
+    fn seen(&self, seq: u64) -> bool {
+        if seq > self.hi {
+            return false;
+        }
+        if seq >= self.lo {
+            return true;
+        }
+        let i = self.older.partition_point(|&(lo, _)| lo <= seq);
+        i > 0 && seq <= self.older[i - 1].1
+    }
+
+    /// Records the unseen `seq`. The next seq of an in-order origin extends
+    /// the newest range in place; the rare rest goes through the full list.
+    fn mark_seen(&mut self, seq: u64) {
+        if !self.has_seen() {
+            (self.lo, self.hi) = (seq, seq);
+        } else if seq > self.hi && seq - 1 == self.hi {
+            self.hi = seq;
+        } else if seq > self.hi {
+            self.older.push((self.lo, self.hi));
+            (self.lo, self.hi) = (seq, seq);
+        } else {
+            self.older.push((self.lo, self.hi));
+            insert_seq(&mut self.older, seq);
+            (self.lo, self.hi) = self.older.pop().expect("the newest range");
+        }
+    }
+
+    /// Forgets the seen `seq`. Cap eviction mostly takes the lowest seq of
+    /// an in-order origin, which shrinks the newest range in place.
+    fn unmark_seen(&mut self, seq: u64) {
+        if seq < self.lo {
+            remove_seq(&mut self.older, seq);
+        } else if seq == self.lo && seq < self.hi {
+            self.lo += 1;
+        } else {
+            self.older.push((self.lo, self.hi));
+            remove_seq(&mut self.older, seq);
+            (self.lo, self.hi) = self.older.pop().unwrap_or(NO_SEEN);
+        }
+    }
+
+    /// Where `seq` sits among the buffered bodies: `Ok` at its position,
+    /// `Err` at the position it would be inserted.
     fn find_body(&self, seq: u64) -> Result<usize, usize> {
-        locate(
-            self.bodies.len(),
-            |i| self.bodies[i].0,
-            seq,
-            || self.bodies.binary_search_by_key(&seq, |&(s, _)| s),
-        )
+        let len = self.bodies.len();
+        if len == 0 || seq > self.last {
+            return Err(len);
+        }
+        if seq < self.first {
+            return Err(0);
+        }
+        if self.last - self.first == len as u64 - 1 {
+            took(Path::Direct);
+            return Ok((seq - self.first) as usize);
+        }
+        took(Path::Sparse);
+        // An originator numbers its messages consecutively, so the seqs
+        // before the newest body are often contiguous even when older ones
+        // are not: try the position counted back from it first.
+        let back = self.last - seq;
+        if back < len as u64 && self.bodies[len - 1 - back as usize].0 == seq {
+            return Ok(len - 1 - back as usize);
+        }
+        self.bodies.binary_search_by_key(&seq, |&(s, _)| s)
+    }
+
+    /// Inserts a body that `find_body` placed at `at`, with no slot.
+    fn insert_body(&mut self, at: usize, seq: u64, stored: StoredMsg) {
+        if self.bodies.is_empty() || seq < self.first {
+            self.first = seq;
+        }
+        if self.bodies.is_empty() || seq > self.last {
+            self.last = seq;
+        }
+        self.bodies.insert(at, (seq, stored));
+        self.slots.insert(at, NO_SLOT);
     }
 }
 
@@ -175,10 +326,10 @@ pub struct MessageStore {
     /// every lookup searches. `origins[i]` is the entry of `origin_ids[i]`;
     /// every insert and purge keeps the two in step.
     origin_ids: Vec<NodeId>,
-    /// Per-origin seen seqs, bodies and slot counts. Seen ids are retained
-    /// past body purging so a purged message re-received late — or replayed
-    /// by an adversary — is never delivered twice (bounded by `max_seen`
-    /// only). An origin is dropped at a purge once it has neither.
+    /// Per-origin seen ranges, bodies, slots and slot counts. Seen ids are
+    /// retained past body purging so a purged message re-received late — or
+    /// replayed by an adversary — is never delivered twice (bounded by
+    /// `max_seen` only). An origin is dropped at a purge once it has neither.
     origins: Vec<Origin>,
     /// Caps, sizes and statistics: what only a first reception, a purge, a
     /// lazycast round or a report reads, kept out of the node's hot head.
@@ -267,17 +418,18 @@ impl MessageStore {
     }
 
     /// Bytes it allocates: its books, its two origin columns, and each
-    /// origin's seen ring and body index (from their capacities; a seen-time
-    /// entry counted as its key). Bodies are shared with the network and
-    /// every other holder, so they are not counted.
+    /// origin's older seen ranges, body index and slot column (from their
+    /// capacities; a seen-time entry counted as its key). Bodies are shared
+    /// with the network and every other holder, so they are not counted.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         let per_origin: usize = self
             .origins
             .iter()
             .map(|o| {
-                o.seen.capacity() * size_of::<u64>()
+                o.older.capacity() * size_of::<(u64, u64)>()
                     + o.bodies.capacity() * size_of::<(u64, StoredMsg)>()
+                    + o.slots.capacity()
             })
             .sum();
         size_of::<Books>()
@@ -294,8 +446,7 @@ impl MessageStore {
 
     /// Whether the message has ever been seen (even if since purged).
     pub fn seen(&self, id: MessageId) -> bool {
-        self.origin(id.origin)
-            .is_some_and(|o| o.find_seen(id.seq).is_ok())
+        self.origin(id.origin).is_some_and(|o| o.seen(id.seq))
     }
 
     /// Inserts a message received at `now`. Returns `true` if it is new
@@ -307,21 +458,20 @@ impl MessageStore {
         let id = msg.id;
         let found = self.find_origin(id.origin);
         if let Ok(pos) = found {
-            if self.origins[pos].find_seen(id.seq).is_ok() {
+            if self.origins[pos].seen(id.seq) {
                 return false;
             }
         }
-        // Eviction only shrinks other ids' seen rings; it never moves an
-        // origin, so `found` stays valid.
+        // Eviction only shrinks seen ranges; it never moves an origin, so
+        // `found` stays valid.
         self.evict_for(now, id);
         let pos = found.unwrap_or_else(|pos| {
             self.origin_ids.insert(pos, id.origin);
-            self.origins.insert(pos, Origin::default());
+            self.origins.insert(pos, Origin::new());
             pos
         });
         let o = &mut self.origins[pos];
-        let at = o.find_seen(id.seq).unwrap_err();
-        o.seen.insert(at, id.seq);
+        o.mark_seen(id.seq);
         self.books.seen_len += 1;
         self.books.peak_seen = self.books.peak_seen.max(self.books.seen_len);
         // A body can outlive its seen-id under the seen-id cap. Its
@@ -330,9 +480,8 @@ impl MessageStore {
         let found_body = o.find_body(id.seq);
         let mut held = None;
         if let Ok(b) = found_body {
-            let s = &mut o.bodies[b].1;
-            held = Some(s.msg.wire_size());
-            if s.advert.take().is_some() {
+            held = Some(o.bodies[b].1.msg.wire_size());
+            if std::mem::replace(&mut o.slots[b], NO_SLOT) != NO_SLOT {
                 o.advertised -= 1;
                 self.books.advertised -= 1;
             }
@@ -350,12 +499,11 @@ impl MessageStore {
         let stored = StoredMsg {
             msg: DataMsg::share_with_ttl(&msg, 1),
             received_at: now,
-            advert: None,
         };
         match found_body {
             Ok(b) => o.bodies[b].1 = stored,
             Err(b) => {
-                o.bodies.insert(b, (id.seq, stored));
+                o.insert_body(b, id.seq, stored);
                 self.books.len += 1;
             }
         }
@@ -374,9 +522,7 @@ impl MessageStore {
         if self.books.seen_len >= self.books.max_seen {
             if let Some((_, oldest)) = self.books.seen_by_time.pop_first() {
                 let pos = self.find_origin(oldest.origin).expect("indexed origin");
-                let o = &mut self.origins[pos];
-                let at = o.find_seen(oldest.seq).expect("indexed seen-id");
-                o.seen.remove(at);
+                self.origins[pos].unmark_seen(oldest.seq);
                 self.books.seen_len -= 1;
                 self.books.seen_evictions += 1;
             }
@@ -398,20 +544,30 @@ impl MessageStore {
         let hold = self.books.hold_for;
         let (mut freed, mut dropped, mut released) = (0, 0, 0);
         for o in &mut self.origins {
-            o.bodies.retain(|(_, s)| {
-                let keep = now.saturating_since(s.received_at) <= hold;
-                if !keep {
-                    freed += s.msg.wire_size();
-                    dropped += 1;
-                    if s.advert.is_some() {
-                        o.advertised -= 1;
-                        released += 1;
-                    }
+            // Compact bodies and slots together, in order.
+            let mut kept = 0;
+            for i in 0..o.bodies.len() {
+                let s = &o.bodies[i].1;
+                if now.saturating_since(s.received_at) <= hold {
+                    o.bodies.swap(kept, i);
+                    o.slots[kept] = o.slots[i];
+                    kept += 1;
+                    continue;
                 }
-                keep
-            });
+                freed += s.msg.wire_size();
+                dropped += 1;
+                if o.slots[i] != NO_SLOT {
+                    o.advertised -= 1;
+                    released += 1;
+                }
+            }
+            o.bodies.truncate(kept);
+            o.slots.truncate(kept);
+            if let (Some(first), Some(last)) = (o.bodies.first(), o.bodies.last()) {
+                (o.first, o.last) = (first.0, last.0);
+            }
         }
-        let live = |o: &Origin| !o.seen.is_empty() || !o.bodies.is_empty();
+        let live = |o: &Origin| o.has_seen() || !o.bodies.is_empty();
         let mut origins = self.origins.iter();
         self.origin_ids.retain(|_| origins.next().is_some_and(live));
         self.origins.retain(live);
@@ -431,14 +587,16 @@ impl MessageStore {
         let Ok(b) = o.find_body(id.seq) else {
             return Advertise::NoBody;
         };
-        let s = &mut o.bodies[b].1;
-        if s.advert.is_some() {
+        if o.slots[b] != NO_SLOT {
             return Advertise::Held;
         }
         if quota != 0 && o.advertised >= quota {
             return Advertise::OverQuota;
         }
-        s.advert = Some(rounds);
+        o.slots[b] = u8::try_from(rounds)
+            .ok()
+            .filter(|&r| r != NO_SLOT)
+            .expect("advertisement rounds below the no-slot byte");
         o.advertised += 1;
         self.books.advertised += 1;
         self.books.peak_advertised = self.books.peak_advertised.max(self.books.advertised);
@@ -452,23 +610,28 @@ impl MessageStore {
         if self.books.advertised == 0 {
             return Vec::new();
         }
-        let mut open: Vec<&mut StoredMsg> = self
-            .origins
-            .iter_mut()
-            .filter(|o| o.advertised > 0)
-            .flat_map(|o| o.bodies.iter_mut().map(|(_, s)| s))
-            .filter(|s| s.advert.is_some_and(|r| r > 0))
-            .collect();
+        // The open set as (origin, body) positions, in id order.
+        let mut open: Vec<(usize, usize)> = Vec::new();
+        for (i, o) in self.origins.iter().enumerate() {
+            if o.advertised == 0 {
+                continue;
+            }
+            for (b, &rounds) in o.slots.iter().enumerate() {
+                if rounds != 0 && rounds != NO_SLOT {
+                    open.push((i, b));
+                }
+            }
+        }
         if open.is_empty() {
             return Vec::new();
         }
         let take = open.len().min(cap);
         let mut entries = Vec::with_capacity(take);
         for k in 0..take {
-            let i = (self.books.gossip_cursor + k) % open.len();
-            let s = &mut *open[i];
-            s.advert = s.advert.map(|r| r - 1);
-            entries.push(s.msg.gossip_entry());
+            let (i, b) = open[(self.books.gossip_cursor + k) % open.len()];
+            let o = &mut self.origins[i];
+            o.slots[b] -= 1;
+            entries.push(o.bodies[b].1.msg.gossip_entry());
         }
         self.books.gossip_cursor = (self.books.gossip_cursor + take) % open.len();
         entries
@@ -564,6 +727,14 @@ mod tests {
     /// Bodies of `origin` holding an advertisement slot.
     fn slots(s: &MessageStore, origin: NodeId) -> usize {
         s.origin(origin).map_or(0, |o| o.advertised)
+    }
+
+    /// The advertisement slot of the body of `id`: `None` = no body or no
+    /// slot, else the rounds it has left.
+    fn advert(s: &MessageStore, id: MessageId) -> Option<u32> {
+        let o = s.origin(id.origin)?;
+        let slot = o.slots[o.find_body(id.seq).ok()?];
+        (slot != NO_SLOT).then_some(u32::from(slot))
     }
 
     #[test]
@@ -747,7 +918,7 @@ mod tests {
         assert_eq!(s.advertise(m.id, 1, 0), Advertise::Armed);
         assert_eq!(s.advertise(m.id, 1, 0), Advertise::Held);
         assert_eq!(s.advertise(m.id, 3, 0), Advertise::Held);
-        assert_eq!(s.get(m.id).unwrap().advert, Some(1));
+        assert_eq!(advert(&s, m.id), Some(1));
         assert_eq!(slots(&s, m.id.origin), 1);
         assert_eq!(s.peak_advertised(), 1);
         assert_eq!(s.advertise(msg(2).id, 1, 0), Advertise::NoBody);
@@ -762,7 +933,7 @@ mod tests {
         assert_eq!(s.gossip_round(40).len(), 1);
         assert_eq!(s.gossip_round(40).len(), 1);
         assert!(s.gossip_round(40).is_empty(), "window should be closed");
-        assert_eq!(s.get(m.id).unwrap().advert, Some(0));
+        assert_eq!(advert(&s, m.id), Some(0));
         // Echoes of a closed slot leave it closed.
         assert_eq!(s.advertise(m.id, 1, 0), Advertise::Held);
         assert!(s.gossip_round(40).is_empty());
@@ -806,7 +977,7 @@ mod tests {
         s.insert(SimTime::from_secs(5), Arc::clone(&b));
         assert_eq!(s.advertise(a.id, 3, 1), Advertise::Armed);
         assert_eq!(s.advertise(b.id, 3, 1), Advertise::OverQuota);
-        assert_eq!(s.get(b.id).unwrap().advert, None);
+        assert_eq!(advert(&s, b.id), None);
         // `a` expires, `b` does not: the freed slot goes to `b`.
         s.purge(SimTime::from_secs(12));
         assert!(!s.has(a.id) && s.has(b.id));
@@ -823,7 +994,7 @@ mod tests {
         s.insert(SimTime::from_secs(2), Arc::clone(&b)); // evicts `a`'s seen-id
         assert!(s.has(a.id) && !s.seen(a.id));
         assert!(s.insert(SimTime::from_secs(3), Arc::clone(&a)));
-        assert_eq!(s.get(a.id).unwrap().advert, None);
+        assert_eq!(advert(&s, a.id), None);
         assert_eq!(slots(&s, a.id.origin), 0);
         assert_eq!(s.advertise(a.id, 3, 0), Advertise::Armed);
     }
@@ -984,11 +1155,32 @@ mod tests {
         let model_ids: Vec<MessageId> = m.messages.keys().copied().collect();
         prop_assert_eq!(&ids, &model_ids);
         prop_assert_eq!(s.iter().count(), ids.len());
-        for (stored, (id, (body, at, advert))) in s.iter().zip(&m.messages) {
+        for (stored, (id, (body, at, slot))) in s.iter().zip(&m.messages) {
             prop_assert_eq!(stored.msg.id, *id);
             prop_assert_eq!(&*stored.msg, &**body);
             prop_assert_eq!(stored.received_at, *at);
-            prop_assert_eq!(stored.advert, *advert);
+            prop_assert_eq!(advert(s, *id), *slot);
+        }
+        // The seen ranges are canonical and hold exactly the model's seen
+        // seqs; `first`, `last` and the slot column follow the bodies.
+        for (&origin, o) in s.origin_ids.iter().zip(&s.origins) {
+            prop_assert!(o.has_seen() || o.older.is_empty());
+            let newest = o.has_seen().then_some((o.lo, o.hi));
+            let ranges: Vec<(u64, u64)> = o.older.iter().copied().chain(newest).collect();
+            prop_assert!(ranges.iter().all(|&(lo, hi)| lo <= hi), "{:?}", ranges);
+            prop_assert!(
+                ranges.windows(2).all(|w| w[0].1 + 1 < w[1].0),
+                "{:?}",
+                ranges
+            );
+            let seqs: Vec<u64> = ranges.iter().flat_map(|&(lo, hi)| lo..=hi).collect();
+            let all = MessageId::new(origin, 0)..=MessageId::new(origin, u64::MAX);
+            let model: Vec<u64> = m.seen.range(all).map(|id| id.seq).collect();
+            prop_assert_eq!(seqs, model);
+            prop_assert_eq!(o.slots.len(), o.bodies.len());
+            if let (Some(first), Some(last)) = (o.bodies.first(), o.bodies.last()) {
+                prop_assert_eq!((o.first, o.last), (first.0, last.0));
+            }
         }
         for &id in probes {
             let got = (id, s.has(id), s.seen(id), s.get(id).map(|b| b.received_at));
@@ -1018,85 +1210,187 @@ mod tests {
         Ok(())
     }
 
+    /// The test-build counts of the store's rarer paths, by [`Path`].
+    fn paths() -> [u64; 4] {
+        PATHS.with(|p| p.get())
+    }
+
+    /// What a schedule should reach, in the order of [`Case::hits`].
+    const HIT_NAMES: [&str; 9] = [
+        "re-insert of a body whose seen-id was evicted",
+        "over quota",
+        "body cap reject",
+        "seen-cap eviction",
+        "range merge",
+        "range split",
+        "evicted seq rejoining its ranges",
+        "direct body index",
+        "sparse body lookup",
+    ];
+
+    /// One schedule's store, model, and what its ops draw on.
+    struct Case {
+        s: MessageStore,
+        m: Model,
+        reg: KeyRegistry<SimScheme>,
+        /// Every id ever inserted.
+        ever: BTreeSet<MessageId>,
+        hits: [u64; 9],
+    }
+
+    impl Case {
+        /// Inserts `id`, signed by its origin, into both stores.
+        fn insert(&mut self, now: SimTime, id: MessageId, ttl2: bool) -> Result<(), TestCaseError> {
+            let seq = id.seq;
+            let payload = 16 + 24 * (seq % 3) as u32;
+            let body = DataMsg::sign(&self.reg.signer(SignerId(id.origin.0)), seq, seq, payload);
+            let body = Arc::new(body.with_ttl(1 + u8::from(ttl2)));
+            let evicted = self.ever.contains(&id) && !self.m.seen.contains(&id);
+            let reinsert = evicted && self.m.messages.contains_key(&id);
+            let merges = paths()[Path::Merge as usize];
+            prop_assert_eq!(
+                self.s.insert(now, Arc::clone(&body)),
+                self.m.insert(now, &body)
+            );
+            self.ever.insert(id);
+            self.hits[0] += u64::from(reinsert);
+            self.hits[6] += u64::from(evicted && paths()[Path::Merge as usize] > merges);
+            Ok(())
+        }
+    }
+
     /// One random schedule. An op is `(kind, origin, pick, dt_s, extra)`:
-    /// kinds 0–3 insert an in-order, skipped-ahead, already-used or sparse
-    /// (`1_000_000 + k`, as an impersonator signs) seq; 4–5 advertise with a
-    /// quota; 6 runs a gossip round; 7 purges. `caps` picks the three caps.
+    /// * kinds 0–3 insert an in-order, skipped-ahead, already-used or sparse
+    ///   (`1_000_000 + k`, as an impersonator signs) seq;
+    /// * 4–5 advertise with a quota; 6 runs a gossip round; 7 purges;
+    /// * 8 inserts the lowest never-received seq below the highest one, an
+    ///   out-of-order arrival that closes a gap;
+    /// * 9 inserts the next two seqs out of order, one second apart, so the
+    ///   first-received one sits mid-range: the seen cap evicts it from
+    ///   inside its range, and a purge can take its body alone;
+    /// * 10 re-receives a seq that the seen cap evicted;
+    /// * 11 purges just past the oldest body's horizon, which leaves a hole
+    ///   when that body sits between younger ones.
+    ///
+    /// `caps` picks the three caps.
     fn store_matches_model_case(
         caps: (usize, usize, usize),
         ops: &[(u8, u32, u64, u64, u8)],
-        hits: &mut [u64; 4],
-    ) -> Result<(), TestCaseError> {
+    ) -> Result<[u64; 9], TestCaseError> {
         let caps = (caps.0, caps.1 * 250, caps.2);
         let hold = SimDuration::from_secs(5);
-        let reg: KeyRegistry<SimScheme> = KeyRegistry::generate(3, 9);
-        let mut s = MessageStore::with_limits(hold, caps.0, caps.1, caps.2);
-        let mut m = Model::new(hold, caps);
+        let mut c = Case {
+            s: MessageStore::with_limits(hold, caps.0, caps.1, caps.2),
+            m: Model::new(hold, caps),
+            reg: KeyRegistry::generate(3, 9),
+            ever: BTreeSet::new(),
+            hits: [0; 9],
+        };
         let mut next = [0u64; 3];
         let mut now = SimTime::ZERO;
         let mut probes: BTreeSet<MessageId> = BTreeSet::new();
         for &(kind, origin, pick, dt, extra) in ops {
             now += SimDuration::from_secs(dt);
             let o = origin as usize;
+            let at = |seq| MessageId::new(NodeId(origin), seq);
+            let evicted: Vec<MessageId> = c.ever.difference(&c.m.seen).copied().collect();
             let seq = match kind {
-                0 => {
+                0 | 9 => {
                     next[o] += 1;
                     next[o] - 1
                 }
                 1 => next[o] + 1 + pick % 4,
                 3 => 1_000_000 + pick % 5,
+                8 => {
+                    let top = c.ever.range(at(0)..at(1_000_000)).next_back();
+                    let top = top.map_or(0, |id| id.seq);
+                    (0..top)
+                        .find(|&q| !c.ever.contains(&at(q)))
+                        .unwrap_or(top + 1)
+                }
+                10 if !evicted.is_empty() => evicted[pick as usize % evicted.len()].seq,
                 _ => pick % (next[o] + 2),
             };
-            let id = MessageId::new(NodeId(origin), seq);
+            // Kind 10 may pick another origin's evicted id.
+            let id = match kind {
+                10 if !evicted.is_empty() => evicted[pick as usize % evicted.len()],
+                _ => at(seq),
+            };
             probes.insert(id);
             match kind {
-                0..=3 => {
-                    let payload = 16 + 24 * (seq % 3) as u32;
-                    let body = DataMsg::sign(&reg.signer(SignerId(origin)), seq, seq, payload);
-                    let body = Arc::new(body.with_ttl(1 + u8::from(extra % 2 == 1)));
-                    let reinsert = !m.seen.contains(&id) && m.messages.contains_key(&id);
-                    hits[0] += u64::from(reinsert);
-                    prop_assert_eq!(s.insert(now, Arc::clone(&body)), m.insert(now, &body));
+                0..=3 | 8 | 10 => c.insert(now, id, extra % 2 == 1)?,
+                9 => {
+                    next[o] += 1;
+                    probes.insert(at(seq + 1));
+                    c.insert(now, at(seq + 1), false)?;
+                    now += SimDuration::from_secs(1);
+                    c.insert(now, id, false)?;
                 }
                 4 | 5 => {
                     let (rounds, quota) = (1 + u32::from(extra % 3), usize::from(extra % 3));
-                    let did = m.advertise(id, rounds, quota);
-                    hits[1] += u64::from(did == Advertise::OverQuota);
-                    prop_assert_eq!(s.advertise(id, rounds, quota), did);
+                    let did = c.m.advertise(id, rounds, quota);
+                    c.hits[1] += u64::from(did == Advertise::OverQuota);
+                    prop_assert_eq!(c.s.advertise(id, rounds, quota), did);
                 }
                 6 => {
                     let cap = 1 + usize::from(extra % 3);
-                    let got: Vec<MessageId> = s.gossip_round(cap).iter().map(|e| e.id).collect();
-                    prop_assert_eq!(got, m.gossip_round(cap));
+                    let got: Vec<MessageId> = c.s.gossip_round(cap).iter().map(|e| e.id).collect();
+                    prop_assert_eq!(got, c.m.gossip_round(cap));
+                }
+                11 => {
+                    let oldest = c.m.messages.values().map(|b| b.1).min();
+                    if let Some(oldest) = oldest {
+                        now = now.max(oldest + hold + SimDuration::from_micros(1));
+                    }
+                    c.s.purge(now);
+                    c.m.purge(now);
                 }
                 _ => {
-                    s.purge(now);
-                    m.purge(now);
+                    c.s.purge(now);
+                    c.m.purge(now);
                 }
             }
-            hits[2] += u64::from(s.body_rejects() > 0);
-            hits[3] += u64::from(s.seen_evictions() > 0);
+            c.hits[2] += u64::from(c.s.body_rejects() > 0);
+            c.hits[3] += u64::from(c.s.seen_evictions() > 0);
             let probes: Vec<MessageId> = probes.iter().copied().collect();
-            agree(&s, &m, &probes)?;
+            agree(&c.s, &c.m, &probes)?;
         }
-        Ok(())
+        Ok(c.hits)
     }
 
     #[test]
     fn store_matches_the_btree_reference_model() {
-        let mut hits = [0u64; 4];
+        let mut hits = [0u64; 9];
+        let before = paths();
         let strategy = (
             (0usize..6, 0usize..5, 0usize..8),
-            proptest::collection::vec((0u8..8, 0u32..3, 0u64..16, 0u64..3, 0u8..6), 1..80),
+            proptest::collection::vec((0u8..12, 0u32..3, 0u64..16, 0u64..3, 0u8..6), 1..80),
         );
         proptest::test_runner::run_cases(
             "store_matches_the_btree_reference_model",
             &ProptestConfig::default(),
             &strategy,
-            |(caps, ops)| store_matches_model_case(caps, &ops, &mut hits),
+            |(caps, ops)| {
+                let case = store_matches_model_case(caps, &ops)?;
+                hits.iter_mut().zip(case).for_each(|(h, n)| *h += n);
+                Ok(())
+            },
         );
-        // Every cap path was exercised, the re-insert of a body whose
-        // seen-id was evicted included.
-        assert!(hits.iter().all(|&h| h > 0), "uncovered path: {hits:?}");
+        let after = paths();
+        for (k, path) in [Path::Merge, Path::Split, Path::Direct, Path::Sparse]
+            .into_iter()
+            .enumerate()
+        {
+            let slot = [4, 5, 7, 8][k];
+            hits[slot] = after[path as usize] - before[path as usize];
+        }
+        // Every cap path, range path and lookup path was exercised, the
+        // re-insert of a body whose seen-id was evicted included.
+        let uncovered: Vec<_> = HIT_NAMES
+            .iter()
+            .zip(hits)
+            .filter(|&(_, h)| h == 0)
+            .collect();
+        assert!(uncovered.is_empty(), "uncovered: {uncovered:?} of {hits:?}");
     }
 }

@@ -32,6 +32,15 @@
 //! measures ~30% hit rate against ~97% shared, because the protocol already
 //! deduplicates data before re-verifying at any one node.)
 //!
+//! The maps hash a key with a word-wise multiply–rotate hasher
+//! (`WordHasher`) over the signer and the signature's five 8-byte words,
+//! not with SipHash: signature words are already near uniform (MAC
+//! outputs, or a Schnorr pair), so a keyed hash would buy nothing but
+//! time. A flooding defence is not needed either: a crafted collision
+//! only lengthens a probe chain, because every key and every data
+//! preimage is still compared in full, so it costs probes, never a
+//! verdict.
+//!
 //! The cache is bounded with a two-generation (segmented) LRU: lookups
 //! promote entries into the hot generation, and when the hot generation
 //! reaches `capacity` it becomes the cold one, dropping the previous cold
@@ -40,12 +49,52 @@
 //! stay reproducible.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::{CacheStats, Signature, SignerId, Verifier};
 
-type Key = (SignerId, Signature);
+/// A cache key: the signer and the signature, compared in full.
+#[derive(Clone, Copy, PartialEq, Eq)]
+struct Key(SignerId, Signature);
+
+impl Hash for Key {
+    /// The signer, then the signature as five 8-byte words.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(u64::from(self.0 .0));
+        for word in self.1 .0.chunks_exact(8) {
+            state.write_u64(u64::from_le_bytes(word.try_into().expect("8 bytes")));
+        }
+    }
+}
+
+/// A multiply–rotate hasher over 8-byte words (the FxHash step): cheap,
+/// and enough for keys whose signature words are already uniform.
+#[derive(Default)]
+struct WordHasher(u64);
+
+impl WordHasher {
+    const MULTIPLIER: u64 = 0x51_7c_c1_b7_27_22_0a_95;
+}
+
+impl Hasher for WordHasher {
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(Self::MULTIPLIER);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.write_u64(u64::from(byte));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type Map = HashMap<Key, Bucket, BuildHasherDefault<WordHasher>>;
 
 /// The verdicts recorded under one `(signer, signature)` key. Almost always
 /// a single entry; multiple only if distinct data bytes ever map to the same
@@ -54,8 +103,8 @@ type Bucket = Vec<(Box<[u8]>, bool)>;
 
 #[derive(Default)]
 struct Generations {
-    hot: HashMap<Key, Bucket>,
-    cold: HashMap<Key, Bucket>,
+    hot: Map,
+    cold: Map,
     /// Entry counts (a bucket can hold several verdicts).
     hot_len: usize,
     cold_len: usize,
@@ -118,7 +167,7 @@ impl<V: Verifier> Verifier for CachingVerifier<V> {
         if self.capacity == 0 {
             return self.inner.verify(signer, data, sig);
         }
-        let key = (signer, *sig);
+        let key = Key(signer, *sig);
         let mut gens = self.generations.lock().expect("cache poisoned");
         if let Some(bucket) = gens.hot.get(&key) {
             if let Some(ok) = Generations::find(bucket, data) {
@@ -253,6 +302,31 @@ mod tests {
         assert!(!v.verify(SignerId(1), b"a", &sig)); // impersonation: own key
         assert!(!v.verify(SignerId(0), b"b", &sig)); // different data
         assert_eq!(v.stats().misses, 3);
+    }
+
+    #[test]
+    fn colliding_keys_cost_probes_never_a_verdict() {
+        use std::hash::BuildHasher;
+        let s = scheme();
+        let good = s.signer(SignerId(0)).sign(b"m");
+        // Signer 1 with the first signature word offset by what signer 1
+        // adds to the hasher state: the two keys hash alike.
+        let mut crafted = good;
+        let offset = WordHasher::MULTIPLIER.rotate_left(5).to_le_bytes();
+        crafted.0[..8]
+            .iter_mut()
+            .zip(offset)
+            .for_each(|(b, o)| *b ^= o);
+        let build = BuildHasherDefault::<WordHasher>::default();
+        let (a, b) = (Key(SignerId(0), good), Key(SignerId(1), crafted));
+        assert_eq!(build.hash_one(a), build.hash_one(b), "keys must collide");
+        let v = CachingVerifier::new(s.verifier(), 64);
+        for _ in 0..2 {
+            assert!(v.verify(SignerId(0), b"m", &good));
+            assert!(!v.verify(SignerId(1), b"m", &crafted));
+        }
+        let st = v.stats();
+        assert_eq!((st.hits, st.misses), (2, 2));
     }
 
     #[test]

@@ -16,6 +16,7 @@
 //! Runs are bit-for-bit reproducible from [`SimConfig::seed`].
 
 use std::any::Any;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use crate::event::{EventKind, EventQueue};
@@ -290,7 +291,7 @@ impl<M: Message> SimBuilder<M> {
             config: self.config,
             now: SimTime::ZERO,
             queue,
-            active_tx: Vec::new(),
+            active_tx: VecDeque::new(),
             tx_counter: 0,
             max_air_time: SimDuration::ZERO,
         }
@@ -328,9 +329,9 @@ pub struct Simulator<M: Message> {
     /// Empty whenever no jam window is open — the hot reception path only
     /// pays for jamming while this is non-empty.
     active_jams: Vec<(u32, Position, f64, f64)>,
-    /// In-flight (and recently finished) transmissions, sorted by id
-    /// (ids are assigned monotonically and pruning preserves order).
-    active_tx: Vec<Transmission<M>>,
+    /// In-flight (and recently finished) transmissions, sorted by id: ids
+    /// are assigned in start order, and pruning pops from the front.
+    active_tx: VecDeque<Transmission<M>>,
     tx_counter: u64,
     max_air_time: SimDuration,
     /// Audible (carrier-sense) radius, cached from the radio model: the
@@ -822,7 +823,7 @@ impl<M: Message + 'static> Simulator<M> {
         *slots = [slots[1], (self.now, end)];
         #[cfg(test)]
         self.own_tx_log[node.index()].push((self.now, end));
-        self.active_tx.push(Transmission {
+        self.active_tx.push_back(Transmission {
             id,
             src: node,
             src_pos,
@@ -954,20 +955,22 @@ impl<M: Message + 'static> Simulator<M> {
 
         // Prune transmissions that ended more than two max-air-times ago: no
         // transmission still pending or future can overlap them in time.
+        // They are popped from the front, in start order, so one queued
+        // behind a longer frame stays until that frame goes too, at most one
+        // max air time longer; it ended before any live frame started, so
+        // the overlap filter above and `rebuild_busy_index` skip it.
         let keep_after = SimTime::from_micros(
             self.now
                 .as_micros()
                 .saturating_sub(2 * self.max_air_time.as_micros()),
         );
-        // One pass: drop the stale transmission and its grid entry together.
-        let tx_grid = &mut self.tx_grid;
-        self.active_tx.retain(|t| {
-            let keep = t.end >= keep_after;
-            if !keep {
-                tx_grid.remove(t.id, &t.src_pos);
+        while let Some(t) = self.active_tx.front() {
+            if t.end >= keep_after {
+                break;
             }
-            keep
-        });
+            self.tx_grid.remove(t.id, &t.src_pos);
+            self.active_tx.pop_front();
+        }
     }
 }
 
