@@ -38,9 +38,7 @@ use byzcast_sim::{Field, NodeId, SimConfig, SimDuration};
 fn dos_envelope() -> ResourceConfig {
     ResourceConfig {
         frames_per_sec: 25,
-        frame_burst: 50,
         verifs_per_sec: 100,
-        verif_burst: 200,
         max_store_msgs: 256,
         max_store_bytes: 256 << 10,
         max_seen_ids: 16384,

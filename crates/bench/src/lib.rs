@@ -2,7 +2,9 @@
 //!
 //! One `exp_*` binary per reconstructed experiment of the paper's evaluation
 //! (see `EXPERIMENTS.md` at the repository root for the index and
-//! provenance), plus Criterion benches for the protocol's hot paths.
+//! provenance), plus Criterion benches for signing and verification and for
+//! the overlay decision; end-to-end and per-handler timings come from
+//! perfbench.
 //!
 //! Every experiment binary runs on the shared parallel runner
 //! ([`byzcast_harness::runner`]) and accepts:

@@ -2,9 +2,9 @@
 //!
 //! The knobs some experiment or test varies are fields of
 //! [`ByzcastConfig`]; the protocol's other timings and sizes are the
-//! constants below.
+//! constants below, and the failure detectors' are in `byzcast_fd::mute`
+//! and `byzcast_fd::verbose`.
 
-use byzcast_fd::MuteConfig;
 use byzcast_overlay::OverlayKind;
 use byzcast_sim::SimDuration;
 
@@ -32,6 +32,10 @@ pub const MAX_GOSSIP_ENTRIES: usize = 40;
 /// it for one extra round (pseudo-code lines 34–37), so entries keep
 /// circulating where neighbours still miss them.
 pub const GOSSIP_ADVERTISE_ROUNDS: u32 = 3;
+
+/// Maximum number of REQUEST_MSG retries per missing message (when the
+/// recovery envelope does not escalate).
+pub const MAX_REQUESTS_PER_MSG: u32 = 5;
 
 /// Minimum spacing between retries for the same missing message.
 pub const REQUEST_RETRY_SPACING: SimDuration = SimDuration::from_millis(1000);
@@ -65,13 +69,9 @@ pub struct ByzcastConfig {
     pub purge_after: SimDuration,
     /// Which overlay maintenance protocol to run.
     pub overlay: OverlayKind,
-    /// MUTE failure detector parameters.
-    pub mute: MuteConfig,
     /// Whether to aggregate gossip entries into one packet per period
     /// (`false` reproduces the unaggregated ablation of experiment R8).
     pub aggregate_gossip: bool,
-    /// Maximum number of REQUEST_MSG retries per missing message.
-    pub max_requests_per_msg: u32,
     /// Capacity (entries per LRU generation) of each node's signature-
     /// verification cache; `0` disables caching so every reception
     /// re-verifies. Caching never changes verdicts — only how often the
@@ -98,9 +98,7 @@ impl Default for ByzcastConfig {
             request_timeout: SimDuration::from_millis(500),
             purge_after: SimDuration::from_secs(12),
             overlay: OverlayKind::Cds,
-            mute: MuteConfig::default(),
             aggregate_gossip: true,
-            max_requests_per_msg: 5,
             sig_cache_capacity: 512,
             resources: ResourceConfig::unlimited(),
             recovery: RecoveryConfig::off(),

@@ -23,7 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use byzcast_crypto::{CacheStats, Signer, Verifier};
-use byzcast_fd::{Detector, FailureDetectors, MsgKind, Peers, SuspicionLog, TrustLevel};
+use byzcast_fd::{mute, Detector, FailureDetectors, MsgKind, Peers, SuspicionLog, TrustLevel};
 use byzcast_overlay::{NeighborTable, OverlayProtocol, OverlayRole, TrustView};
 use byzcast_sim::{
     counter_set, AppPayload, Context, NodeId, Protocol, SimDuration, SimTime, TimerKey,
@@ -31,7 +31,7 @@ use byzcast_sim::{
 
 use crate::config::{
     ByzcastConfig, BEACON_PERIOD, FD_TICK, GOSSIP_ADVERTISE_ROUNDS, MAX_GOSSIP_ENTRIES,
-    REBROADCAST_TIMEOUT, REQUEST_RETRY_SPACING, RESPONSE_SERVE_WINDOW,
+    MAX_REQUESTS_PER_MSG, REBROADCAST_TIMEOUT, REQUEST_RETRY_SPACING, RESPONSE_SERVE_WINDOW,
 };
 use crate::message::{
     BeaconMsg, DataMsg, FindMissingMsg, GossipEntry, GossipMsg, MessageId, RequestMsg, WireMsg,
@@ -174,7 +174,7 @@ impl HotConfig {
             request_cap: if rec.escalation_enabled() {
                 rec.escalate_after.saturating_add(rec.max_escalations)
             } else {
-                config.max_requests_per_msg
+                MAX_REQUESTS_PER_MSG
             },
             reelect_on_indictment: rec.reelect_on_indictment,
         }
@@ -234,7 +234,7 @@ impl ByzcastNode {
             panic!("invalid byzcast config: {e}");
         }
         assert_eq!(signer.id().0, id.0, "signer must sign as the node's own id");
-        let mut fds = FailureDetectors::new(config.mute);
+        let mut fds = FailureDetectors::default();
         // VERBOSE spacing rules, "invoked at initialization time" (paper
         // §2.2): consecutive gossips or beacons from one node arriving
         // closer together than 60% of the period are a verbose fault. MAC
@@ -650,7 +650,7 @@ impl ByzcastNode {
         // retransmit) and then fall back to a delayed request, so the
         // recovery chain of Theorem 3.2 also starts at the first hop.
         let originator_grace = if from == e.id.origin {
-            self.fds.mute.config().expect_timeout
+            mute::EXPECT_TIMEOUT
         } else {
             SimDuration::ZERO
         };
@@ -1306,10 +1306,10 @@ mod tests {
     #[test]
     fn hot_head_fits_its_cache_lines() {
         // The head is what every reception and fd tick may touch; a new
-        // field must fit in these seven cache lines or go to `Cold`. The
-        // detectors keep 144 bytes of it and the one peer table 56.
+        // field must fit in these 392 bytes or go to `Cold`. The detectors
+        // keep 104 bytes of it and the one peer table 56.
         let head = std::mem::size_of::<ByzcastNode>();
-        assert!(head <= 7 * 64, "hot head grew to {head} bytes");
+        assert!(head <= 392, "hot head grew to {head} bytes");
         assert_eq!(
             std::mem::size_of::<Box<Cold>>(),
             8,
@@ -1425,26 +1425,31 @@ mod tests {
 
     #[test]
     fn silent_overlay_neighbor_gets_suspected_after_repeated_misses() {
-        // Short expect timeout so the misses land within one decay interval
-        // (the default expect timeout is sized for congested networks).
-        let mut config = ByzcastConfig::default();
-        config.mute.expect_timeout = SimDuration::from_millis(500);
-        let mut h = Harness::new(1, config);
-        let threshold = h.node.config().mute.threshold;
-        let timeout = h.node.config().mute.expect_timeout;
-        let mut t = SimTime::from_secs(1);
+        let mut h = Harness::new(1, ByzcastConfig::default());
+        let t = SimTime::from_secs(1);
         let b = h.beacon_from(9, OverlayRole::Dominator);
         h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(9), &WireMsg::Beacon(b)));
         // Node 9 never forwards any of the messages node 5 relays to us:
         // each missed expectation counts, and at the threshold it is
-        // suspected (single misses — a collision — would not suffice).
-        for seq in 1..=u64::from(threshold) {
-            let m = h.data_from(0, seq);
-            h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::data(m)));
-            t = t + timeout + SimDuration::from_millis(200);
-            h.drive(t, |n, ctx| n.fd_tick(ctx));
-        }
-        assert_eq!(h.node.trust_level(NodeId(9), t), TrustLevel::Untrusted);
+        // suspected (single misses — a collision — would not suffice). The
+        // last message comes a little later than the others, and all the
+        // misses land before the first aging step, at 8 s.
+        let relay = |h: &mut Harness, at: SimTime, seqs: std::ops::RangeInclusive<u64>| {
+            for seq in seqs {
+                let m = h.data_from(0, seq);
+                h.drive(at, |n, ctx| n.on_packet(ctx, NodeId(5), &WireMsg::data(m)));
+            }
+        };
+        let threshold = u64::from(mute::THRESHOLD);
+        let last = t + SimDuration::from_millis(500);
+        relay(&mut h, t, 1..=threshold - 1);
+        relay(&mut h, last, threshold..=threshold);
+        let early = t + mute::EXPECT_TIMEOUT + FD_TICK;
+        h.drive(early, |n, ctx| n.fd_tick(ctx));
+        assert_eq!(h.node.trust_level(NodeId(9), early), TrustLevel::Trusted);
+        let late = last + mute::EXPECT_TIMEOUT + FD_TICK;
+        h.drive(late, |n, ctx| n.fd_tick(ctx));
+        assert_eq!(h.node.trust_level(NodeId(9), late), TrustLevel::Untrusted);
         // And the suspicion was logged as an episode.
         assert_eq!(h.node.suspicion_log().episodes().len(), 1);
     }
@@ -1497,7 +1502,7 @@ mod tests {
         // After the grace window (plus worst-case jitter) the fallback
         // request fires, so a message whose only broadcast was lost
         // everywhere is still recoverable.
-        let t3 = t2 + h.node.config().mute.expect_timeout + h.node.config().request_timeout;
+        let t3 = t2 + mute::EXPECT_TIMEOUT + h.node.config().request_timeout;
         let (_, actions) = h.drive(t3, |n, ctx| n.flush_requests(ctx));
         let s = sends(&actions);
         assert_eq!(s.len(), 1);
@@ -1902,23 +1907,20 @@ mod tests {
 
     #[test]
     fn request_retries_are_capped() {
-        let config = ByzcastConfig {
-            max_requests_per_msg: 2,
-            ..ByzcastConfig::default()
-        };
-        let mut h = Harness::new(1, config);
+        let mut h = Harness::new(1, ByzcastConfig::default());
         let m = h.data_from(0, 1);
         let mut now = SimTime::from_secs(1);
-        for round in 0..4 {
+        // One request per round until the cap, then none.
+        for round in 1..=u64::from(MAX_REQUESTS_PER_MSG) + 3 {
             let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
             h.drive(now, |n, ctx| {
                 n.on_packet(ctx, NodeId(5), &WireMsg::Gossip(g))
             });
             now += SimDuration::from_secs(1);
             h.drive(now, |n, ctx| n.flush_requests(ctx));
-            let _ = round;
+            let sent = h.node.counters().requests_sent;
+            assert_eq!(sent, round.min(u64::from(MAX_REQUESTS_PER_MSG)));
         }
-        assert_eq!(h.node.counters().requests_sent, 2);
     }
 
     #[test]
@@ -2288,8 +2290,7 @@ mod tests {
         use crate::resources::ResourceConfig;
         let config = ByzcastConfig {
             resources: ResourceConfig {
-                frames_per_sec: 2,
-                frame_burst: 2,
+                frames_per_sec: 1,
                 ..ResourceConfig::unlimited()
             },
             ..ByzcastConfig::default()
@@ -2297,7 +2298,8 @@ mod tests {
         let mut h = Harness::new(1, config);
         let t = SimTime::from_secs(1);
         // Five distinct messages in one instant from one neighbour: only the
-        // burst (2) is dispatched, the rest are dropped before delivery.
+        // burst (two seconds at 1/s) is dispatched, the rest are dropped
+        // before delivery.
         for seq in 1..=5 {
             let m = h.data_from(0, seq);
             h.drive(t, |n, ctx| n.on_packet(ctx, NodeId(0), &WireMsg::data(m)));
@@ -2319,15 +2321,15 @@ mod tests {
         use crate::resources::ResourceConfig;
         let config = ByzcastConfig {
             resources: ResourceConfig {
-                verifs_per_sec: 2,
-                verif_burst: 2,
+                verifs_per_sec: 1,
                 ..ResourceConfig::unlimited()
             },
             ..ByzcastConfig::default()
         };
         let mut h = Harness::new(1, config);
         let t = SimTime::from_secs(1);
-        // The first data message spends the whole budget (two signatures);
+        // The first data message spends the whole burst (two signatures,
+        // two seconds at 1/s);
         // the second is dropped before any crypto — and without suspecting
         // the sender, since nothing was authenticated.
         let m1 = h.data_from(0, 1);
@@ -2348,13 +2350,13 @@ mod tests {
         let config = ByzcastConfig {
             resources: ResourceConfig {
                 frames_per_sec: 1,
-                frame_burst: 1,
                 ..ResourceConfig::unlimited()
             },
             ..ByzcastConfig::default()
         };
         // Default VERBOSE: 8 violations per indictment, 10 indictments to
-        // suspect → 80+ sustained drops from one neighbour.
+        // suspect → 80+ sustained drops from one neighbour past its burst
+        // of 2.
         let mut h = Harness::new(1, config);
         let t = SimTime::from_secs(1);
         for seq in 1..=120 {

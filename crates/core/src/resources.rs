@@ -9,7 +9,8 @@
 //! * a per-neighbour **token bucket** admits frames *before* any
 //!   dispatching, and a second bucket budgets **signature verifications**
 //!   *before* any crypto runs, so an attacker cannot spend a correct node's
-//!   CPU faster than the configured rate;
+//!   CPU faster than the configured rate; each bucket holds
+//!   [`BURST_SECONDS`] of its rate;
 //! * [`ResourceConfig`] also carries hard count/byte caps enforced by
 //!   [`crate::store::MessageStore`] and per-origin quotas enforced by
 //!   [`crate::protocol::ByzcastNode`] on its gossip/request bookkeeping;
@@ -31,14 +32,9 @@ pub struct ResourceConfig {
     /// Per-neighbour frame admission rate (frames/second), charged for every
     /// received frame before it is dispatched; `0` = unlimited.
     pub frames_per_sec: u32,
-    /// Burst capacity of the frame bucket; `0` = same as `frames_per_sec`.
-    pub frame_burst: u32,
     /// Per-neighbour signature-verification budget (verifications/second),
     /// charged before any crypto runs; `0` = unlimited.
     pub verifs_per_sec: u32,
-    /// Burst capacity of the verification bucket; `0` = same as
-    /// `verifs_per_sec`.
-    pub verif_burst: u32,
     /// Hard cap on buffered message bodies (count); `0` = unlimited.
     pub max_store_msgs: usize,
     /// Hard cap on buffered message bodies (total wire bytes); `0` =
@@ -59,9 +55,7 @@ impl ResourceConfig {
     pub const fn unlimited() -> Self {
         ResourceConfig {
             frames_per_sec: 0,
-            frame_burst: 0,
             verifs_per_sec: 0,
-            verif_burst: 0,
             max_store_msgs: 0,
             max_store_bytes: 0,
             max_seen_ids: 0,
@@ -74,22 +68,16 @@ impl ResourceConfig {
     pub fn is_unlimited(&self) -> bool {
         *self == Self::unlimited()
     }
+}
 
-    fn frame_burst_tokens(&self) -> u64 {
-        if self.frame_burst != 0 {
-            self.frame_burst as u64
-        } else {
-            self.frames_per_sec as u64
-        }
-    }
+/// How many seconds of its rate a token bucket holds: the burst a
+/// neighbour may send at once after a quiet spell.
+pub const BURST_SECONDS: u64 = 2;
 
-    fn verif_burst_tokens(&self) -> u64 {
-        if self.verif_burst != 0 {
-            self.verif_burst as u64
-        } else {
-            self.verifs_per_sec as u64
-        }
-    }
+/// The burst capacity, in tokens, of a bucket refilled at `rate` tokens per
+/// second.
+pub const fn burst(rate: u32) -> u64 {
+    rate as u64 * BURST_SECONDS
 }
 
 counter_set! {
@@ -131,7 +119,8 @@ counter_set! {
 
 /// A token bucket in integer micro-tokens (1 token = 1_000_000 micro-tokens,
 /// refilled at `rate` micro-tokens per elapsed microsecond — i.e. `rate`
-/// tokens per second) so admission is exactly deterministic.
+/// tokens per second — up to [`burst`] tokens) so admission is exactly
+/// deterministic.
 #[derive(Clone, Copy, Debug)]
 struct TokenBucket {
     micro_tokens: u64,
@@ -141,20 +130,20 @@ struct TokenBucket {
 impl TokenBucket {
     const TOKEN: u64 = 1_000_000;
 
-    fn full(burst: u64) -> Self {
+    fn full(rate: u32) -> Self {
         TokenBucket {
-            micro_tokens: burst.saturating_mul(Self::TOKEN),
+            micro_tokens: burst(rate).saturating_mul(Self::TOKEN),
             last_refill: SimTime::ZERO,
         }
     }
 
-    fn try_take(&mut self, now: SimTime, rate: u64, burst: u64) -> bool {
+    fn try_take(&mut self, now: SimTime, rate: u32) -> bool {
         let elapsed = now.saturating_since(self.last_refill).as_micros();
         self.last_refill = now;
         self.micro_tokens = self
             .micro_tokens
-            .saturating_add(rate.saturating_mul(elapsed))
-            .min(burst.saturating_mul(Self::TOKEN));
+            .saturating_add(u64::from(rate).saturating_mul(elapsed))
+            .min(burst(rate).saturating_mul(Self::TOKEN));
         if self.micro_tokens >= Self::TOKEN {
             self.micro_tokens -= Self::TOKEN;
             true
@@ -170,8 +159,7 @@ impl TokenBucket {
 /// Every received frame passes [`Governor::admit_frame`] and every signature
 /// check [`Governor::admit_verification`], so what an ungoverned node reads
 /// and writes there — the two rates and the counters they always bump —
-/// sits inline; the buckets, the rest of the envelope and the other
-/// statistics sit behind one box.
+/// sits inline; the buckets and the other statistics sit behind one box.
 #[derive(Debug)]
 pub(crate) struct Governor {
     frames_per_sec: u32,
@@ -188,7 +176,6 @@ pub(crate) struct Governor {
 /// The part of a [`Governor`] only a governed envelope or a report reads.
 #[derive(Debug)]
 struct GovernorCold {
-    cfg: ResourceConfig,
     frames: BTreeMap<NodeId, TokenBucket>,
     verifs: BTreeMap<NodeId, TokenBucket>,
     /// Every statistic but the inline counters.
@@ -206,7 +193,6 @@ impl Governor {
             verifs_in_window: 0,
             peak_verifs_per_sec: 0,
             cold: Box::new(GovernorCold {
-                cfg,
                 frames: BTreeMap::new(),
                 verifs: BTreeMap::new(),
                 stats: ResourceStats::default(),
@@ -245,16 +231,12 @@ impl Governor {
             self.frames_admitted += 1;
             return true;
         }
-        let cold = &mut *self.cold;
-        let (rate, burst) = (
-            cold.cfg.frames_per_sec as u64,
-            cold.cfg.frame_burst_tokens(),
-        );
+        let (cold, rate) = (&mut *self.cold, self.frames_per_sec);
         let bucket = cold
             .frames
             .entry(from)
-            .or_insert_with(|| TokenBucket::full(burst));
-        if bucket.try_take(now, rate, burst) {
+            .or_insert_with(|| TokenBucket::full(rate));
+        if bucket.try_take(now, rate) {
             self.frames_admitted += 1;
             true
         } else {
@@ -268,16 +250,12 @@ impl Governor {
     /// unverified (and unsuspected — nothing was authenticated) on `false`.
     pub(crate) fn admit_verification(&mut self, now: SimTime, from: NodeId) -> bool {
         if self.verifs_per_sec != 0 {
-            let cold = &mut *self.cold;
-            let (rate, burst) = (
-                cold.cfg.verifs_per_sec as u64,
-                cold.cfg.verif_burst_tokens(),
-            );
+            let (cold, rate) = (&mut *self.cold, self.verifs_per_sec);
             let bucket = cold
                 .verifs
                 .entry(from)
-                .or_insert_with(|| TokenBucket::full(burst));
-            if !bucket.try_take(now, rate, burst) {
+                .or_insert_with(|| TokenBucket::full(rate));
+            if !bucket.try_take(now, rate) {
                 cold.stats.verifs_dropped += 1;
                 return false;
             }
@@ -328,15 +306,16 @@ mod tests {
     fn frame_bucket_enforces_rate_and_burst() {
         let cfg = ResourceConfig {
             frames_per_sec: 10,
-            frame_burst: 5,
             ..ResourceConfig::unlimited()
         };
         let mut g = Governor::new(cfg);
         let t = SimTime::from_secs(100);
-        // The bucket starts full: exactly `burst` frames pass at one instant.
-        let admitted = (0..20).filter(|_| g.admit_frame(t, NodeId(1))).count();
-        assert_eq!(admitted, 5);
-        assert_eq!(g.stats().frames_dropped, 15);
+        // The bucket starts full: exactly two seconds' worth of frames pass
+        // at one instant.
+        assert_eq!(burst(10), 20);
+        let admitted = (0..30).filter(|_| g.admit_frame(t, NodeId(1))).count();
+        assert_eq!(admitted, 20);
+        assert_eq!(g.stats().frames_dropped, 10);
         // 100 ms refills one token at 10/s.
         let t2 = t + SimDuration::from_millis(100);
         assert!(g.admit_frame(t2, NodeId(1)));
@@ -348,8 +327,7 @@ mod tests {
     #[test]
     fn verification_bucket_is_separate_from_frames() {
         let cfg = ResourceConfig {
-            verifs_per_sec: 2,
-            verif_burst: 2,
+            verifs_per_sec: 1,
             ..ResourceConfig::unlimited()
         };
         let mut g = Governor::new(cfg);

@@ -18,8 +18,6 @@ use std::time::{Duration, Instant};
 pub enum Throughput {
     /// Bytes processed per iteration.
     Bytes(u64),
-    /// Elements processed per iteration.
-    Elements(u64),
 }
 
 /// A benchmark identifier, optionally parameterized.
@@ -91,12 +89,6 @@ impl BenchmarkGroup<'_> {
         self
     }
 
-    /// Sets the sample count (accepted for compatibility; the shim runs one
-    /// calibrated batch).
-    pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
     /// Runs one benchmark in the group.
     pub fn bench_function(&mut self, id: impl Display, f: impl FnMut(&mut Bencher)) -> &mut Self {
         run_one(&format!("{}/{}", self.name, id), self.throughput, f);
@@ -158,15 +150,9 @@ fn run_one(label: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut B
         return;
     }
     let ns_per_iter = b.total.as_nanos() as f64 / b.iters as f64;
-    let rate = throughput.map(|t| match t {
-        Throughput::Bytes(bytes) => {
-            let mbps = bytes as f64 / ns_per_iter * 1e9 / (1024.0 * 1024.0);
-            format!("  {mbps:10.1} MiB/s")
-        }
-        Throughput::Elements(n) => {
-            let eps = n as f64 / ns_per_iter * 1e9;
-            format!("  {eps:10.0} elem/s")
-        }
+    let rate = throughput.map(|Throughput::Bytes(bytes)| {
+        let mbps = bytes as f64 / ns_per_iter * 1e9 / (1024.0 * 1024.0);
+        format!("  {mbps:10.1} MiB/s")
     });
     println!(
         "{label:<40} {ns_per_iter:12.1} ns/iter{}",

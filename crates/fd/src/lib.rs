@@ -51,7 +51,7 @@ pub mod verbose;
 
 pub use header::MsgKind;
 pub use interval::{IntervalSpec, SuspicionLog};
-pub use mute::{DataId, MuteConfig, MuteDetector};
+pub use mute::{DataId, MuteDetector};
 pub use peer::{Detector, PeerFd, Peers};
 pub use trust::{TrustDetector, TrustLevel};
 pub use verbose::VerboseDetector;
@@ -70,7 +70,7 @@ const _: () = assert!(verbose::DECAY_INTERVAL.as_micros() < trust::SUSPICION_DUR
 /// Protocol code owns one `FailureDetectors` and one peer table per node,
 /// feeds the detectors what it observes, and reads back trust levels for
 /// the overlay.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct FailureDetectors {
     /// The MUTE detector (class ◇P_mute / I_mute).
     pub mute: MuteDetector,
@@ -83,17 +83,6 @@ pub struct FailureDetectors {
 }
 
 impl FailureDetectors {
-    /// Creates the bundle from the MUTE configuration; VERBOSE and TRUST
-    /// run with their fixed constants.
-    pub fn new(mute: MuteConfig) -> Self {
-        FailureDetectors {
-            mute: MuteDetector::new(mute),
-            verbose: VerboseDetector::default(),
-            trust: TrustDetector::default(),
-            suspicions: false,
-        }
-    }
-
     /// Advances detector-internal time: fires expect deadlines, ages
     /// counters and arrivals, expires suspicions, and propagates live
     /// MUTE/VERBOSE suspicions into TRUST, in one pass over the rows. Call
@@ -106,8 +95,7 @@ impl FailureDetectors {
     /// interval, so a pass sees it before it can lapse.
     pub fn tick(&mut self, now: SimTime, peers: &mut impl Peers) {
         let raised = self.mute.fire(now, peers) | std::mem::take(&mut self.verbose.raised);
-        let interval = self.mute.config().decay_interval;
-        let mute_steps = decay_steps(&mut self.mute.last_decay, interval, now);
+        let mute_steps = decay_steps(&mut self.mute.last_decay, mute::DECAY_INTERVAL, now);
         let verbose_steps = decay_steps(&mut self.verbose.last_decay, verbose::DECAY_INTERVAL, now);
         let (verbose, trust) = (&self.verbose, &mut self.trust);
         if self.suspicions || raised || mute_steps > 0 || verbose_steps > 0 {
@@ -135,34 +123,30 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use byzcast_sim::{NodeId, SimDuration};
+    use byzcast_sim::NodeId;
 
     #[test]
     fn mute_suspicion_flows_into_trust() {
-        // Short expect timeout so all misses land within one decay interval.
-        let mute = MuteConfig {
-            expect_timeout: SimDuration::from_millis(300),
-            ..MuteConfig::default()
-        };
-        let mut fd = FailureDetectors::new(mute);
+        let mut fd = FailureDetectors::default();
         let mut peers = BTreeMap::new();
-        let threshold = fd.mute.config().threshold;
-        let timeout = fd.mute.config().expect_timeout;
-        let mut t = SimTime::from_secs(1);
-        // Miss `threshold` expectations in a row: each message from origin 9
-        // that node 5 fails to forward counts against it.
-        for seq in 0..u64::from(threshold) {
+        let t = SimTime::from_secs(1);
+        // Node 5 fails to forward `THRESHOLD` messages of origin 9, all
+        // missed within one aging step: each miss counts against it.
+        for seq in 0..u64::from(mute::THRESHOLD) {
             fd.mute.expect(t, (NodeId(9), seq), &[NodeId(5)]);
-            t = t + timeout + SimDuration::from_millis(1);
-            fd.tick(t, &mut peers);
         }
-        assert_eq!(fd.trust.level(&peers, NodeId(5), t), TrustLevel::Untrusted);
-        assert_eq!(fd.trust.level(&peers, NodeId(6), t), TrustLevel::Trusted);
+        let late = t + mute::EXPECT_TIMEOUT;
+        fd.tick(late, &mut peers);
+        assert_eq!(
+            fd.trust.level(&peers, NodeId(5), late),
+            TrustLevel::Untrusted
+        );
+        assert_eq!(fd.trust.level(&peers, NodeId(6), late), TrustLevel::Trusted);
     }
 
     #[test]
     fn verbose_indictments_flow_into_trust() {
-        let mut fd = FailureDetectors::new(MuteConfig::default());
+        let mut fd = FailureDetectors::default();
         let mut peers = BTreeMap::new();
         let t = SimTime::from_secs(1);
         for _ in 0..verbose::THRESHOLD {

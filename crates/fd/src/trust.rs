@@ -157,12 +157,12 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::{Detector, FailureDetectors, MuteConfig};
+    use crate::{Detector, FailureDetectors};
 
     type Table = BTreeMap<NodeId, PeerFd>;
 
     fn detector() -> (FailureDetectors, Table) {
-        (FailureDetectors::new(MuteConfig::default()), Table::new())
+        (FailureDetectors::default(), Table::new())
     }
 
     fn level((fd, peers): &(FailureDetectors, Table), n: u32, at: SimTime) -> TrustLevel {

@@ -150,12 +150,12 @@ mod tests {
     use std::collections::BTreeMap;
 
     use super::*;
-    use crate::{Detector, FailureDetectors, MuteConfig};
+    use crate::{Detector, FailureDetectors};
 
     type Table = BTreeMap<NodeId, PeerFd>;
 
     fn detector() -> (FailureDetectors, Table) {
-        (FailureDetectors::new(MuteConfig::default()), Table::new())
+        (FailureDetectors::default(), Table::new())
     }
 
     #[test]

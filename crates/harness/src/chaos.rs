@@ -586,11 +586,9 @@ impl ChaosCase {
         if !r.is_unlimited() {
             let _ = writeln!(
                 out,
-                "resources {} {} {} {} {} {} {} {} {}",
+                "resources {} {} {} {} {} {} {}",
                 r.frames_per_sec,
-                r.frame_burst,
                 r.verifs_per_sec,
-                r.verif_burst,
                 r.max_store_msgs,
                 r.max_store_bytes,
                 r.max_seen_ids,
@@ -747,19 +745,17 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
                 }
             }
             "resources" => {
-                if rest.len() != 9 {
-                    return Err(err("resources needs 9 limits"));
+                if rest.len() != 7 {
+                    return Err(err("resources needs 7 limits"));
                 }
                 case.scenario.byzcast.resources = ResourceConfig {
                     frames_per_sec: parse_num(rest.first(), &err)?,
-                    frame_burst: parse_num(rest.get(1), &err)?,
-                    verifs_per_sec: parse_num(rest.get(2), &err)?,
-                    verif_burst: parse_num(rest.get(3), &err)?,
-                    max_store_msgs: parse_num(rest.get(4), &err)?,
-                    max_store_bytes: parse_num(rest.get(5), &err)?,
-                    max_seen_ids: parse_num(rest.get(6), &err)?,
-                    max_gossip_per_origin: parse_num(rest.get(7), &err)?,
-                    max_missing_per_origin: parse_num(rest.get(8), &err)?,
+                    verifs_per_sec: parse_num(rest.get(1), &err)?,
+                    max_store_msgs: parse_num(rest.get(2), &err)?,
+                    max_store_bytes: parse_num(rest.get(3), &err)?,
+                    max_seen_ids: parse_num(rest.get(4), &err)?,
+                    max_gossip_per_origin: parse_num(rest.get(5), &err)?,
+                    max_missing_per_origin: parse_num(rest.get(6), &err)?,
                 };
             }
             "recovery" => {
@@ -1107,6 +1103,10 @@ workload senders 0,1 count 3 bytes 256 start_ms 5000 interval_ms 1000 drain_ms 1
         assert!(parse_case(&format!("{CORPUS_HEADER}\nfrobnicate 7\n")).is_err());
         assert!(parse_case(&format!("{CORPUS_HEADER}\nname x\n")).is_err());
         assert!(parse_case(&format!("{CORPUS_HEADER}\nn 5\nmobility walk 1 1000\n")).is_err());
+        // The 9-value form that also named the two bucket bursts.
+        let bursts = "resources 50 100 200 400 4096 4194304 32768 64 64";
+        let e = parse_case(&format!("{CORPUS_HEADER}\nn 5\n{bursts}\n")).expect_err(bursts);
+        assert!(e.starts_with("line 3: resources needs 7 limits"), "{e}");
     }
 
     #[test]

@@ -30,6 +30,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use byzcast_adversary::Deviation;
+use byzcast_core::resources::burst;
 use byzcast_core::{ResourceConfig, ResourceStats};
 use byzcast_fd::interval::SuspicionEpisode;
 use byzcast_sim::{FaultKind, Metrics, NodeId, SimDuration, SimTime};
@@ -402,7 +403,8 @@ impl Oracle for FdAccuracy {
 /// caps; the active-gossip and missing maps hold at most
 /// `quota × n` entries (one quota per possible origin); and one calendar
 /// second can see at most `rate + burst` admitted verifications *per
-/// sender*, i.e. `(rate + burst) × (n − 1)` per node.
+/// sender* (the bucket's [`burst`] is two seconds of its rate), i.e.
+/// `(rate + burst) × (n − 1)` per node.
 pub struct BoundedResources;
 
 impl Oracle for BoundedResources {
@@ -466,12 +468,7 @@ impl Oracle for BoundedResources {
             let verif_ceiling = if cfg.verifs_per_sec == 0 {
                 0
             } else {
-                let burst = if cfg.verif_burst == 0 {
-                    cfg.verifs_per_sec
-                } else {
-                    cfg.verif_burst
-                };
-                u64::from(cfg.verifs_per_sec + burst) * n.saturating_sub(1)
+                (u64::from(cfg.verifs_per_sec) + burst(cfg.verifs_per_sec)) * n.saturating_sub(1)
             };
             check(
                 node,
@@ -495,9 +492,7 @@ impl Oracle for BoundedResources {
 pub fn paper_envelope() -> ResourceConfig {
     ResourceConfig {
         frames_per_sec: 50,
-        frame_burst: 100,
         verifs_per_sec: 200,
-        verif_burst: 400,
         max_store_msgs: 4096,
         max_store_bytes: 4 << 20,
         max_seen_ids: 32768,

@@ -549,7 +549,7 @@ mod tests {
     }
 
     fn detectors() -> byzcast_fd::FailureDetectors {
-        byzcast_fd::FailureDetectors::new(byzcast_fd::MuteConfig::default())
+        byzcast_fd::FailureDetectors::default()
     }
 
     fn beacon(t: &mut NeighborTable, at: SimTime, from: u32) {

@@ -109,9 +109,7 @@ fn generous_governance_envelope_is_decision_free() {
     // section and requires byte-identical summaries and JSONL records.
     let generous = ResourceConfig {
         frames_per_sec: 1_000_000,
-        frame_burst: 1_000_000,
         verifs_per_sec: 1_000_000,
-        verif_burst: 1_000_000,
         max_store_msgs: 1 << 30,
         max_store_bytes: 1 << 40,
         max_seen_ids: 1 << 30,
@@ -176,7 +174,7 @@ fn dormant_recovery_envelope_is_decision_free() {
     // timing), so it can never be decision-free. Its behavior is pinned by
     // the protocol unit tests and the chaos corpus instead.
     let dormant = RecoveryConfig {
-        // == max_requests_per_msg: a request would have to exhaust the
+        // == MAX_REQUESTS_PER_MSG: a request would have to exhaust the
         // paper's full retry budget unanswered before anything widens.
         escalate_after: 5,
         max_escalations: 4,
