@@ -9,14 +9,11 @@ use std::sync::Arc;
 
 use byzcast_bench::{default_scenario, default_workload, opts, runner};
 use byzcast_harness::{byz_view, run_sweep, RunOutcome, ScenarioConfig, SweepPoint, Workload};
-use byzcast_sim::{NodeId, SimTime};
+use byzcast_sim::NodeId;
 
 fn measure(config: &ScenarioConfig, workload: &Workload) -> RunOutcome {
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
 
     let m = sim.metrics();
     let mut forwards = 0u64;

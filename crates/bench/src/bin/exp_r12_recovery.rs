@@ -10,9 +10,11 @@
 //! budget runs dry — connected, up, correct nodes miss the broadcast past
 //! the recovery slack. Two sweeps, three arms each:
 //!
-//! * `off`   — the seed protocol, recovery envelope disabled;
-//! * `on`    — escalating FIND_MISSING retries + liveness re-election
-//!   ([`RecoveryConfig::standard`]);
+//! * `off`   — the seed protocol, `recovery: false`;
+//! * `on`    — escalating FIND_MISSING retries + liveness re-election,
+//!   `recovery: true` at the constants of [`byzcast_core::recovery`]
+//!   (widen after 2 unanswered retries, 4 widened rounds to 3 neighbours
+//!   at 1 s → 4 s backoff, TTL-3 searches);
 //! * `flood` — the flooding baseline, which shrugs off the crash by brute
 //!   force and prices the redundancy the overlay saves.
 //!
@@ -35,7 +37,6 @@
 use std::sync::Arc;
 
 use byzcast_bench::{banner, opts, runner, ExpOpts};
-use byzcast_core::RecoveryConfig;
 use byzcast_harness::scenario::ProtocolChoice;
 use byzcast_harness::{
     check_run, parse_case, report::fnum, run_sweep, standard_oracles, MobilityChoice, RunOutcome,
@@ -66,8 +67,8 @@ impl Arm {
 
     fn apply(self, scenario: &mut ScenarioConfig) {
         match self {
-            Arm::Off => scenario.byzcast.recovery = RecoveryConfig::off(),
-            Arm::On => scenario.byzcast.recovery = RecoveryConfig::standard(),
+            Arm::Off => scenario.byzcast.recovery = false,
+            Arm::On => scenario.byzcast.recovery = true,
             Arm::Flood => scenario.protocol = ProtocolChoice::Flooding,
         }
     }

@@ -17,7 +17,7 @@ use byzcast_harness::{
 };
 use byzcast_overlay::analysis::{dominates, induced_connected};
 use byzcast_overlay::OverlayKind;
-use byzcast_sim::{NodeId, SimTime};
+use byzcast_sim::NodeId;
 
 /// Runs one scenario and measures the final overlay against the ground-truth
 /// adjacency, restricted to correct nodes. Extras:
@@ -31,10 +31,7 @@ use byzcast_sim::{NodeId, SimTime};
 ///   subgraph.
 fn measure(config: &ScenarioConfig, workload: &Workload) -> RunOutcome {
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
     let adv = config.adversary_set();
     let n = config.n;
     let correct: Vec<bool> = (0..n as u32).map(|i| !adv.contains(&NodeId(i))).collect();

@@ -27,10 +27,7 @@ const MUTES: usize = 6;
 fn measure(config: &ScenarioConfig, workload: &Workload) -> RunOutcome {
     let adv = config.adversary_set();
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
 
     // First data injection is when the mutes' misbehaviour can begin.
     let t0 = workload.start;

@@ -20,17 +20,14 @@ use byzcast_harness::{
     byz_view, figure5_worst_case, report::fnum, run_sweep, RunFn, RunOutcome, ScenarioConfig,
     SweepPoint, Table, Workload,
 };
-use byzcast_sim::{NodeId, SimDuration, SimTime};
+use byzcast_sim::{NodeId, SimDuration};
 
 /// Runs the worst case and checks the run against the §3.5 bounds,
 /// returned as extras alongside the summary.
 fn measure(config: &ScenarioConfig, workload: &Workload) -> RunOutcome {
     let n = config.n;
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
     let summary = config.summarize_wire(&sim);
 
     // β: the air time of the largest frame at the configured bit rate.

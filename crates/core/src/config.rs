@@ -2,13 +2,13 @@
 //!
 //! The knobs some experiment or test varies are fields of
 //! [`ByzcastConfig`]; the protocol's other timings and sizes are the
-//! constants below, and the failure detectors' are in `byzcast_fd::mute`
-//! and `byzcast_fd::verbose`.
+//! constants below, the recovery envelope's are in [`crate::recovery`],
+//! and the failure detectors' are in `byzcast_fd::mute` and
+//! `byzcast_fd::verbose`.
 
 use byzcast_overlay::OverlayKind;
 use byzcast_sim::SimDuration;
 
-use crate::recovery::RecoveryConfig;
 use crate::resources::ResourceConfig;
 
 /// `rebroadcast_timeout` — "the time between getting a request message and
@@ -83,12 +83,13 @@ pub struct ByzcastConfig {
     /// (every limit `0` = unlimited) reproduces ungoverned behaviour bit for
     /// bit.
     pub resources: ResourceConfig,
-    /// Recovery-escalation envelope: widened `REQUEST` retries with capped
-    /// exponential backoff, TTL-bumped `FIND_MISSING` floods, and immediate
-    /// overlay re-election when a neighbour is indicted or its beacons
-    /// expire. The default ([`RecoveryConfig::off`]) reproduces the
-    /// pre-escalation protocol bit for bit.
-    pub recovery: RecoveryConfig,
+    /// The recovery-escalation envelope on or off: widened `REQUEST`
+    /// retries with capped exponential backoff, TTL-bumped `FIND_MISSING`
+    /// floods, and immediate overlay re-election when a neighbour is
+    /// indicted or its beacons expire, at the tunings of
+    /// [`crate::recovery`]. Off (the default) runs the paper's recovery
+    /// chain alone.
+    pub recovery: bool,
 }
 
 impl Default for ByzcastConfig {
@@ -101,7 +102,7 @@ impl Default for ByzcastConfig {
             aggregate_gossip: true,
             sig_cache_capacity: 512,
             resources: ResourceConfig::unlimited(),
-            recovery: RecoveryConfig::off(),
+            recovery: false,
         }
     }
 }
@@ -120,17 +121,6 @@ impl ByzcastConfig {
         }
         if self.purge_after < self.gossip_period {
             return Err("purge_after must be at least one gossip period".into());
-        }
-        if self.recovery.escalation_enabled() {
-            if self.recovery.backoff_base == SimDuration::ZERO {
-                return Err("recovery.backoff_base must be positive when escalating".into());
-            }
-            if self.recovery.backoff_cap < self.recovery.backoff_base {
-                return Err("recovery.backoff_cap must be at least backoff_base".into());
-            }
-            if self.recovery.widen_fanout == 0 {
-                return Err("recovery.widen_fanout must be positive when escalating".into());
-            }
         }
         Ok(())
     }
@@ -166,33 +156,6 @@ mod tests {
         assert!(bad.validate().is_err());
         let bad = ByzcastConfig {
             purge_after: SimDuration::from_millis(1),
-            ..base
-        };
-        assert!(bad.validate().is_err());
-    }
-
-    #[test]
-    fn validation_checks_escalation_fields() {
-        use crate::recovery::RecoveryConfig;
-        let base = ByzcastConfig::default();
-        let ok = ByzcastConfig {
-            recovery: RecoveryConfig::standard(),
-            ..base.clone()
-        };
-        assert!(ok.validate().is_ok());
-        let bad = ByzcastConfig {
-            recovery: RecoveryConfig {
-                backoff_base: SimDuration::ZERO,
-                ..RecoveryConfig::standard()
-            },
-            ..base.clone()
-        };
-        assert!(bad.validate().is_err());
-        let bad = ByzcastConfig {
-            recovery: RecoveryConfig {
-                widen_fanout: 0,
-                ..RecoveryConfig::standard()
-            },
             ..base
         };
         assert!(bad.validate().is_err());

@@ -62,6 +62,6 @@ pub use message::{
     BeaconMsg, DataMsg, FindMissingMsg, GossipEntry, GossipMsg, MessageId, RequestMsg, WireMsg,
 };
 pub use protocol::{ByzcastNode, ProtocolCounters};
-pub use recovery::{RecoveryConfig, RecoveryStats};
+pub use recovery::RecoveryStats;
 pub use resources::{ResourceConfig, ResourceStats};
 pub use store::{MessageStore, StoredMsg};

@@ -36,7 +36,7 @@ use crate::config::{
 use crate::message::{
     BeaconMsg, DataMsg, FindMissingMsg, GossipEntry, GossipMsg, MessageId, RequestMsg, WireMsg,
 };
-use crate::recovery::RecoveryStats;
+use crate::recovery::{self, RecoveryStats};
 use crate::resources::{Governor, ResourceStats};
 use crate::store::{Advertise, MessageStore};
 
@@ -159,24 +159,24 @@ struct HotConfig {
     max_missing_per_origin: usize,
     /// Total request rounds allowed per missing message: the plain retry cap
     /// normally, or unicast rounds + widened rounds when the recovery
-    /// envelope escalates.
+    /// envelope is on.
     request_cap: u32,
-    reelect_on_indictment: bool,
+    /// `ByzcastConfig::recovery`: escalation and re-election on indictment.
+    recovery: bool,
 }
 
 impl HotConfig {
     fn of(config: &ByzcastConfig) -> Self {
-        let rec = &config.recovery;
         HotConfig {
             request_timeout: config.request_timeout,
             max_gossip_per_origin: config.resources.max_gossip_per_origin,
             max_missing_per_origin: config.resources.max_missing_per_origin,
-            request_cap: if rec.escalation_enabled() {
-                rec.escalate_after.saturating_add(rec.max_escalations)
+            request_cap: if config.recovery {
+                recovery::ESCALATE_AFTER + recovery::MAX_ESCALATIONS
             } else {
                 MAX_REQUESTS_PER_MSG
             },
-            reelect_on_indictment: rec.reelect_on_indictment,
+            recovery: config.recovery,
         }
     }
 }
@@ -680,8 +680,8 @@ impl ByzcastNode {
             .filter(|(_, ms)| ms.request_due.is_some_and(|d| d <= now))
             .map(|(&id, _)| id)
             .collect();
-        let rec = self.cold.config.recovery;
         let cap = self.hot_config.request_cap;
+        let escalate = self.hot_config.recovery;
         for id in due_ids {
             let Some(ms) = self.missing.get_mut(&id) else {
                 continue;
@@ -697,17 +697,17 @@ impl ByzcastNode {
             let round = ms.requests_sent;
             ms.requests_sent += 1;
             ms.last_request = now;
-            if rec.escalation_enabled() && round >= rec.escalate_after {
+            if escalate && round >= recovery::ESCALATE_AFTER {
                 // Escalated round: the remembered gossiper has gone
-                // `escalate_after` rounds without answering — on a thin
+                // `ESCALATE_AFTER` rounds without answering — on a thin
                 // chain it may be the crashed node itself, so stop trusting
                 // it. Widen the request to a rotating window of trusted
                 // neighbours (non-dominators included) and flood a
                 // TTL-bumped search so recovery no longer depends on a
                 // healthy two-hop overlay path.
-                let level = round - rec.escalate_after; // 0-based widened round
+                let level = round - recovery::ESCALATE_AFTER; // 0-based widened round
                 if ms.requests_sent < cap {
-                    ms.request_due = Some(now + rec.backoff(level));
+                    ms.request_due = Some(now + recovery::backoff(level));
                 }
                 let peers: Vec<NodeId> = self
                     .table
@@ -718,8 +718,8 @@ impl ByzcastNode {
                 let widened: Vec<NodeId> = if peers.is_empty() {
                     Vec::new()
                 } else {
-                    let start = (level as usize).wrapping_mul(rec.widen_fanout) % peers.len();
-                    (0..rec.widen_fanout.min(peers.len()))
+                    let start = (level as usize).wrapping_mul(recovery::WIDEN_FANOUT) % peers.len();
+                    (0..recovery::WIDEN_FANOUT.min(peers.len()))
                         .map(|i| peers[(start + i) % peers.len()])
                         .collect()
                 };
@@ -737,7 +737,7 @@ impl ByzcastNode {
                 ctx.send(WireMsg::FindMissing(FindMissingMsg {
                     entry,
                     target: self.id,
-                    ttl: rec.find_ttl.max(2),
+                    ttl: recovery::FIND_TTL,
                 }));
                 self.cold.counters.finds_sent += 1;
                 self.cold.recovery_stats.finds_escalated += 1;
@@ -897,7 +897,7 @@ impl ByzcastNode {
         // An escalated search (TTL above the paper's fixed 2) only exists
         // when the recovery envelope is on; its searcher is known to be
         // stranded, so holders of *any* role answer and nobody indicts it.
-        let escalated = self.cold.config.recovery.escalation_enabled() && f.ttl > 2;
+        let escalated = self.hot_config.recovery && f.ttl > 2;
         if self.store.has(f.entry.id) {
             // Lines 68–77.
             if self.role.is_active() || self.id == f.target || escalated {
@@ -915,12 +915,12 @@ impl ByzcastNode {
                     self.schedule_response(ctx, f.entry.id, 2);
                 }
             }
-        } else if f.ttl == 2 || (escalated && f.ttl <= self.cold.config.recovery.find_ttl.max(2)) {
+        } else if f.ttl == 2 || (escalated && f.ttl <= recovery::FIND_TTL) {
             // Lines 63–66: keep flooding one more hop — but re-flood each
             // searched id at most once per window, or one search sweeping a
             // dense region is amplified by every node that lacks the
             // message. Escalated searches decrement hop by hop the same way,
-            // so a TTL-bumped flood travels `find_ttl` hops in total.
+            // so a TTL-bumped flood travels `FIND_TTL` hops in total.
             let fresh = match self.cold.finds_forwarded.get(&f.entry.id) {
                 Some(&last) => now.saturating_since(last) >= REQUEST_RETRY_SPACING,
                 None => true,
@@ -1075,7 +1075,7 @@ impl ByzcastNode {
         for &n in &ended {
             self.cold.sus_log.end(now, self.id, n);
         }
-        if self.hot_config.reelect_on_indictment {
+        if self.hot_config.recovery {
             // Liveness-driven overlay repair: a freshly indicted neighbour —
             // or one whose beacons expired — otherwise lingers in the table
             // until the next beacon round, absorbing unicast REQUESTs and
@@ -1925,9 +1925,9 @@ mod tests {
 
     #[test]
     fn escalation_widens_requests_and_bumps_find_ttl() {
-        use crate::recovery::RecoveryConfig;
+        // ESCALATE_AFTER 2, WIDEN_FANOUT 3, FIND_TTL 3.
         let config = ByzcastConfig {
-            recovery: RecoveryConfig::standard(), // escalate_after 2, fanout 3, ttl 3
+            recovery: true,
             ..ByzcastConfig::default()
         };
         let mut h = Harness::new(1, config);
@@ -1972,7 +1972,7 @@ mod tests {
                 _ => None,
             })
             .collect();
-        assert_eq!(targets.len(), 3, "widened round hits widen_fanout peers");
+        assert_eq!(targets.len(), 3, "widened round hits WIDEN_FANOUT peers");
         for t in &targets {
             assert!(
                 [NodeId(9), NodeId(10), NodeId(11)].contains(t),
@@ -1997,25 +1997,67 @@ mod tests {
             "level-1 round fires after backoff"
         );
         assert_eq!(h.node.recovery_stats().peak_escalation, 2);
-        // Total request budget: escalate_after + max_escalations rounds.
+        // Total request budget: ESCALATE_AFTER + MAX_ESCALATIONS rounds.
         for s in 6..30u64 {
             h.drive(SimTime::from_secs(s), |n, ctx| n.flush_requests(ctx));
         }
         assert_eq!(
             h.node.recovery_stats().requests_originated + h.node.recovery_stats().finds_escalated,
             6,
-            "request rounds are capped at escalate_after + max_escalations"
+            "request rounds are capped at ESCALATE_AFTER + MAX_ESCALATIONS"
         );
     }
 
     #[test]
-    fn widened_requests_register_no_mute_expectations() {
-        use crate::recovery::RecoveryConfig;
-        let config = ByzcastConfig {
-            recovery: RecoveryConfig {
-                escalate_after: 1,
-                ..RecoveryConfig::standard()
+    fn envelope_is_dormant_before_escalate_after() {
+        // Before `ESCALATE_AFTER` unanswered rounds the envelope decides
+        // nothing: a node with it on sends and expects exactly what the
+        // same node with it off does, and counts every request it sends as
+        // an originated one.
+        let mut on = Harness::new(
+            1,
+            ByzcastConfig {
+                recovery: true,
+                ..ByzcastConfig::default()
             },
+        );
+        let mut off = Harness::new(1, ByzcastConfig::default());
+        let m = on.data_from(0, 1);
+        for h in [&mut on, &mut off] {
+            for n in [9u32, 10, 11] {
+                let b = h.beacon_from(n, OverlayRole::Passive);
+                h.drive(SimTime::from_millis(500), |node, ctx| {
+                    node.on_packet(ctx, NodeId(n), &WireMsg::Beacon(b))
+                });
+            }
+            let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
+            h.drive(SimTime::from_secs(1), |n, ctx| {
+                n.on_packet(ctx, NodeId(5), &WireMsg::Gossip(g))
+            });
+        }
+        for round in 0..recovery::ESCALATE_AFTER {
+            let now = SimTime::from_secs(2 + u64::from(round));
+            let (_, on_actions) = on.drive(now, |n, ctx| n.flush_requests(ctx));
+            let (_, off_actions) = off.drive(now, |n, ctx| n.flush_requests(ctx));
+            assert!(!sends(&on_actions).is_empty(), "round {round} sends");
+            assert_eq!(sends(&on_actions), sends(&off_actions), "round {round}");
+            assert_eq!(
+                format!("{:?}", on.node.fds.mute),
+                format!("{:?}", off.node.fds.mute),
+                "round {round}: MUTE expectations"
+            );
+            assert_eq!(
+                on.node.recovery_stats().requests_originated,
+                on.node.counters().requests_sent,
+                "round {round}"
+            );
+        }
+    }
+
+    #[test]
+    fn widened_requests_register_no_mute_expectations() {
+        let config = ByzcastConfig {
+            recovery: true,
             ..ByzcastConfig::default()
         };
         let mut h = Harness::new(1, config);
@@ -2024,22 +2066,28 @@ mod tests {
         h.drive(t0, |node, ctx| {
             node.on_packet(ctx, NodeId(9), &WireMsg::Beacon(b))
         });
-        let m = h.data_from(0, 1);
-        let g = GossipMsg::of_entries(vec![m.gossip_entry()]);
+        // Node 5 gossips `THRESHOLD` messages we never receive, so one miss
+        // per message is enough to suspect whoever was put on notice.
+        let entries = (1..=u64::from(mute::THRESHOLD))
+            .map(|seq| h.data_from(0, seq).gossip_entry())
+            .collect();
+        let g = GossipMsg::of_entries(entries);
         h.drive(SimTime::from_secs(1), |n, ctx| {
             n.on_packet(ctx, NodeId(5), &WireMsg::Gossip(g))
         });
-        // Round 0 unicast (registers a MUTE expect on the gossiper), round 1
-        // widened (must NOT put node 9 on notice — it never advertised the
-        // message and may legitimately lack it).
-        h.drive(SimTime::from_secs(2), |n, ctx| n.flush_requests(ctx));
-        h.drive(SimTime::from_secs(3), |n, ctx| n.flush_requests(ctx));
+        // Rounds 0 and 1 unicast (each registers a MUTE expect on the
+        // gossiper), round 2 widened (must NOT put node 9 on notice — it
+        // never advertised the messages and may legitimately lack them).
+        for s in 2..=2 + u64::from(recovery::ESCALATE_AFTER) {
+            h.drive(SimTime::from_secs(s), |n, ctx| n.flush_requests(ctx));
+        }
         assert!(h.node.recovery_stats().requests_widened > 0);
         // Let every MUTE expectation deadline lapse, then tick: only the
         // remembered gossiper (node 5) may be suspected.
         let late = SimTime::from_secs(60);
         h.drive(late, |n, ctx| n.fd_tick(ctx));
         assert_eq!(h.node.trust_level(NodeId(9), late), TrustLevel::Trusted);
+        assert_eq!(h.node.trust_level(NodeId(5), late), TrustLevel::Untrusted);
     }
 
     #[test]
@@ -2110,9 +2158,8 @@ mod tests {
 
     #[test]
     fn mute_indictment_purges_neighbor_and_reelects() {
-        use crate::recovery::RecoveryConfig;
         let config = ByzcastConfig {
-            recovery: RecoveryConfig::standard(),
+            recovery: true,
             ..ByzcastConfig::default()
         };
         let mut h = Harness::new(1, config);
@@ -2147,9 +2194,8 @@ mod tests {
 
     #[test]
     fn a_reelection_purge_keeps_the_suspicion() {
-        use crate::recovery::RecoveryConfig;
         let config = ByzcastConfig {
-            recovery: RecoveryConfig::standard(),
+            recovery: true,
             ..ByzcastConfig::default()
         };
         let mut h = Harness::new(1, config);
@@ -2197,9 +2243,8 @@ mod tests {
 
     #[test]
     fn escalated_find_refloods_beyond_two_hops_and_passive_holders_serve() {
-        use crate::recovery::RecoveryConfig;
         let config = ByzcastConfig {
-            recovery: RecoveryConfig::standard(), // find_ttl 3
+            recovery: true, // find_ttl 3
             ..ByzcastConfig::default()
         };
         let entry = Harness::new(0, ByzcastConfig::default())

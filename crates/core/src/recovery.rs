@@ -8,107 +8,54 @@
 //! the remembered gossiper may be the crashed node itself, and a two-hop
 //! search along a stale overlay never crosses the chain.
 //!
-//! [`RecoveryConfig`] is the escalation envelope that repairs both legs:
-//! after `escalate_after` unanswered unicast retries the originator widens
-//! its requests to all trusted neighbours (non-dominators included, rotated
-//! round-robin) and floods a TTL-bumped `FIND_MISSING`, under capped
-//! exponential backoff; and on a fresh MUTE/TRUST indictment or beacon
-//! expiry the node purges the dead neighbour from its table and re-runs the
-//! overlay decision immediately instead of waiting out the beacon round.
+//! The escalation envelope repairs both legs. With
+//! [`ByzcastConfig::recovery`](crate::ByzcastConfig::recovery) on, after [`ESCALATE_AFTER`] unanswered unicast
+//! retries the originator widens its requests to [`WIDEN_FANOUT`] trusted
+//! neighbours (non-dominators included, rotated round-robin) and floods a
+//! [`FIND_TTL`]-hop `FIND_MISSING`, for [`MAX_ESCALATIONS`] rounds under
+//! [`backoff`]; and on a fresh MUTE/TRUST indictment or beacon expiry the
+//! node purges the dead neighbour from its table and re-runs the overlay
+//! decision immediately instead of waiting out the beacon round. The
+//! tunings are constants: every run that turns the envelope on uses these.
 //!
-//! The default envelope ([`RecoveryConfig::off`]) disables every mechanism
-//! and is byte-identical to the pre-escalation protocol —
-//! `tests/perf_equivalence.rs` pins this. Escalated traffic is *not* exempt
-//! from resource governance: every widened request and TTL-bumped search
-//! still passes the receiving node's admission buckets and verification
-//! budget (`crate::resources`), so a flooder cannot use the escalation path
-//! to amplify itself.
+//! With the switch off (the default) no mechanism runs and the protocol is
+//! the paper's. Escalated traffic is *not* exempt from resource governance:
+//! every widened request and TTL-bumped search still passes the receiving
+//! node's admission buckets and verification budget (`crate::resources`),
+//! so a flooder cannot use the escalation path to amplify itself.
 
 use byzcast_sim::{counter_set, SimDuration};
 
-/// The recovery-escalation envelope. All-off by default; see
-/// [`RecoveryConfig::standard`] for the profile the chaos harness uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RecoveryConfig {
-    /// Unanswered unicast retries before requests widen beyond the
-    /// remembered gossiper. `0` disables escalation entirely.
-    pub escalate_after: u32,
-    /// Widened retry rounds attempted past `escalate_after` (the total
-    /// request budget per missing message becomes `escalate_after +
-    /// max_escalations` when escalation is enabled).
-    pub max_escalations: u32,
-    /// Spacing before the first widened retry; doubles every round.
-    pub backoff_base: SimDuration,
-    /// Upper bound on the widened retry spacing.
-    pub backoff_cap: SimDuration,
-    /// Trusted neighbours targeted per widened round, rotated round-robin
-    /// across rounds so successive retries try different neighbours.
-    pub widen_fanout: usize,
-    /// TTL of the escalated `FIND_MISSING` flood (the plain protocol always
-    /// searches with TTL 2; values below 2 are treated as 2).
-    pub find_ttl: u8,
-    /// Purge freshly indicted or beacon-expired neighbours from the
-    /// neighbour table and re-run the overlay decision immediately (at
-    /// `fd_tick` granularity) instead of at the next beacon.
-    pub reelect_on_indictment: bool,
-}
+/// Unanswered unicast retries before requests widen beyond the remembered
+/// gossiper.
+pub const ESCALATE_AFTER: u32 = 2;
+/// Widened retry rounds attempted past [`ESCALATE_AFTER`]: the request
+/// budget per missing message is `ESCALATE_AFTER + MAX_ESCALATIONS`.
+pub const MAX_ESCALATIONS: u32 = 4;
+/// Spacing before the first widened retry; doubles every round.
+pub const BACKOFF_BASE: SimDuration = SimDuration::from_millis(1000);
+/// Upper bound on the widened retry spacing.
+pub const BACKOFF_CAP: SimDuration = SimDuration::from_millis(4000);
+/// Trusted neighbours targeted per widened round, rotated round-robin
+/// across rounds so successive retries try different neighbours.
+pub const WIDEN_FANOUT: usize = 3;
+/// Hops an escalated `FIND_MISSING` flood travels (the plain protocol
+/// always searches with TTL 2).
+pub const FIND_TTL: u8 = 3;
 
-impl RecoveryConfig {
-    /// The disabled envelope: no escalation, no liveness-driven repair.
-    /// Byte-identical to the protocol before this layer existed.
-    pub fn off() -> Self {
-        RecoveryConfig {
-            escalate_after: 0,
-            max_escalations: 0,
-            backoff_base: SimDuration::ZERO,
-            backoff_cap: SimDuration::ZERO,
-            widen_fanout: 0,
-            find_ttl: 0,
-            reelect_on_indictment: false,
-        }
-    }
+const _: () = assert!(ESCALATE_AFTER >= 1);
+const _: () = assert!(BACKOFF_BASE.as_micros() > 0);
+const _: () = assert!(BACKOFF_CAP.as_micros() >= BACKOFF_BASE.as_micros());
+const _: () = assert!(WIDEN_FANOUT > 0);
+const _: () = assert!(FIND_TTL >= 2);
 
-    /// The standard escalation profile: widen after 2 unanswered unicast
-    /// retries, 4 widened rounds at 3 neighbours each with 1 s → 4 s
-    /// backoff, TTL-3 searches, and immediate re-election on indictment.
-    pub fn standard() -> Self {
-        RecoveryConfig {
-            escalate_after: 2,
-            max_escalations: 4,
-            backoff_base: SimDuration::from_millis(1000),
-            backoff_cap: SimDuration::from_millis(4000),
-            widen_fanout: 3,
-            find_ttl: 3,
-            reelect_on_indictment: true,
-        }
-    }
-
-    /// Whether request escalation is active.
-    pub fn escalation_enabled(&self) -> bool {
-        self.escalate_after > 0 && self.max_escalations > 0
-    }
-
-    /// Whether any part of the envelope is active (drives whether a run
-    /// reports [`RecoveryStats`]).
-    pub fn enabled(&self) -> bool {
-        self.escalation_enabled() || self.reelect_on_indictment
-    }
-
-    /// Spacing before widened round `level` (0-based): `backoff_base ×
-    /// 2^level`, saturating, capped at `backoff_cap`.
-    pub fn backoff(&self, level: u32) -> SimDuration {
-        let micros = self
-            .backoff_base
-            .as_micros()
-            .saturating_mul(1u64.checked_shl(level).unwrap_or(u64::MAX));
-        SimDuration::from_micros(micros.min(self.backoff_cap.as_micros().max(1)))
-    }
-}
-
-impl Default for RecoveryConfig {
-    fn default() -> Self {
-        RecoveryConfig::off()
-    }
+/// Spacing before widened round `level` (0-based): `BACKOFF_BASE ×
+/// 2^level`, saturating, capped at [`BACKOFF_CAP`].
+pub fn backoff(level: u32) -> SimDuration {
+    let micros = BACKOFF_BASE
+        .as_micros()
+        .saturating_mul(1u64.checked_shl(level).unwrap_or(u64::MAX));
+    SimDuration::from_micros(micros.min(BACKOFF_CAP.as_micros()))
 }
 
 counter_set! {
@@ -137,30 +84,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn default_is_off() {
-        let c = RecoveryConfig::default();
-        assert_eq!(c, RecoveryConfig::off());
-        assert!(!c.enabled());
-        assert!(!c.escalation_enabled());
-    }
-
-    #[test]
-    fn standard_is_enabled() {
-        let c = RecoveryConfig::standard();
-        assert!(c.enabled());
-        assert!(c.escalation_enabled());
-        assert!(c.find_ttl >= 2);
-    }
-
-    #[test]
     fn backoff_doubles_and_caps() {
-        let c = RecoveryConfig::standard();
-        assert_eq!(c.backoff(0), SimDuration::from_millis(1000));
-        assert_eq!(c.backoff(1), SimDuration::from_millis(2000));
-        assert_eq!(c.backoff(2), SimDuration::from_millis(4000));
-        assert_eq!(c.backoff(3), SimDuration::from_millis(4000));
-        assert_eq!(c.backoff(63), SimDuration::from_millis(4000));
-        assert_eq!(c.backoff(64), SimDuration::from_millis(4000));
+        assert_eq!(backoff(0), SimDuration::from_millis(1000));
+        assert_eq!(backoff(1), SimDuration::from_millis(2000));
+        assert_eq!(backoff(2), SimDuration::from_millis(4000));
+        assert_eq!(backoff(3), SimDuration::from_millis(4000));
+        assert_eq!(backoff(63), SimDuration::from_millis(4000));
+        assert_eq!(backoff(64), SimDuration::from_millis(4000));
     }
 
     #[test]

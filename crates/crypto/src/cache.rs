@@ -123,8 +123,8 @@ impl Generations {
 ///
 /// Intended to be instantiated **once per run** and shared (`Arc`) by every
 /// verifying node — see the module docs for why sharing is result-neutral.
-/// `capacity` is the size of one LRU generation; `0` disables caching
-/// entirely (every call forwards to the inner verifier).
+/// `capacity` is the size of one LRU generation; a run without a cache
+/// uses the inner verifier itself.
 pub struct CachingVerifier<V> {
     inner: V,
     capacity: usize,
@@ -136,7 +136,13 @@ pub struct CachingVerifier<V> {
 
 impl<V: Verifier> CachingVerifier<V> {
     /// Wraps `inner` with a cache of `capacity` entries per generation.
+    ///
+    /// # Panics
+    ///
+    /// If `capacity` is 0: a run without a cache verifies with `inner`
+    /// directly.
     pub fn new(inner: V, capacity: usize) -> Self {
+        assert!(capacity > 0, "a verification cache needs a capacity");
         CachingVerifier {
             inner,
             capacity,
@@ -164,9 +170,6 @@ impl<V: Verifier> CachingVerifier<V> {
 
 impl<V: Verifier> Verifier for CachingVerifier<V> {
     fn verify(&self, signer: SignerId, data: &[u8], sig: &Signature) -> bool {
-        if self.capacity == 0 {
-            return self.inner.verify(signer, data, sig);
-        }
         let key = Key(signer, *sig);
         let mut gens = self.generations.lock().expect("cache poisoned");
         if let Some(bucket) = gens.hot.get(&key) {
@@ -370,21 +373,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_disables_caching() {
-        let s = scheme();
-        let sig = s.signer(SignerId(0)).sign(b"m");
-        let v = CachingVerifier::new(
-            Counting {
-                inner: s.verifier(),
-                calls: AtomicU64::new(0),
-            },
-            0,
-        );
-        for _ in 0..3 {
-            assert!(v.verify(SignerId(0), b"m", &sig));
-        }
-        assert_eq!(v.inner().calls.load(Ordering::Relaxed), 3);
-        let st = v.stats();
-        assert_eq!((st.hits, st.misses, st.evictions), (0, 0, 0));
+    #[should_panic(expected = "a verification cache needs a capacity")]
+    fn zero_capacity_is_refused() {
+        CachingVerifier::new(scheme().verifier(), 0);
     }
 }

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use byzcast_adversary::{Deviation, FlapBehavior, MutePolicy, SabotageKind};
 use byzcast_sim::{FaultKind, Field, NodeId, Position, SimConfig, SimDuration, SimRng};
 
-use byzcast_core::{RecoveryConfig, ResourceConfig};
+use byzcast_core::ResourceConfig;
 
 use crate::oracle::{check_run, paper_envelope, standard_oracles, CheckedRun, Violation};
 use crate::par::par_map;
@@ -114,7 +114,7 @@ pub fn generate_case(seed: u64, quick: bool) -> ChaosCase {
     // And every chaos case runs with recovery escalation on, so crash
     // scenarios exercise the widened-retry and overlay-repair paths the
     // thin-chain reproducer needs.
-    scenario.byzcast.recovery = RecoveryConfig::standard();
+    scenario.byzcast.recovery = true;
 
     // Mixed adversaries at the highest ids (never senders).
     let adv_count = rng.gen_range_u64(n as u64 / 8 + 1) as usize;
@@ -275,7 +275,7 @@ fn generate_crash_heavy(seed: u64, quick: bool) -> ChaosCase {
         ..ScenarioConfig::default()
     };
     scenario.byzcast.resources = paper_envelope();
-    scenario.byzcast.recovery = RecoveryConfig::standard();
+    scenario.byzcast.recovery = true;
 
     let crash_count = 2 + rng.gen_range_u64(3) as usize;
     let mut pool: Vec<u32> = (sender_count as u32..n as u32).collect();
@@ -596,19 +596,8 @@ impl ChaosCase {
                 r.max_missing_per_origin
             );
         }
-        let rec = &s.byzcast.recovery;
-        if rec.enabled() {
-            let _ = writeln!(
-                out,
-                "recovery {} {} {} {} {} {} {}",
-                rec.escalate_after,
-                rec.max_escalations,
-                millis(rec.backoff_base),
-                millis(rec.backoff_cap),
-                rec.widen_fanout,
-                rec.find_ttl,
-                u8::from(rec.reelect_on_indictment)
-            );
+        if s.byzcast.recovery {
+            let _ = writeln!(out, "recovery on");
         }
         match &s.mobility {
             MobilityChoice::Static => {
@@ -759,22 +748,10 @@ pub fn parse_case(text: &str) -> Result<ChaosCase, String> {
                 };
             }
             "recovery" => {
-                if rest.len() != 7 {
-                    return Err(err("recovery needs 7 values"));
+                if rest != ["on"] {
+                    return Err(err("recovery takes only `on`"));
                 }
-                case.scenario.byzcast.recovery = RecoveryConfig {
-                    escalate_after: parse_num(rest.first(), &err)?,
-                    max_escalations: parse_num(rest.get(1), &err)?,
-                    backoff_base: SimDuration::from_millis(parse_num(rest.get(2), &err)?),
-                    backoff_cap: SimDuration::from_millis(parse_num(rest.get(3), &err)?),
-                    widen_fanout: parse_num(rest.get(4), &err)?,
-                    find_ttl: parse_num(rest.get(5), &err)?,
-                    reelect_on_indictment: match *rest.get(6).expect("len checked") {
-                        "1" => true,
-                        "0" => false,
-                        _ => return Err(err("bad reelect flag")),
-                    },
-                };
+                case.scenario.byzcast.recovery = true;
             }
             "mobility" => {
                 case.scenario.mobility = parse_mobility(&rest).ok_or_else(|| err("bad mobility"))?
@@ -1016,7 +993,7 @@ mod tests {
             let case = generate_case_profiled(seed, true, ChaosProfile::CrashHeavy);
             assert!(case.scenario.adversary_assignments.is_empty());
             assert!(matches!(case.scenario.mobility, MobilityChoice::Static));
-            assert!(case.scenario.byzcast.recovery.enabled());
+            assert!(case.scenario.byzcast.recovery);
             assert!(
                 case.scenario
                     .fault_plan
@@ -1030,7 +1007,7 @@ mod tests {
                 "seed {seed}"
             );
             let text = case.to_text();
-            assert!(text.contains("\nrecovery "), "recovery line missing");
+            assert!(text.contains("\nrecovery on\n"), "recovery line missing");
             let parsed = parse_case(&text).expect("parse back");
             assert_eq!(parsed.to_text(), text, "seed {seed}");
             assert_eq!(
@@ -1048,7 +1025,7 @@ mod tests {
         );
         let case = parse_case(&text).expect("parse");
         assert!(
-            !case.scenario.byzcast.recovery.enabled(),
+            !case.scenario.byzcast.recovery,
             "pre-recovery corpus files must replay with the envelope off"
         );
     }
@@ -1107,6 +1084,12 @@ workload senders 0,1 count 3 bytes 256 start_ms 5000 interval_ms 1000 drain_ms 1
         let bursts = "resources 50 100 200 400 4096 4194304 32768 64 64";
         let e = parse_case(&format!("{CORPUS_HEADER}\nn 5\n{bursts}\n")).expect_err(bursts);
         assert!(e.starts_with("line 3: resources needs 7 limits"), "{e}");
+        // The envelope is a switch: the old seven tunings, and any word
+        // but `on`, fail.
+        for bad in ["recovery 2 4 1000 4000 3 3 1", "recovery off", "recovery"] {
+            let e = parse_case(&format!("{CORPUS_HEADER}\nn 5\n{bad}\n")).expect_err(bad);
+            assert!(e.starts_with("line 3: recovery takes only `on`"), "{e}");
+        }
     }
 
     #[test]

@@ -535,7 +535,7 @@ pub fn check_run(
     oracles: &[Box<dyn Oracle + Send + Sync>],
 ) -> CheckedRun {
     let mut sim = scenario.build_wire_sim();
-    scenario.drive(&mut sim, workload);
+    workload.drive(&mut sim);
 
     let (episodes, resources) = if scenario.protocol == ProtocolChoice::Byzcast {
         let mut all = Vec::new();

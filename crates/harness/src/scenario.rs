@@ -227,7 +227,7 @@ impl ScenarioConfig {
     /// Byzcast and flooding (both speak `WireMsg`).
     fn run_wire(&self, workload: &Workload) -> RunSummary {
         let mut sim = self.build_wire_sim();
-        self.drive(&mut sim, workload);
+        workload.drive(&mut sim);
         self.summarize_wire(&sim)
     }
 
@@ -318,21 +318,13 @@ impl ScenarioConfig {
         };
 
         let mut sim = self.build_sim(positions, make);
-        self.drive(&mut sim, workload);
+        workload.drive(&mut sim);
         let correct = self.correct_mask();
         let mut summary = RunSummary::from_metrics(self.protocol_label(), sim.metrics(), &correct);
         if !self.fault_plan.is_empty() {
             summary.faults = Some(sim.metrics().faults.clone());
         }
         summary
-    }
-
-    /// Schedules the workload and runs the simulation to its horizon.
-    pub fn drive<M: Message + 'static>(&self, sim: &mut Simulator<M>, workload: &Workload) {
-        for (at, sender, payload_id, size) in workload.schedule() {
-            sim.schedule_app_broadcast(at, sender, payload_id, size);
-        }
-        sim.run_until(byzcast_sim::SimTime::ZERO + workload.horizon());
     }
 
     fn fill_byzcast_stats(
@@ -394,7 +386,7 @@ impl ScenarioConfig {
             summary.resources = Some(resources);
         }
         // Likewise only runs with the recovery envelope on report its stats.
-        if self.byzcast.recovery.enabled() {
+        if self.byzcast.recovery {
             summary.recovery = Some(recovery);
         }
     }

@@ -1,6 +1,6 @@
 //! Application workload generation.
 
-use byzcast_sim::{NodeId, SimDuration};
+use byzcast_sim::{Message, NodeId, SimDuration, SimTime, Simulator};
 
 /// A broadcast workload: which nodes send, how many messages, how large,
 /// and at what rate.
@@ -62,6 +62,14 @@ impl Workload {
                 .interval
                 .saturating_mul(self.count.saturating_sub(1) as u64)
             + self.drain
+    }
+
+    /// Schedules the injections on `sim` and runs it to the horizon.
+    pub fn drive<M: Message + 'static>(&self, sim: &mut Simulator<M>) {
+        for (at, sender, payload_id, size) in self.schedule() {
+            sim.schedule_app_broadcast(at, sender, payload_id, size);
+        }
+        sim.run_until(SimTime::ZERO + self.horizon());
     }
 
     /// The injection rate δ (messages per second) used in the paper's buffer

@@ -11,7 +11,7 @@
 use byzcast::adversary::{Deviation, MutePolicy};
 use byzcast::fd::TrustLevel;
 use byzcast::harness::{byz_view, highest_ids, ScenarioConfig, Workload};
-use byzcast::sim::{Field, NodeId, SimConfig, SimDuration, SimTime};
+use byzcast::sim::{Field, NodeId, SimConfig, SimDuration};
 
 fn main() {
     let n = 60usize;
@@ -39,10 +39,7 @@ fn main() {
     };
 
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
 
     let summary = config.summarize_wire(&sim);
     let c = summary.counters.expect("byzcast counters");

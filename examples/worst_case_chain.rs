@@ -9,7 +9,7 @@
 //! ```
 
 use byzcast::harness::{figure5_worst_case, Workload};
-use byzcast::sim::{NodeId, SimDuration, SimTime};
+use byzcast::sim::{NodeId, SimDuration};
 
 fn main() {
     let correct = 8usize;
@@ -30,10 +30,7 @@ fn main() {
         drain: SimDuration::from_secs(60),
     };
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
 
     // Per-hop arrival times of the first message at the correct nodes.
     let m = sim.metrics();

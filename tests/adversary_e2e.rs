@@ -7,7 +7,6 @@
 //! detectors must end up suspecting the adversary, not a correct node.
 
 use byzcast_adversary::Deviation;
-use byzcast_core::RecoveryConfig;
 use byzcast_harness::{check_run, standard_oracles, MobilityChoice, ScenarioConfig, Workload};
 use byzcast_sim::{FaultKind, Field, NodeId, Position, RadioConfig, SimConfig, SimDuration};
 
@@ -224,7 +223,7 @@ fn crash_adjacent_to_thin_chain_recovers_within_slack() {
     // must purge the dead dominator, re-elect, and deliver to every up node
     // within the semi-reliability slack.
     let mut scenario = thin_chain_scenario(SimDuration::from_secs(4));
-    scenario.byzcast.recovery = RecoveryConfig::standard();
+    scenario.byzcast.recovery = true;
     let checked = check_run(&scenario, &chain_workload(), &standard_oracles());
     let semi = checked
         .violations

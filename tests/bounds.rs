@@ -74,10 +74,7 @@ fn buffer_bound_holds() {
     // in-flight size.
     let (config, workload) = figure5(7);
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
     let beta = SimDuration::from_micros(config.sim.radio.air_time_us(2700));
     let max_timeout = config.byzcast.max_timeout(beta).as_secs_f64();
     let bound = (max_timeout * (config.n as f64 - 1.0) * workload.delta()).ceil() as usize;
@@ -223,10 +220,7 @@ fn buffer_bound_static_failure_free() {
     let bound = (max_timeout.as_secs_f64() * workload.delta()).ceil() as usize;
 
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
     let mut max_hw = 0;
     for i in 0..config.n as u32 {
         if let Some(node) = byz_view(&sim, NodeId(i)) {

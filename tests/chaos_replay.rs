@@ -56,18 +56,30 @@ fn every_corpus_reproducer_replays_verbatim() {
 }
 
 #[test]
+fn committed_corpus_files_are_canonical() {
+    // Each file is exactly what the writer emits for the case it parses
+    // to, so a format change cannot leave a file in a form the writer no
+    // longer produces.
+    for path in corpus_files() {
+        let text = std::fs::read_to_string(&path).expect("read corpus file");
+        let case = parse_case(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+        assert_eq!(case.to_text(), text, "{} is not canonical", path.display());
+    }
+}
+
+#[test]
 fn crash_thin_chain_replays_clean_under_recovery() {
     // The PR-4 soak found this case: a crash next to a thin chain stranded
     // 4 connected, up, correct nodes past the recovery slack, because
     // retries only travelled the stale dominator overlay. With the recovery
-    // envelope on (the corpus file carries a `recovery` line) it must
+    // envelope on (the corpus file carries a `recovery on` line) it must
     // deliver everywhere.
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/chaos_corpus");
     let text =
         std::fs::read_to_string(path.join("crash-thin-chain.chaos")).expect("corpus file exists");
     let case = parse_case(&text).expect("parse");
     assert!(
-        case.scenario.byzcast.recovery.enabled(),
+        case.scenario.byzcast.recovery,
         "the thin-chain reproducer must run with the recovery envelope on"
     );
     assert!(case.expect.is_empty(), "the case is pinned as healthy");
@@ -92,7 +104,7 @@ fn crash_thin_chain_replays_clean_under_recovery() {
     // still strand the chain. If it runs clean too, the clean replay above
     // proves nothing about the recovery layer.
     let mut control = case;
-    control.scenario.byzcast.recovery = byzcast_core::RecoveryConfig::off();
+    control.scenario.byzcast.recovery = false;
     let stranded = run_case(&control);
     let semi = stranded
         .violations

@@ -202,10 +202,7 @@ fn no_duplicate_deliveries() {
     };
     let w = workload(8);
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in w.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(byzcast::sim::SimTime::ZERO + w.horizon());
+    w.drive(&mut sim);
     let mut seen: BTreeSet<(NodeId, u64)> = BTreeSet::new();
     for d in &sim.metrics().deliveries {
         assert!(

@@ -17,10 +17,7 @@ fn run(
     workload: &Workload,
 ) -> byzcast::sim::Simulator<byzcast::core::WireMsg> {
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
     sim
 }
 

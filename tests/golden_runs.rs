@@ -12,7 +12,6 @@
 //! prints the new digest and the record it hashes.
 
 use byzcast_adversary::{Deviation, FlapBehavior, MutePolicy, SabotageKind};
-use byzcast_core::RecoveryConfig;
 use byzcast_harness::chaos::{generate_case, run_case};
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{
@@ -184,7 +183,7 @@ fn mixed_byzantine_beacon_and_fd_record_is_pinned() {
             ..SimConfig::default()
         },
         byzcast: byzcast_core::ByzcastConfig {
-            recovery: RecoveryConfig::standard(),
+            recovery: true,
             ..byzcast_core::ByzcastConfig::default()
         },
         adversary_assignments: vec![

@@ -11,7 +11,7 @@
 //! zero when it is off); the test masks them after asserting the cached run
 //! actually used the cache.
 
-use byzcast_core::{RecoveryConfig, ResourceConfig};
+use byzcast_core::ResourceConfig;
 use byzcast_harness::record::{run_record, RecordMeta};
 use byzcast_harness::{MobilityChoice, ScenarioConfig, Workload};
 use byzcast_sim::{Field, SimConfig, SimDuration};
@@ -152,84 +152,6 @@ fn generous_governance_envelope_is_decision_free() {
         assert_eq!(
             record(&ungoverned),
             record(&governed),
-            "seed {seed}: JSONL records diverged"
-        );
-    }
-}
-
-#[test]
-fn dormant_recovery_envelope_is_decision_free() {
-    // The recovery-escalation layer must be pure bookkeeping until it
-    // actually triggers: a run with the envelope *on* but thresholds no
-    // healthy retry ever reaches must match the default-off run in every
-    // simulation observable. The only tolerated difference is the
-    // `recovery` stats section itself, which exists precisely when the
-    // envelope is on — the test asserts the stats prove the layer stayed
-    // dormant, then masks the section and requires byte-identical summaries
-    // and JSONL records.
-    //
-    // Liveness re-election is deliberately *off* here: purging an expired
-    // beacon record at the failure-detector tick instead of the next beacon
-    // tick is the repair feature itself (it legitimately shifts prune
-    // timing), so it can never be decision-free. Its behavior is pinned by
-    // the protocol unit tests and the chaos corpus instead.
-    let dormant = RecoveryConfig {
-        // == MAX_REQUESTS_PER_MSG: a request would have to exhaust the
-        // paper's full retry budget unanswered before anything widens.
-        escalate_after: 5,
-        max_escalations: 4,
-        backoff_base: SimDuration::from_millis(1000),
-        backoff_cap: SimDuration::from_millis(4000),
-        widen_fanout: 3,
-        find_ttl: 3,
-        reelect_on_indictment: false,
-    };
-    for seed in [1u64, 2, 3] {
-        let off = scenario(seed, true).run(&workload());
-        let mut on_scenario = scenario(seed, true);
-        on_scenario.byzcast.recovery = dormant;
-        let mut on = on_scenario.run(&workload());
-
-        let stats = on
-            .recovery
-            .take()
-            .expect("recovery-enabled runs report stats");
-        assert_eq!(
-            stats.requests_widened
-                + stats.finds_escalated
-                + stats.peak_escalation
-                + stats.reelections
-                + stats.neighbors_purged,
-            0,
-            "seed {seed}: the envelope was supposed to stay dormant: {stats:?}"
-        );
-        // The stats still mirror real traffic: every plain recovery request
-        // the run made was counted.
-        assert_eq!(
-            stats.requests_originated,
-            on.counters.expect("byzcast counters").requests_sent,
-            "seed {seed}: stats disagree with the request counter"
-        );
-        assert_eq!(off, on, "seed {seed}: summaries diverged");
-
-        let params = vec![("seed".to_owned(), seed.to_string())];
-        let record = |summary| {
-            run_record(
-                &RecordMeta {
-                    experiment: "perf_equivalence",
-                    label: "mobile-40-recovery",
-                    params: &params,
-                    seed,
-                    run_index: 0,
-                    wall_ms: 0.0,
-                },
-                summary,
-                &[],
-            )
-        };
-        assert_eq!(
-            record(&off),
-            record(&on),
             "seed {seed}: JSONL records diverged"
         );
     }

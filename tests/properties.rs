@@ -152,10 +152,7 @@ proptest! {
 
         let w = small_workload(4);
         let mut sim = config.build_wire_sim();
-        for (at, sender, payload_id, size) in w.schedule() {
-            sim.schedule_app_broadcast(at, sender, payload_id, size);
-        }
-        sim.run_until(byzcast::sim::SimTime::ZERO + w.horizon());
+        w.drive(&mut sim);
         let metrics = sim.metrics();
         let correct = config.correct_mask();
         let mut seen = std::collections::BTreeSet::new();

@@ -12,14 +12,11 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use byzcast::adversary::Deviation;
 use byzcast::harness::{highest_ids, ScenarioConfig, Workload};
-use byzcast::sim::{Field, Metrics, NodeId, SimConfig, SimDuration, SimTime};
+use byzcast::sim::{Field, Metrics, NodeId, SimConfig, SimDuration};
 
 fn run_scenario(config: &ScenarioConfig, workload: &Workload) -> Metrics {
     let mut sim = config.build_wire_sim();
-    for (at, sender, payload_id, size) in workload.schedule() {
-        sim.schedule_app_broadcast(at, sender, payload_id, size);
-    }
-    sim.run_until(SimTime::ZERO + workload.horizon());
+    workload.drive(&mut sim);
     sim.metrics().clone()
 }
 
